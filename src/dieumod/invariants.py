@@ -13,6 +13,7 @@ entry valuations of iterated twisted powers (the independent oracle).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .modp import smith_exponents, mat_rank_over_field
 from .wittring import PrecisionError, DomainError, INF
@@ -122,48 +123,54 @@ class AType:
         }
 
 
-def _slot_rows(matrix):
-    return [list(matrix[0]), list(matrix[1])]
+class _Reduction:
+    """One reduction of M mod p, read by every mod-p invariant: per slot i
+    the rows of Vbar (V: slot i+1 -> i) and of Fbar (F: slot i-1 -> i) over
+    k[pi]/(pi^e).  Fbar is reduced only when read, so the Lie type alone
+    never pays for it."""
+
+    def __init__(self, M):
+        self.M = M
+        self.vbar = [M.vbar_matrix((i + 1) % M.f) for i in range(M.f)]
+
+    @cached_property
+    def rows(self):
+        return [self.M.fbar_matrix(i) + v for i, v in enumerate(self.vbar)]
+
+    @cached_property
+    def lie_type(self):
+        return LieType(self.M.e, tuple(tuple(smith_exponents(r, self.M.e)) for r in self.vbar))
+
+    @cached_property
+    def a_type(self):
+        return AType(self.M.e, tuple(tuple(smith_exponents(r, self.M.e)) for r in self.rows))
+
+    def a_index(self):
+        L = self.lie_type
+        if not L.is_rapoport:
+            raise DomainError("not-rapoport",
+                              "a-index is only defined on the Rapoport locus",
+                              lie_type=L.to_json())
+        tau = tuple(i for i, (_, ai) in enumerate(self.a_type.pairs) if ai)
+        reduced = sum(2 - mat_rank_over_field([[x.constant() for x in row] for row in r])
+                      for r in self.rows)
+        return tau, len(tau), reduced
 
 
 def lie_type(M):
     """Elementary divisors of M^i / V M^(i+1), slot by slot."""
-    pairs = []
-    for i in range(M.f):
-        rows = _slot_rows(M.vbar_matrix((i + 1) % M.f, with_unit=False))
-        d = smith_exponents(rows, M.e)
-        pairs.append(tuple(d))
-    return LieType(M.e, tuple(pairs))
+    return _Reduction(M).lie_type
 
 
 def a_type(M):
     """Elementary divisors of M^i / (F M^(i-1) + V M^(i+1)), slot by slot."""
-    pairs = []
-    for i in range(M.f):
-        rows = _slot_rows(M.fbar_matrix(i)) + \
-            _slot_rows(M.vbar_matrix((i + 1) % M.f, with_unit=False))
-        d = smith_exponents(rows, M.e)
-        pairs.append(tuple(d))
-    return AType(M.e, tuple(pairs))
+    return _Reduction(M).a_type
 
 
 def a_index(M):
     """(tau, t, reduced a-number) for a module satisfying the Rapoport
     condition; refuses other modules, where the a-index is not defined."""
-    L = lie_type(M)
-    if not L.is_rapoport:
-        raise DomainError("not-rapoport",
-                          "a-index is only defined on the Rapoport locus",
-                          lie_type=L.to_json())
-    a = a_type(M)
-    tau = tuple(i for i, (_, ai) in enumerate(a.pairs) if ai)
-    reduced = 0
-    for i in range(M.f):
-        rows = _slot_rows(M.fbar_matrix(i)) + \
-            _slot_rows(M.vbar_matrix((i + 1) % M.f, with_unit=False))
-        krows = [[x.constant() for x in row] for row in rows]
-        reduced += 2 - mat_rank_over_field(krows)
-    return tau, len(tau), reduced
+    return _Reduction(M).a_index()
 
 
 def newton_point(M, method="fast", max_doublings=7):
@@ -240,9 +247,11 @@ def _newton_oracle(M, max_doublings):
 
 def classify(M):
     """Flags {rapoport, dp, ordinary, supersingular, superspecial}."""
-    L = lie_type(M)
-    a = a_type(M)
-    np_ = newton_point(M)
+    r = _Reduction(M)
+    return _flags(M, r.lie_type, r.a_type, newton_point(M))
+
+
+def _flags(M, L, a, np_):
     return {
         "rapoport": L.is_rapoport,
         "dp": L.is_dp,
@@ -292,16 +301,16 @@ def dual_invariants(L, a):
 
 
 def invariant_report(M):
-    """Everything at once, as a JSON-ready dict."""
-    L = lie_type(M)
-    a = a_type(M)
-    flags = None
-    newton = None
+    """Everything at once, as a JSON-ready dict (one reduction mod p)."""
+    r = _Reduction(M)
+    L, a = r.lie_type, r.a_type
+    flags = newton = None
     if M.det_sum == M.g:
         np_ = newton_point(M)
         newton = np_.to_json()
-        flags = classify(M)
-    report = {
+        flags = _flags(M, L, a, np_)
+    tau, _, reduced = r.a_index() if L.is_rapoport else (None, None, None)
+    return {
         "lie_type": L.to_json(),
         "a_type": a.to_json()["pairs"],
         "a_number": a.a_number,
@@ -309,11 +318,6 @@ def invariant_report(M):
         "flags": flags,
         "det_valuations": list(M.det_orders),
         "mode": M.mode,
+        "a_index": None if tau is None else list(tau),
+        "reduced_a_number": reduced,
     }
-    report["a_index"] = None
-    report["reduced_a_number"] = None
-    if L.is_rapoport:
-        tau, t, reduced = a_index(M)
-        report["a_index"] = list(tau)
-        report["reduced_a_number"] = reduced
-    return report

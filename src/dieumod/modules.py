@@ -17,7 +17,7 @@ alternating form; compatibility with F and V forces
 """
 
 import json
-from .wittring import RamElem, PrecisionError, DomainError, INF
+from .wittring import CoeffTower, PrecisionError, DomainError, INF, is_int_list
 
 
 def mat(tower, rows):
@@ -51,12 +51,20 @@ def mat_scale(A, c):
     return tuple(tuple(x * c for x in row) for row in A)
 
 
-def mat_min_ord_lower(A):
-    return min(x.ord_lower() for row in A for x in row)
-
-
 def mat_mod_p(A):
     return tuple(tuple(x.residue_poly() for x in row) for row in A)
+
+
+def _is_json_ram(x):
+    """An int, or a list of pi-coefficients that are ints or int lists."""
+    return type(x) is int or isinstance(x, list) and all(
+        type(c) is int or is_int_list(c) for c in x)
+
+
+def _is_json_matrix(A):
+    return (isinstance(A, list) and len(A) == 2 and all(
+        isinstance(row, list) and len(row) == 2 and all(map(_is_json_ram, row))
+        for row in A))
 
 
 class DModule:
@@ -66,6 +74,8 @@ class DModule:
         self.tower = tower
         if len(matrices) != tower.f:
             raise DomainError("bad-shape", f"expected {tower.f} slot matrices")
+        if delta is not None and len(delta) != tower.f:
+            raise DomainError("bad-shape", f"expected {tower.f} pairing scalars")
         self.matrices = tuple(mat(tower, m) for m in matrices)
         self.delta = None if delta is None else tuple(tower.ram(d) for d in delta)
         if mode not in ("separable", "general"):
@@ -177,29 +187,29 @@ class DModule:
 
     # -- reduction mod p and duality ----------------------------------------
 
-    def _p_inverse(self, i, with_unit=True):
-        """p * A[i]^(-1), exactly; the unit division costs det-valuation digits."""
-        A = self.matrices[i]
-        v, u = mat_det(A).unit_part()
-        scaled = tuple(tuple((x * self.tower.p).div_pi(v) for x in row) for row in mat_adj(A))
-        if not with_unit:
-            return scaled
-        uinv = u.inverse()
-        return mat_scale(scaled, uinv)
+    def _p_adjugate(self, i):
+        """p * adj(A[i]) / pi^v, v = ord det A[i]: p * A[i]^(-1) up to a unit."""
+        v = self.det_orders[i]
+        return tuple(tuple((x * self.tower.p).div_pi(v) for x in row)
+                     for row in mat_adj(self.matrices[i]))
 
-    def vbar_matrix(self, i, with_unit=True):
-        """Matrix of V: slot i -> slot i-1, reduced mod p.  With
-        with_unit=False the result is off by a global unit scalar (same row
-        span, no precision spent on inverting the det's unit part)."""
-        M = mat_sigma(self._p_inverse(i, with_unit), -1)
-        return mat_mod_p(M)
+    def _p_inverse(self, i):
+        """p * A[i]^(-1), exactly; the unit division costs det-valuation digits."""
+        _, u = mat_det(self.matrices[i]).unit_part()
+        return mat_scale(self._p_adjugate(i), u.inverse())
+
+    def vbar_matrix(self, i):
+        """Matrix of V: slot i -> slot i-1, reduced mod p, up to a unit
+        scalar: the det's unit part is not divided out (same row span, no
+        precision spent on inverting it).  dual() uses the exact p*A^(-1)."""
+        return mat_mod_p(mat_sigma(self._p_adjugate(i), -1))
 
     def fbar_matrix(self, i):
         """A[i] mod p: matrix of F: slot i-1 -> slot i."""
         return mat_mod_p(self.matrices[i])
 
     def reduce_mod_p(self):
-        """Per slot i, the pair (Fbar[i], Vbar[i]) over k[pi]/(pi^e)."""
+        """Per slot i, (Fbar[i], Vbar[i]) over k[pi]/(pi^e); Vbar as in vbar_matrix."""
         return [(self.fbar_matrix(i), self.vbar_matrix(i)) for i in range(self.f)]
 
     def dual(self):
@@ -228,14 +238,16 @@ class DModule:
         }
 
     @classmethod
-    def from_json(cls, data, tower=None):
-        from .wittring import CoeffTower
-        if tower is None:
-            tower = CoeffTower.from_json(data["tower"])
-        mats = [[[tower.ram(x) for x in row] for row in A] for A in data["matrices"]]
-        delta = data.get("delta")
-        if delta is not None:
-            delta = [tower.ram(d) for d in delta]
+    def from_json(cls, data):
+        """Module from its JSON object; malformed input raises DomainError."""
+        if not isinstance(data, dict):
+            raise DomainError("bad-input", "module JSON must be an object")
+        tower = CoeffTower.from_json(data.get("tower"))
+        mats, delta = data.get("matrices"), data.get("delta")
+        if not (isinstance(mats, list) and all(map(_is_json_matrix, mats)) and (
+                delta is None or isinstance(delta, list) and all(map(_is_json_ram, delta)))):
+            raise DomainError("bad-input", "matrices must be a list of 2x2 matrices "
+                              "and delta a list, of ramified elements")
         return cls(tower, mats, delta, data.get("mode", "separable"))
 
     def dumps(self):

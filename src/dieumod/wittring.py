@@ -1,11 +1,10 @@
 """Exact arithmetic in the coefficient tower
 
-    F_{p^d}  ->  W_N(F_{p^d})  ->  W_N(F_{p^d})[pi]/(P(pi)),   d = f * ext,
+    F_{p^d}  ->  W_N(F_{p^d})  ->  W_N(F_{p^d})[pi]/(pi^e - p),   d = f * ext.
 
-with P Eisenstein (default pi^e = p).  W_N(F_{p^d}) is realized as
-Z/p^N [T]/(m(T)) where m(T) is the unique monic lift of a primitive
-irreducible polynomial dividing T^(p^d - 1) - 1, so T is a Teichmuller
-element and the Witt Frobenius is simply T -> T^p.
+W_N(F_{p^d}) is realized as Z/p^N [T]/(m(T)) where m(T) is the unique monic
+lift of a primitive irreducible polynomial dividing T^(p^d - 1) - 1, so T is
+a Teichmuller element and the Witt Frobenius is simply T -> T^p.
 
 Ramified elements carry a certified precision `prec` (number of exact
 pi-adic digits, at most e*N).  Ring operations never lose precision;
@@ -38,10 +37,15 @@ class DomainError(ValueError):
         self.info = info
 
 
+def is_int_list(xs):
+    """True for a list of integers, as read from JSON (booleans excluded)."""
+    return isinstance(xs, list) and all(type(x) is int for x in xs)
+
+
 class CoeffTower:
     """Immutable description of the working rings; all element ops live here."""
 
-    def __init__(self, p, f, e, ext=1, N=None, modulus=None, eisenstein=None):
+    def __init__(self, p, f, e, ext=1, N=None, modulus=None):
         if not fppoly.is_prime(p):
             raise DomainError("not-prime", f"p = {p} is not prime")
         if f < 1 or e < 1 or ext < 1:
@@ -57,15 +61,6 @@ class CoeffTower:
         self.d = f * ext
         self.q = p ** self.d
         self.pN = p ** N
-        if eisenstein is None:
-            eisenstein = [(-p) % self.pN] + [0] * (e - 1) + [1]
-        eisenstein = [c % self.pN for c in eisenstein]
-        if len(eisenstein) != e + 1 or eisenstein[-1] != 1:
-            raise DomainError("bad-eisenstein", "expected a monic polynomial of degree e")
-        if any(c % p for c in eisenstein[:-1]) or eisenstein[0] % (p * p) == 0:
-            raise DomainError("bad-eisenstein", "polynomial is not Eisenstein at p")
-        self.eisenstein = tuple(eisenstein)
-        self.is_default_eisenstein = eisenstein == [(-p) % self.pN] + [0] * (e - 1) + [1]
 
         if modulus is None:
             mu = fppoly.smallest_primitive(p, self.d)
@@ -83,6 +78,7 @@ class CoeffTower:
         if fppoly.ppowmod([0, 1], self.q - 1, modulus, self.pN) != [1]:
             raise DomainError("bad-modulus", "T is not a (q-1)-th root of unity mod modulus")
         self.modulus = tuple(modulus)
+        self._key = (p, f, e, ext, N, self.modulus)
         self.residue_field = ResidueField(p, mu)
 
         # reduction table for x^(d+k), packed multiplication parameters,
@@ -144,20 +140,14 @@ class CoeffTower:
         return self._sigma_maps[n]
 
     def __eq__(self, other):
-        return isinstance(other, CoeffTower) and self.describe() == other.describe()
+        return self is other or (isinstance(other, CoeffTower) and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.p, self.f, self.e, self.ext, self.N, self.modulus, self.eisenstein))
+        return hash(self._key)
 
     def __repr__(self):
         return (f"CoeffTower(p={self.p}, f={self.f}, e={self.e}, "
                 f"ext={self.ext}, N={self.N})")
-
-    def describe(self):
-        return {
-            "p": self.p, "f": self.f, "e": self.e, "ext": self.ext, "N": self.N,
-            "modulus": list(self.modulus), "eisenstein": list(self.eisenstein),
-        }
 
     @property
     def g(self):
@@ -171,10 +161,18 @@ class CoeffTower:
         return {"p": self.p, "f": self.f, "e": self.e, "ext": self.ext,
                 "N": self.N, "modulus": list(self.modulus)}
 
+    describe = to_json
+
     @classmethod
     def from_json(cls, data):
-        return cls(data["p"], data["f"], data["e"], data.get("ext", 1),
-                   data["N"], modulus=data.get("modulus"))
+        """Tower from its JSON object; malformed input raises DomainError."""
+        if not isinstance(data, dict):
+            raise DomainError("bad-input", "tower JSON must be an object")
+        args = [data.get(k) for k in ("p", "f", "e")] + [data.get("ext", 1), data.get("N")]
+        modulus = data.get("modulus")
+        if not (is_int_list(args) and (modulus is None or is_int_list(modulus))):
+            raise DomainError("bad-input", "tower p, f, e, ext, N and modulus must be integers")
+        return cls(*args, modulus=modulus)
 
     def dumps(self):
         return json.dumps(self.to_json(), sort_keys=True)
@@ -252,21 +250,13 @@ class CoeffTower:
         return self.ram(1)
 
     def pi(self):
-        if self.e == 1:
-            return self.ram(self.p)
-        return self.ram([0, 1])
+        return self.pi_pow(1)
 
     def pi_pow(self, n):
         if n < 0:
             raise DomainError("bad-shape", "negative pi power")
         q, r = divmod(n, self.e)
-        unit = self.ram(pow(self.p, q, self.pN)) if self.is_default_eisenstein else None
-        if unit is None:
-            x = self.one()
-            for _ in range(n):
-                x = x * self.pi()
-            return x
-        return unit * self.ram([0] * r + [1]) if r else unit
+        return self.ram([0] * r + [pow(self.p, q, self.pN)])
 
     def random_ram(self, rng):
         return self.ram([self.random_witt(rng) for _ in range(self.e)])
@@ -404,7 +394,7 @@ def _truncated(tower, coeffs, prec):
 
 
 class RamElem:
-    """Element of W_N[pi]/(P(pi)) with a certified pi-adic precision."""
+    """Element of W_N[pi]/(pi^e - p) with a certified pi-adic precision."""
 
     __slots__ = ("tower", "coeffs", "prec")
 
@@ -473,15 +463,10 @@ class RamElem:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         conv[i + j] = conv[i + j] + a * b
-        # fold pi^(e+k) using the Eisenstein relation pi^e = -sum E_j pi^j
-        for k in range(2 * e - 2, e - 1, -1):
-            c = conv[k]
-            if c:
-                for j in range(e):
-                    Ej = t.eisenstein[j]
-                    if Ej:
-                        conv[k - e + j] = conv[k - e + j] - c * Ej
-                conv[k] = t.witt_zero()
+        # fold pi^(e+k) = p * pi^k
+        for k in range(e, 2 * e - 1):
+            if conv[k]:
+                conv[k - e] = conv[k - e] + conv[k] * t.p
         prec = full
         if self.prec < full or other.prec < full:
             prec = min(self._repr_ord() + other.prec, other._repr_ord() + self.prec,
@@ -504,7 +489,7 @@ class RamElem:
         return result
 
     def sigma(self, n=1):
-        """sigma^n coefficientwise; sigma(pi) = pi since P has Z_p coefficients."""
+        """sigma^n coefficientwise; sigma(pi) = pi since pi^e = p."""
         return RamElem(self.tower, [c.sigma(n) for c in self.coeffs], self.prec)
 
     def ord_pi(self):
@@ -536,8 +521,6 @@ class RamElem:
     def div_pi(self, v=1):
         """Exact division by pi^v; costs v digits of certified precision."""
         t = self.tower
-        if not t.is_default_eisenstein:
-            raise DomainError("unsupported", "pi-division needs the default relation pi^e = p")
         x = list(self.coeffs)
         prec = self.prec
         for _ in range(v):

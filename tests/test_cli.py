@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dieumod.cli import main
 
 
@@ -78,6 +80,37 @@ def test_malformed_module_json(capsys, tmp_path):
     code, out = run_cli(capsys, "invariants", "--module", str(path))
     assert code == 1
     assert json.loads(out)["error"]["code"] == "bad-input"
+
+
+def _one_by_two_slot(data):
+    data["matrices"][0] = data["matrices"][0][:1]
+    return data
+
+
+def _string_coefficient(data):
+    data["matrices"][0][0][0] = ["1"]
+    return data
+
+
+def _short_delta(data):
+    data["delta"] = []
+    return data
+
+
+@pytest.mark.parametrize("mutate,code", [
+    (_one_by_two_slot, "bad-input"),
+    (lambda data: [], "bad-input"),
+    (_string_coefficient, "bad-input"),
+    (_short_delta, "bad-shape"),
+], ids=["1x2-slot-matrix", "top-level-list", "string-coefficient", "short-delta"])
+def test_malformed_module_shapes(capsys, tmp_path, mutate, code):
+    _, out = run_cli(capsys, "construct", "--family", "ordinary", "--p", "3",
+                     "--f", "1", "--e", "1")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutate(json.loads(out))))
+    exit_code, out = run_cli(capsys, "invariants", "--module", str(path))
+    assert exit_code == 1
+    assert json.loads(out)["error"]["code"] == code
 
 
 def test_usage_error_exit_2(capsys):

@@ -7,7 +7,6 @@ from dieumod import (
 )
 from dieumod import families as fam
 from dieumod.modp import smith_exponents
-from dieumod.invariants import _slot_rows
 from conftest import tower
 
 
@@ -87,8 +86,8 @@ class TestSuperspecial:
                 continue
             M = fam.superspecial(t, e1, e2, "general")
             for i in range(f):
-                frows = _slot_rows(M.fbar_matrix(i))
-                vrows = _slot_rows(M.vbar_matrix((i + 1) % f, with_unit=False))
+                frows = M.fbar_matrix(i)
+                vrows = M.vbar_matrix((i + 1) % f)
                 df = smith_exponents(frows, e)
                 dv = smith_exponents(vrows, e)
                 ds = smith_exponents(frows + vrows, e)

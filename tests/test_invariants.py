@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from dieumod import (
     invariant_report, LieType, AType,
 )
 from dieumod import families as fam
+from dieumod import invariants as inv
 from conftest import tower
 
 
@@ -247,3 +249,44 @@ def test_invariant_report_shape():
     assert rep["reduced_a_number"] == 1
     assert rep["newton"]["index_num"] == 1
     assert rep["flags"]["supersingular"]
+
+
+def _single_pass_cases(rng):
+    cases = [fam.nonrapoport_module(tower(5, 1, 2, ext=2))]
+    for f, e in ((1, 2), (2, 2), (3, 1), (4, 1)):
+        t = tower(3, f, e, ext=2)
+        cases.append(fam.normal_form(t, (0,), {0: t.random_ram(rng)}))
+        cases.append(fam.ordinary_module(t))
+    return cases
+
+
+def test_invariant_report_reduces_once(monkeypatch, rng):
+    # one reduction mod p (f Fbar and f Vbar matrices) and one Newton point
+    # per report; every field equals the invariant computed on its own
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(DModule, "vbar_matrix", counting("vbar", DModule.vbar_matrix))
+    monkeypatch.setattr(DModule, "fbar_matrix", counting("fbar", DModule.fbar_matrix))
+    monkeypatch.setattr(inv, "newton_point", counting("newton", inv.newton_point))
+    for M in _single_pass_cases(rng):
+        calls.clear()
+        rep = invariant_report(M)
+        assert calls == {"vbar": M.f, "fbar": M.f, "newton": 1}
+        calls.clear()
+        L = lie_type(M)
+        assert calls == {"vbar": M.f}
+        a = a_type(M)
+        assert rep["lie_type"] == L.to_json()
+        assert rep["a_type"] == a.to_json()["pairs"] and rep["a_number"] == a.a_number
+        assert rep["flags"] == classify(M)
+        if L.is_rapoport:
+            tau, _, reduced = a_index(M)
+            assert rep["a_index"] == list(tau) and rep["reduced_a_number"] == reduced
+        else:
+            assert rep["a_index"] is None and rep["reduced_a_number"] is None

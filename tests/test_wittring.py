@@ -59,13 +59,6 @@ class TestTowerConstruction:
         t2 = CoeffTower.from_json(json.loads(t.dumps()))
         assert t2.describe() == t.describe()
 
-    def test_general_eisenstein_accepted(self):
-        t = CoeffTower(3, 1, 2, 1, 3, eisenstein=[3, 3, 1])  # pi^2 + 3 pi + 3
-        x = t.pi()
-        assert (x * x + x * 3 + 3) == t.zero()
-        with pytest.raises(DomainError, match="Eisenstein"):
-            CoeffTower(3, 1, 2, 1, 3, eisenstein=[9, 0, 1])  # constant term p^2
-
 
 class TestWittArithmetic:
     def test_ring_axioms(self, rng):
