@@ -9,7 +9,7 @@ import os
 import sys
 
 from .wittring import CoeffTower, DomainError, PrecisionError
-from .modules import DModule
+from .modules import DModule, is_json_ram
 from . import invariants as inv
 from . import strata
 from . import families as fam
@@ -56,7 +56,9 @@ def cmd_construct(args):
         tau = _ints(args.tau or "")
         if args.cjson:
             raw = json.loads(args.cjson)
-            c = {int(k): tower.ram([tower.witt(w) for w in v]) for k, v in raw.items()}
+            if not (isinstance(raw, dict) and all(map(is_json_ram, raw.values()))):
+                raise DomainError("bad-input", "--cjson must map slots to ramified elements")
+            c = {int(k): tower.ram(v) for k, v in raw.items()}
         else:
             avals = _ints(args.avals or "")
             if len(avals) != len(tau):

@@ -158,6 +158,13 @@ def superspecial(tower, e1=None, e2=None, variant="general"):
                             "e1": e1, "e2": e2}, None)
 
 
+def _target_atype(target, e, f):
+    target = tuple(target)
+    if len(target) != f or any(not (0 <= t <= e) for t in target):
+        raise DomainError("bad-shape", "target a-type must be f slot values in [0, e]")
+    return target
+
+
 def deform_specialize(base, target_atype, assignment):
     """Specialize the universal deformation of a normal-form module over the
     stratum of a-types >= target.
@@ -174,9 +181,7 @@ def deform_specialize(base, target_atype, assignment):
         raise DomainError("bad-shape", "base must come from normal_form")
     e, f = tower.e, tower.f
     tau, entries = fam["tau"], fam["entries"]
-    target = tuple(target_atype)
-    if len(target) != f or any(not (0 <= t <= e) for t in target):
-        raise DomainError("bad-shape", "target a-type must be f slot values in [0, e]")
+    target = _target_atype(target_atype, e, f)
     for i in range(f):
         base_ai = min(e, entries[i].ord_lower()) if i in tau else 0
         if target[i] > base_ai:
@@ -232,7 +237,7 @@ def sample_deform(tower, tau, target, trials, rng, newton_method="fast"):
 
     e, f = tower.e, tower.f
     tau = tuple(sorted(set(i % f for i in tau)))
-    target = tuple(target)
+    target = _target_atype(target, e, f)
     c = {}
     for i in tau:
         ai = target[i] if target[i] else 1

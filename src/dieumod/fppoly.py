@@ -216,19 +216,10 @@ def teichmuller_modulus(mu, p, N):
     def rmul(a, b):
         return pmod(pmul(a, b, m), m0, m)
 
-    def rpow(a, n):
-        r = [1]
-        while n:
-            if n & 1:
-                r = rmul(r, a)
-            a = rmul(a, a)
-            n >>= 1
-        return r
-
     # Teichmuller lift of the residue of x: iterate q-th powers to the fixpoint.
     w = [0, 1]
     for _ in range(N + 1):
-        w2 = rpow(w, q)
+        w2 = ppowmod(w, q, m0, m)
         if w2 == w:
             break
         w = w2
@@ -237,7 +228,7 @@ def teichmuller_modulus(mu, p, N):
     c = w
     for _ in range(d):
         conj.append(c)
-        c = rpow(c, p)
+        c = ppowmod(c, p, m0, m)
     poly = [[1]]  # polynomial in T with coefficients in the ring
     for cj in conj:
         new = [[] for _ in range(len(poly) + 1)]

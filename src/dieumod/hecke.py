@@ -64,6 +64,10 @@ class SmallField:
         out[self.EXP] = self.EXP[(self.LOG[self.EXP] * n) % (self.q - 1)]
         return out
 
+    def power(self, x, n):
+        """x**n for one encoded element x."""
+        return self.EXP[(self.LOG[x] * n) % (self.q - 1)] if int(x) else np.int64(0)
+
     def add(self, a, b):
         return self.ADD[a, b]
 
@@ -86,14 +90,20 @@ class StablePlane:
     chart: tuple | None  # (t11, t12, t21, t22) when the plane is in the chart
 
 
+def _field_order(p, s):
+    """q = p^(2s), for an odd prime p and s >= 1."""
+    if p == 2 or not fppoly.is_prime(p):
+        raise DomainError("bad-shape", "p must be an odd prime")
+    if s < 1:
+        raise DomainError("bad-shape", "s must be >= 1")
+    return p ** (2 * s)
+
+
 class HeckeSetting:
     """Operators and pairing on the 4-dimensional space, over F_q, q = p^(2s)."""
 
     def __init__(self, p, s=1):
-        if p == 2 or not fppoly.is_prime(p):
-            raise DomainError("bad-shape", "p must be an odd prime")
-        if s < 1:
-            raise DomainError("bad-shape", "s must be >= 1")
+        _field_order(p, s)
         self.p, self.s = p, s
         self.field = SmallField(p, 2 * s)
         self.q = self.field.q
@@ -160,15 +170,23 @@ def _chart_masks(S):
     return mask, (t11, t12, t21, t22)
 
 
+def _check_size(q, chart_only, size_cap):
+    """Raise size-guard when the search over F_q has more than size_cap candidates."""
+    if chart_only and q ** 4 > size_cap:
+        raise DomainError("size-guard", f"chart has {q ** 4} points > cap")
+    total = (q ** 2 + 1) * (q ** 2 + q + 1)
+    if not chart_only and total > size_cap:
+        raise DomainError("size-guard", f"Grassmannian has {total} planes > cap")
+
+
 def enumerate_stable_planes(S, chart_only=True, size_cap=10 ** 7):
     """All pi-, F-, V-stable isotropic planes, verified from the raw
     definitions.  With chart_only the search runs over the affine chart
     around span(x1, x2); otherwise over the whole Grassmannian, reporting
     planes by their reduced row echelon form."""
     q = S.q
+    _check_size(q, chart_only, size_cap)
     if chart_only:
-        if q ** 4 > size_cap:
-            raise DomainError("size-guard", f"chart has {q ** 4} points > cap")
         mask, coords = _chart_masks(S)
         idx = np.nonzero(mask)[0]
         planes = []
@@ -178,9 +196,6 @@ def enumerate_stable_planes(S, chart_only=True, size_cap=10 ** 7):
             planes.append(StablePlane(rref, t))
         return planes
 
-    total = (q ** 2 + 1) * (q ** 2 + q + 1)
-    if total > size_cap:
-        raise DomainError("size-guard", f"Grassmannian has {total} planes > cap")
     K = S.field
     planes = []
     for j1, j2 in combinations(range(4), 2):
@@ -229,19 +244,15 @@ def chart_equations_hold(S, t):
     K = S.field
     p = S.p
     t11, t12, t21, t22 = (np.int64(x) for x in t)
-
-    def powp(x, n):
-        return K.EXP[(K.LOG[x] * n) % (S.q - 1)] if int(x) else np.int64(0)
-
     eqs = [
         K.add(K.mul(t11, t11), K.mul(t12, t21)),                 # t11^2 + t12 t21
         K.mul(t12, K.add(t11, t22)),
         K.add(K.mul(t22, t22), K.mul(t12, t21)),                 # t22^2 + t12 t21
         K.mul(t21, K.add(t11, t22)),
-        K.add(K.mul(powp(t11, p), t21), K.mul(powp(t12, p), t11)),
-        K.add(K.mul(powp(t11, p), t22), powp(t12, p + 1)),
-        K.add(powp(t21, p + 1), K.mul(powp(t22, p), t11)),
-        K.add(K.mul(powp(t21, p), t22), K.mul(powp(t22, p), t12)),
+        K.add(K.mul(K.power(t11, p), t21), K.mul(K.power(t12, p), t11)),
+        K.add(K.mul(K.power(t11, p), t22), K.power(t12, p + 1)),
+        K.add(K.power(t21, p + 1), K.mul(K.power(t22, p), t11)),
+        K.add(K.mul(K.power(t21, p), t22), K.mul(K.power(t22, p), t12)),
         K.add(t11, t22),                                          # isotropy
     ]
     return all(int(v) == 0 for v in eqs)
@@ -271,13 +282,9 @@ def compare_variety(S, planes):
     q, p = S.q, S.p
     chart_pts = [pl.chart for pl in planes if pl.chart is not None]
     projected = {(t[0], t[1], t[2]) for t in chart_pts}
-
-    def powp(x, n):
-        return K.EXP[(K.LOG[x] * n) % (q - 1)] if int(x) else np.int64(0)
-
     poly_ok = all(
-        int(K.sub(powp(np.int64(t1), p + 1), powp(np.int64(t2), p + 1))) == 0
-        and int(K.add(powp(np.int64(t1), 2), K.mul(np.int64(t2), np.int64(t3)))) == 0
+        int(K.sub(K.power(np.int64(t1), p + 1), K.power(np.int64(t2), p + 1))) == 0
+        and int(K.add(K.power(np.int64(t1), 2), K.mul(np.int64(t2), np.int64(t3)))) == 0
         for t1, t2, t3 in projected)
 
     e = K.elements()
@@ -320,7 +327,12 @@ def build_setting(p, s=1):
 
 
 def probe_report(p, s=1, full_grassmannian=False, size_cap=10 ** 7):
-    """One-call report used by the command line front end."""
+    """One-call report used by the command line front end.  The size cap is
+    checked before the q x q field tables are allocated."""
+    q = _field_order(p, s)
+    _check_size(q, True, size_cap)
+    if full_grassmannian:
+        _check_size(q, False, size_cap)
     S = build_setting(p, s)
     planes = enumerate_stable_planes(S, chart_only=True, size_cap=size_cap)
     report = compare_variety(S, planes)

@@ -55,7 +55,7 @@ def mat_mod_p(A):
     return tuple(tuple(x.residue_poly() for x in row) for row in A)
 
 
-def _is_json_ram(x):
+def is_json_ram(x):
     """An int, or a list of pi-coefficients that are ints or int lists."""
     return type(x) is int or isinstance(x, list) and all(
         type(c) is int or is_int_list(c) for c in x)
@@ -63,7 +63,7 @@ def _is_json_ram(x):
 
 def _is_json_matrix(A):
     return (isinstance(A, list) and len(A) == 2 and all(
-        isinstance(row, list) and len(row) == 2 and all(map(_is_json_ram, row))
+        isinstance(row, list) and len(row) == 2 and all(map(is_json_ram, row))
         for row in A))
 
 
@@ -245,7 +245,7 @@ class DModule:
         tower = CoeffTower.from_json(data.get("tower"))
         mats, delta = data.get("matrices"), data.get("delta")
         if not (isinstance(mats, list) and all(map(_is_json_matrix, mats)) and (
-                delta is None or isinstance(delta, list) and all(map(_is_json_ram, delta)))):
+                delta is None or isinstance(delta, list) and all(map(is_json_ram, delta)))):
             raise DomainError("bad-input", "matrices must be a list of 2x2 matrices "
                               "and delta a list, of ramified elements")
         return cls(tower, mats, delta, data.get("mode", "separable"))

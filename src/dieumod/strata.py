@@ -133,9 +133,6 @@ class ATypePoset:
                     out.append((a, b))
         return out
 
-    def leq(self, a, b):
-        return all(x <= y for x, y in zip(a, b))
-
     def to_json(self):
         return {
             "e": self.e, "f": self.f,

@@ -5,166 +5,177 @@ oracles, brute-force spans, symbolic evaluation) and compared exactly.
 Suites (grouped for the command line): arith, slopes, strata, deform, hecke.
 `run_criteria` executes any subset and returns a machine-readable report;
 each entry carries a short description of the mathematical fact it checks.
+Criteria are registered with the `criterion` decorator.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
-from .wittring import CoeffTower, PrecisionError
-from .modules import DModule
+from .wittring import CoeffTower
 from . import invariants as inv
 from . import strata
 from . import families as fam
 from . import hecke as hk
 
+CRITERIA = {}
+SUITES = {}
 
-def _tower(p, f, e, ext=1, slack=0):
-    """Tower with enough precision for `slack`-fold iterated twisted powers."""
+
+@functools.cache
+def tower(p, f, e, ext=1, slack=0):
+    """Shared tower with enough precision for `slack`-fold iterated twisted powers."""
     g = e * f
-    N = max(-(-(e * f + 2) // e), -(-(slack * g + 2) // e))
-    return CoeffTower(p, f, e, ext, N)
+    return CoeffTower(p, f, e, ext, max(-(-(g + 2) // e), -(-(slack * g + 2) // e)))
+
+
+def criterion(cid, suite, name, description):
+    """Register a criterion body as CRITERIA[cid] and append cid to SUITES[suite].
+
+    The body is called as body(check, seed, scale) and calls
+    check(ok, **failure_info) once per case; it returns a dict of extra
+    report fields, or None.  The registered function takes (seed, scale) and
+    returns the full report, which passes when there was a case and no
+    failure.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def run(seed=0, scale=1.0):
+            failures = []
+            cases = 0
+
+            def check(ok, /, **info):
+                nonlocal cases
+                cases += 1
+                if not ok:
+                    failures.append(info)
+
+            extra = body(check, seed, scale) or {}
+            return {"id": cid, "suite": suite, "name": name, "description": description,
+                    "cases": cases, "passed": cases > 0 and not failures,
+                    "failures": failures[:5], **extra}
+        CRITERIA[cid] = run
+        SUITES[suite] = SUITES.get(suite, ()) + (cid,)
+        return run
+    return register
 
 
 def _scaled(n, scale):
     return max(1, int(round(n * scale)))
 
 
+def _random_unit(tw, rng):
+    """Teichmuller lift of a random residue unit, as a ramified element."""
+    return tw.ram(tw.teichmuller(tw.residue_field.random_unit(rng)))
+
+
 # --------------------------------------------------------------------------
 # criterion 1: the slope-realizing family hits every admissible index
 # --------------------------------------------------------------------------
 
-def criterion_slope_family(seed=0, scale=1.0):
-    cases = checked = 0
-    failures = []
+@criterion(1, "slopes", "slope family realizes every admissible Newton index",
+           "for g = e*f <= 8 the explicit family with parameter a "
+           "has Newton index a, fast and oracle methods agreeing")
+def criterion_slope_family(check, seed, scale):
     for e in (1, 2, 3):
         for f in (1, 2, 3, 4):
             g = e * f
             if g > 8:
                 continue
-            tower = _tower(3, f, e, slack=20)
+            tw = tower(3, f, e, slack=20)
             for a in range(g // 2 + 1):
                 d, r = divmod(a, e)
                 if not (2 * d + 1 <= f or (2 * d == f and r == 0)):
                     continue
-                cases += 1
-                M = fam.slope_family(tower, a)
+                M = fam.slope_family(tw, a)
                 fast = inv.newton_point(M, "fast").index
                 oracle = inv.newton_point(M, "oracle").index
-                if fast == oracle == a:
-                    checked += 1
-                else:
-                    failures.append({"e": e, "f": f, "a": a,
-                                     "fast": str(fast), "oracle": str(oracle)})
-    return {
-        "id": 1, "suite": "slopes",
-        "name": "slope family realizes every admissible Newton index",
-        "description": "for g = e*f <= 8 the explicit family with parameter a "
-                       "has Newton index a, fast and oracle methods agreeing",
-        "cases": cases, "passed": not failures and cases > 0,
-        "failures": failures[:5],
-    }
+                check(fast == oracle == a,
+                      e=e, f=f, a=a, fast=str(fast), oracle=str(oracle))
 
 
 # --------------------------------------------------------------------------
 # criteria 2/3: one- and two-slot normal form slope formulas
 # --------------------------------------------------------------------------
 
-def criterion_t1_formula(seed=0, scale=1.0):
+@criterion(2, "slopes", "one-slot slope formula",
+           "reduced a-number one: Newton index = "
+           "min(g/2, valuation of the Frobenius coefficient)")
+def criterion_t1_formula(check, seed, scale):
     rng = random.Random(seed)
-    n_target = _scaled(200, scale)
-    failures = []
-    done = 0
-    while done < n_target:
+    for _ in range(_scaled(200, scale)):
         p = rng.choice((3, 5))
         f = rng.choice((1, 2, 3))
         e = rng.choice((1, 2, 3))
         g = e * f
-        tower = _tower(p, f, e, ext=2, slack=0)
+        tw = tower(p, f, e, ext=2)
         w = rng.randrange(1, 2 * g + 1)  # valuation of the Frobenius coefficient
         if rng.random() < 0.1:
-            c0, w = tower.zero(), None  # coefficient zero: supersingular
+            c0, w = tw.zero(), None  # coefficient zero: supersingular
         else:
-            unit = tower.ram(tower.teichmuller(tower.residue_field.random_unit(rng)))
-            c0 = unit * tower.pi_pow(w - 1)
+            c0 = _random_unit(tw, rng) * tw.pi_pow(w - 1)
         slot = rng.randrange(f)
-        M = fam.normal_form(tower, (slot,), {slot: c0})
+        M = fam.normal_form(tw, (slot,), {slot: c0})
         expected = Fraction(g, 2) if w is None else min(Fraction(g, 2), Fraction(w))
         got = inv.newton_point(M, "fast").index
-        if got != expected:
-            failures.append({"p": p, "f": f, "e": e, "w": w,
-                             "got": str(got), "expected": str(expected)})
-        done += 1
-    return {
-        "id": 2, "suite": "slopes",
-        "name": "one-slot slope formula",
-        "description": "reduced a-number one: Newton index = "
-                       "min(g/2, valuation of the Frobenius coefficient)",
-        "cases": done, "passed": not failures, "failures": failures[:5],
-    }
+        check(got == expected,
+              p=p, f=f, e=e, w=w, got=str(got), expected=str(expected))
 
 
-def criterion_t2_formula(seed=0, scale=1.0):
+@criterion(3, "slopes", "two-slot slope formula",
+           "reduced a-number two: Newton index = "
+           "min(g/2, ord(u1*u2 + pi^(e*l2))) in the gap convention")
+def criterion_t2_formula(check, seed, scale):
     rng = random.Random(seed)
-    n_target = _scaled(200, scale)
-    failures = []
-    done = 0
-    while done < n_target:
-        p = 3
+    for _ in range(_scaled(200, scale)):
         f = rng.choice((2, 3, 4))
         e = rng.choice((1, 2, 3))
         g = e * f
-        tower = _tower(p, f, e, ext=2, slack=0)
+        tw = tower(3, f, e, ext=2)
         n1 = rng.randrange(f)
         n2 = (n1 + rng.randrange(1, f)) % f
         n1, n2 = min(n1, n2), max(n1, n2)
 
         def coeff():
             if rng.random() < 0.2:
-                return tower.zero()
+                return tw.zero()
             w = rng.randrange(1, g + 2)
-            unit = tower.ram(tower.teichmuller(tower.residue_field.random_unit(rng)))
-            return unit * tower.pi_pow(w - 1)
+            return _random_unit(tw, rng) * tw.pi_pow(w - 1)
 
         c = {n1: coeff(), n2: coeff()}
-        M = fam.normal_form(tower, (n1, n2), c)
+        M = fam.normal_form(tw, (n1, n2), c)
         entries = M.family["entries"]
         h = n2 - n1
         if h <= f - h:
             u1, u2, l2 = entries[n1].sigma(h), entries[n2], h
         else:
             u1, u2, l2 = entries[n2].sigma(f - h), entries[n1], f - h
-        val = (u1 * u2 + tower.pi_pow(e * l2)).ord_pi()
+        val = (u1 * u2 + tw.pi_pow(e * l2)).ord_pi()
         expected = Fraction(g, 2) if val is math.inf else min(Fraction(g, 2), Fraction(val))
         got = inv.newton_point(M, "fast").index
-        if got != expected:
-            failures.append({"f": f, "e": e, "tau": [n1, n2],
-                             "got": str(got), "expected": str(expected)})
-        done += 1
-    return {
-        "id": 3, "suite": "slopes",
-        "name": "two-slot slope formula",
-        "description": "reduced a-number two: Newton index = "
-                       "min(g/2, ord(u1*u2 + pi^(e*l2))) in the gap convention",
-        "cases": done, "passed": not failures, "failures": failures[:5],
-    }
+        check(got == expected,
+              f=f, e=e, tau=[n1, n2], got=str(got), expected=str(expected))
 
 
 # --------------------------------------------------------------------------
 # criterion 4: vanishing coefficients, exhaustive over the a-index
 # --------------------------------------------------------------------------
 
-def criterion_degenerate_coeffs(seed=0, scale=1.0):
-    failures = []
-    cases = 0
+@criterion(4, "slopes", "vanishing-coefficient slope formula, exhaustive",
+           "zero Frobenius coefficients: odd a-index count gives the "
+           "supersingular point, even gives min of the alternating "
+           "gap sums; all a-indices for f <= 5, e <= 2")
+def criterion_degenerate_coeffs(check, seed, scale):
     for e in (1, 2):
         for f in range(1, 6):
             g = e * f
-            tower = _tower(3, f, e, ext=2, slack=0)
+            tw = tower(3, f, e, ext=2)
             for mask in range(1, 2 ** f):
                 tau = tuple(i for i in range(f) if mask >> i & 1)
                 t = len(tau)
-                M = fam.normal_form(tower, tau, {i: tower.zero() for i in tau})
+                M = fam.normal_form(tw, tau, {i: tw.zero() for i in tau})
                 if t % 2:
                     expected = Fraction(g, 2)
                 else:
@@ -175,18 +186,8 @@ def criterion_degenerate_coeffs(seed=0, scale=1.0):
                     even = sum(ls[i] for i in range(1, t, 2))
                     expected = Fraction(min(e * even, e * odd))
                 got = inv.newton_point(M, "fast").index
-                cases += 1
-                if got != expected:
-                    failures.append({"e": e, "f": f, "tau": list(tau),
-                                     "got": str(got), "expected": str(expected)})
-    return {
-        "id": 4, "suite": "slopes",
-        "name": "vanishing-coefficient slope formula, exhaustive",
-        "description": "zero Frobenius coefficients: odd a-index count gives the "
-                       "supersingular point, even gives min of the alternating "
-                       "gap sums; all a-indices for f <= 5, e <= 2",
-        "cases": cases, "passed": not failures and cases > 0, "failures": failures[:5],
-    }
+                check(got == expected,
+                      e=e, f=f, tau=list(tau), got=str(got), expected=str(expected))
 
 
 # --------------------------------------------------------------------------
@@ -206,51 +207,40 @@ def _random_spaced_atype(rng, e, f):
             return tuple(a)
 
 
-def criterion_spaced_bound(seed=0, scale=1.0):
+@criterion(5, "slopes", "spaced a-types bound the Newton index below",
+           "a spaced a-type forces Newton index >= min(g/2, |a|)")
+def criterion_spaced_bound(check, seed, scale):
     rng = random.Random(seed)
-    n_target = _scaled(500, scale)
-    failures = []
-    done = 0
-    while done < n_target:
+    for _ in range(_scaled(500, scale)):
         e = rng.choice((1, 2, 3))
         f = rng.choice((2, 3, 4))
         g = e * f
         a = _random_spaced_atype(rng, e, f)
-        tower = _tower(3, f, e, ext=2, slack=0)
+        tw = tower(3, f, e, ext=2)
         tau = tuple(i for i in range(f) if a[i])
-        c = {}
-        for i in tau:
-            unit = tower.ram(tower.teichmuller(tower.residue_field.random_unit(rng)))
-            c[i] = unit * tower.pi_pow(a[i] - 1)
-        M = fam.normal_form(tower, tau, c)
-        bound = min(Fraction(g, 2), Fraction(sum(a)))
+        c = {i: _random_unit(tw, rng) * tw.pi_pow(a[i] - 1) for i in tau}
+        M = fam.normal_form(tw, tau, c)
         got = inv.newton_point(M, "fast").index
-        if got < bound:
-            failures.append({"e": e, "f": f, "a": list(a), "got": str(got)})
-        done += 1
-    return {
-        "id": 5, "suite": "slopes",
-        "name": "spaced a-types bound the Newton index below",
-        "description": "a spaced a-type forces Newton index >= min(g/2, |a|)",
-        "cases": done, "passed": not failures, "failures": failures[:5],
-    }
+        check(got >= min(Fraction(g, 2), Fraction(sum(a))),
+              e=e, f=f, a=list(a), got=str(got))
 
 
 # --------------------------------------------------------------------------
 # criteria 6/7/8: deformation strata
 # --------------------------------------------------------------------------
 
-def criterion_deformation_strata(seed=0, scale=1.0):
-    failures = []
-    cases = 0
+@criterion(6, "deform", "Newton strata cut out by vanishing deformation coordinates",
+           "one-slot base: zeroing the first m flattened coordinates "
+           "and making the next a unit puts the fiber exactly on s(m)")
+def criterion_deformation_strata(check, seed, scale):
     for e in (1, 2, 3):
         for f in range(1, 7):
             g = e * f
             if g > 6:
                 continue
-            tower = _tower(3, f, e, ext=2, slack=20)
-            base = fam.normal_form(tower, (0,), {0: tower.zero()})
-            F = tower.residue_field
+            tw = tower(3, f, e, ext=2, slack=20)
+            base = fam.normal_form(tw, (0,), {0: tw.zero()})
+            F = tw.residue_field
             for m in inv.admissible_indices(g):
                 # zero the first ceil(m) flattened coordinates, unit next
                 k_unit = int(m) if m.denominator == 1 else -(-m.numerator // m.denominator)
@@ -260,266 +250,214 @@ def criterion_deformation_strata(seed=0, scale=1.0):
                         k = e * i + j
                         assignment[(i, j)] = F.one() if k == k_unit else F.zero()
                 M = fam.deform_specialize(base, (0,) * f, assignment)
-                cases += 1
                 fast = inv.newton_point(M, "fast").index
                 oracle = inv.newton_point(M, "oracle").index
-                if not (fast == oracle == m):
-                    failures.append({"e": e, "f": f, "m": str(m),
-                                     "fast": str(fast), "oracle": str(oracle)})
-    return {
-        "id": 6, "suite": "deform",
-        "name": "Newton strata cut out by vanishing deformation coordinates",
-        "description": "one-slot base: zeroing the first m flattened coordinates "
-                       "and making the next a unit puts the fiber exactly on s(m)",
-        "cases": cases, "passed": not failures and cases > 0, "failures": failures[:5],
-    }
+                check(fast == oracle == m,
+                      e=e, f=f, m=str(m), fast=str(fast), oracle=str(oracle))
 
 
-def criterion_nonordinary_locus(seed=0, scale=1.0):
+@criterion(7, "deform", "non-ordinary locus is the product of leading coordinates",
+           "all leading deformation coordinates nonzero on the "
+           "a-index gives an ordinary fiber; zeroing any single one "
+           "leaves the ordinary locus")
+def criterion_nonordinary_locus(check, seed, scale):
     rng = random.Random(seed)
     per_tau = _scaled(50, scale)
-    failures = []
-    cases = 0
     for e in (1, 2):
         for f in range(1, 5):
-            tower = _tower(3, f, e, ext=2, slack=0)
-            F = tower.residue_field
+            tw = tower(3, f, e, ext=2)
+            F = tw.residue_field
             for mask in range(1, 2 ** f):
                 tau = tuple(i for i in range(f) if mask >> i & 1)
-                base = fam.normal_form(tower, tau, {i: tower.zero() for i in tau})
+                base = fam.normal_form(tw, tau, {i: tw.zero() for i in tau})
                 for _ in range(per_tau):
                     asg = {(i, j): (F.random_unit(rng) if j == 0 and i in tau
                                     else F.random(rng))
                            for i in range(f) for j in range(e)}
                     M = fam.deform_specialize(base, (0,) * f, asg)
-                    cases += 1
-                    if not inv.newton_point(M, "fast").is_ordinary:
-                        failures.append({"e": e, "f": f, "tau": list(tau),
-                                         "kind": "should be ordinary"})
+                    check(inv.newton_point(M, "fast").is_ordinary,
+                          e=e, f=f, tau=list(tau), kind="should be ordinary")
                     i0 = rng.choice(tau)
                     asg2 = dict(asg)
                     asg2[(i0, 0)] = F.zero()
                     M2 = fam.deform_specialize(base, (0,) * f, asg2)
-                    cases += 1
-                    if inv.newton_point(M2, "fast").is_ordinary:
-                        failures.append({"e": e, "f": f, "tau": list(tau),
-                                         "kind": "should not be ordinary"})
-    return {
-        "id": 7, "suite": "deform",
-        "name": "non-ordinary locus is the product of leading coordinates",
-        "description": "all leading deformation coordinates nonzero on the "
-                       "a-index gives an ordinary fiber; zeroing any single one "
-                       "leaves the ordinary locus",
-        "cases": cases, "passed": not failures and cases > 0, "failures": failures[:5],
-    }
+                    check(not inv.newton_point(M2, "fast").is_ordinary,
+                          e=e, f=f, tau=list(tau), kind="should not be ordinary")
 
 
-def criterion_spaced_density(seed=0, scale=1.0):
+@criterion(8, "deform", "generic fibers over a spaced stratum sit on s(|a|)",
+           "random unit specializations over a spaced target "
+           "a-type give Newton index |a| in at least 99% of trials")
+def criterion_spaced_density(check, seed, scale):
     rng = random.Random(seed)
     trials = _scaled(100, scale)
-    failures = []
-    targets = 0
     for e in (1, 2):
         for f in (2, 3, 4):
             g = e * f
-            seen = set()
-            for a in _all_spaced(e, f):
-                if a in seen or not any(a):
+            tw = tower(3, f, e, ext=4)
+            for a in product(range(e + 1), repeat=f):
+                if not any(a) or not strata.is_spaced(a):
                     continue
-                seen.add(a)
-                targets += 1
-                tower = _tower(3, f, e, ext=4, slack=0)
                 tau = tuple(i for i in range(f) if a[i])
                 hits = 0
                 expected = min(Fraction(g, 2), Fraction(sum(a)))
-                base = fam.normal_form(
-                    tower, tau, {i: tower.pi_pow(a[i] - 1) for i in tau})
+                base = fam.normal_form(tw, tau, {i: tw.pi_pow(a[i] - 1) for i in tau})
                 for _ in range(trials):
-                    asg = {(i, j): tower.residue_field.random_unit(rng)
+                    asg = {(i, j): tw.residue_field.random_unit(rng)
                            for i in range(f) for j in range(a[i], e)}
                     M = fam.deform_specialize(base, a, asg)
                     if inv.newton_point(M, "fast").index == expected:
                         hits += 1
-                if hits < math.ceil(0.99 * trials):
-                    failures.append({"e": e, "f": f, "a": list(a),
-                                     "hits": hits, "trials": trials})
-    return {
-        "id": 8, "suite": "deform",
-        "name": "generic fibers over a spaced stratum sit on s(|a|)",
-        "description": "random unit specializations over a spaced target "
-                       "a-type give Newton index |a| in at least 99% of trials",
-        "cases": targets, "passed": not failures and targets > 0, "failures": failures[:5],
-    }
-
-
-def _all_spaced(e, f):
-    from itertools import product as iproduct
-    for a in iproduct(range(e + 1), repeat=f):
-        if strata.is_spaced(a):
-            yield a
+                check(hits >= math.ceil(0.99 * trials),
+                      e=e, f=f, a=list(a), hits=hits, trials=trials)
 
 
 # --------------------------------------------------------------------------
 # criterion 9: the Hecke probe
 # --------------------------------------------------------------------------
 
-def criterion_hecke(seed=0, scale=1.0, primes=(3, 5)):
-    failures = []
-    reports = {}
-    for p in primes:
+@criterion(9, "hecke", "stable-plane enumeration matches the closed-form chart",
+           "raw enumeration count 1 + (p+1)(q-1), all chart "
+           "equations hold, p+1 lines through the origin, and the "
+           "extra variety points sit on t1 = t2 = 0")
+def criterion_hecke(check, seed, scale):
+    counts = {}
+    for p in (3, 5):
         rep = hk.probe_report(p, 1, full_grassmannian=(p == 3))
-        reports[p] = rep
-        ok = (rep["count_matches"] and rep["all_chart_equations_hold"]
+        counts[p] = rep["enumerated"]
+        check(rep["count_matches"] and rep["all_chart_equations_hold"]
               and rep["displayed_polynomials_hold"]
               and rep["lines_through_origin"] == rep["expected_lines"]
               and rep["parametrization_matches"]
               and rep["extra_points_on_t1_t2_zero"]
-              and rep["variety_point_count"] == rep["q"] + (p + 1) * (rep["q"] - 1))
-        if not ok:
-            failures.append({k: v for k, v in rep.items() if k != "extra_variety_points"})
-    return {
-        "id": 9, "suite": "hecke",
-        "name": "stable-plane enumeration matches the closed-form chart",
-        "description": "raw enumeration count 1 + (p+1)(q-1), all chart "
-                       "equations hold, p+1 lines through the origin, and the "
-                       "extra variety points sit on t1 = t2 = 0",
-        "cases": len(reports), "passed": not failures,
-        "failures": failures, "counts": {p: reports[p]["enumerated"] for p in reports},
-    }
+              and rep["variety_point_count"] == rep["q"] + (p + 1) * (rep["q"] - 1),
+              **{k: v for k, v in rep.items() if k != "extra_variety_points"})
+    return {"counts": counts}
 
 
 # --------------------------------------------------------------------------
 # criterion 10: the non-Rapoport superspecial point
 # --------------------------------------------------------------------------
 
-def criterion_nonrapoport(seed=0, scale=1.0):
-    tower = _tower(5, 1, 2, ext=2, slack=4)
-    M = fam.nonrapoport_module(tower)
+@criterion(10, "slopes", "pi-swap module: superspecial but not Rapoport",
+           "F X = pi Y, F Y = pi X at e = 2: Lie type {1,1}, "
+           "a-type {1,1}, supersingular, superspecial, pairing present")
+def criterion_nonrapoport(check, seed, scale):
+    M = fam.nonrapoport_module(tower(5, 1, 2, ext=2, slack=4))
     flags = inv.classify(M)
     L = inv.lie_type(M)
     a = inv.a_type(M)
     expected_flags = {"rapoport": False, "dp": True, "ordinary": False,
                       "supersingular": True, "superspecial": True}
-    ok = (flags == expected_flags and L.pairs == ((1, 1),) and a.pairs == ((1, 1),)
-          and M.delta is not None)
-    return {
-        "id": 10, "suite": "slopes",
-        "name": "pi-swap module: superspecial but not Rapoport",
-        "description": "F X = pi Y, F Y = pi X at e = 2: Lie type {1,1}, "
-                       "a-type {1,1}, supersingular, superspecial, pairing present",
-        "cases": 1, "passed": ok,
-        "failures": [] if ok else [{"flags": flags, "lie": L.pairs, "a": a.pairs}],
-    }
+    check(flags == expected_flags and L.pairs == ((1, 1),) and a.pairs == ((1, 1),)
+          and M.delta is not None,
+          flags=flags, lie=L.pairs, a=a.pairs)
 
 
 # --------------------------------------------------------------------------
 # criterion 11: the formula suite
 # --------------------------------------------------------------------------
 
-def criterion_formulas(seed=0, scale=1.0):
-    rng = random.Random(seed)
-    failures = []
-    cases = 0
+def _random_lie_type(rng):
+    """(e, f, pairs): f sorted exponent pairs in [0, e] with budget e*f."""
+    e = rng.randrange(1, 4)
+    f = rng.randrange(1, 5)
+    while True:
+        pairs = [tuple(sorted((rng.randrange(e + 1), rng.randrange(e + 1))))
+                 for _ in range(f)]
+        if sum(x + y for x, y in pairs) == e * f:
+            return e, f, pairs
 
-    def chk(cond, label, **info):
-        nonlocal cases
-        cases += 1
-        if not cond:
-            failures.append({"label": label, **info})
+
+@criterion(11, "strata", "dimension, degree, table and duality formulas",
+           "stratum dimensions, deformation dimensions, polarization "
+           "degree exponents, Newton codimensions, superspecial "
+           "tables, and duality formulas against constructed duals")
+def criterion_formulas(check, seed, scale):
+    rng = random.Random(seed)
 
     # stratum dimensions across small posets
     for e, f in ((1, 4), (2, 2), (3, 2), (2, 3)):
         P = strata.atype_poset(e, f)
         g = e * f
         for a, r in P.records.items():
-            chk(r.dim == g - sum(a), "stratum dimension", a=list(a))
-            chk(r.lam == strata.spaced_bound_exhaustive(a), "lambda by down-set scan",
-                a=list(a))
-            chk(r.lam <= sum(a), "lambda below the total", a=list(a))
-            chk((r.generic_slope_exact is not None) == r.spaced,
-                "exact generic slope exactly on spaced types", a=list(a))
+            check(r.dim == g - sum(a), label="stratum dimension", a=list(a))
+            check(r.lam == strata.spaced_bound_exhaustive(a),
+                  label="lambda by down-set scan", a=list(a))
+            check(r.lam <= sum(a), label="lambda below the total", a=list(a))
+            check((r.generic_slope_exact is not None) == r.spaced,
+                  label="exact generic slope exactly on spaced types", a=list(a))
         for a, b in P.cover_edges():
             ra, rb = P.records[a], P.records[b]
-            chk(ra.dim == rb.dim + 1, "cover edges drop dimension by one")
-            chk(ra.lam <= rb.lam, "lambda monotone")
-        chk(P.records[(0,) * f].dim == g, "top stratum has dimension g")
-        chk(P.records[(e,) * f].dim == 0, "superspecial stratum is 0-dimensional")
-        chk(len(P.elements) == (e + 1) ** f, "poset cardinality")
+            check(ra.dim == rb.dim + 1, label="cover edges drop dimension by one")
+            check(ra.lam <= rb.lam, label="lambda monotone")
+        check(P.records[(0,) * f].dim == g, label="top stratum has dimension g")
+        check(P.records[(e,) * f].dim == 0, label="superspecial stratum is 0-dimensional")
+        check(len(P.elements) == (e + 1) ** f, label="poset cardinality")
 
     # Lie-type stratum dimension and deformation dimensions, frozen examples
-    chk(strata.dp_stratum_dim([(0, 2), (0, 2)], 2, 2) == 4, "split locus dimension g")
-    chk(strata.dp_stratum_dim([(1, 1)], 2, 1) == 0, "balanced e=2 point is isolated")
-    chk(strata.dp_stratum_dim([(0, 2), (1, 1)], 2, 2) == 2, "mixed Lie stratum dim")
+    check(strata.dp_stratum_dim([(0, 2), (0, 2)], 2, 2) == 4,
+          label="split locus dimension g")
+    check(strata.dp_stratum_dim([(1, 1)], 2, 1) == 0,
+          label="balanced e=2 point is isolated")
+    check(strata.dp_stratum_dim([(0, 2), (1, 1)], 2, 2) == 2,
+          label="mixed Lie stratum dim")
     d = strata.deformation_dims([(1, 1)], 2, 1)
-    chk(d["dp"] == 4 and d["polarized"] == 3, "deformation dimensions at e=2 balanced")
+    check(d["dp"] == 4 and d["polarized"] == 3,
+          label="deformation dimensions at e=2 balanced")
     d = strata.deformation_dims([(0, 2), (0, 2)], 2, 2)
-    chk(d == {"unrestricted": 4, "dp": 4, "polarized": 4, "dp_consistent": True},
-        "deformation dimensions in the split case equal g")
+    check(d == {"unrestricted": 4, "dp": 4, "polarized": 4, "dp_consistent": True},
+          label="deformation dimensions in the split case equal g")
     d = strata.deformation_dims([(0, 1), (0, 1)], 1, 2)
-    chk(d["polarized"] == 2, "polarized deformation dimension g at e=1")
+    check(d["polarized"] == 2, label="polarized deformation dimension g at e=1")
 
     # random Lie types with the exponent budget: polarized = g iff split type
     for _ in range(_scaled(200, scale)):
-        e = rng.randrange(1, 4)
-        f = rng.randrange(1, 5)
-        while True:
-            pairs = [tuple(sorted((rng.randrange(e + 1), rng.randrange(e + 1))))
-                     for _ in range(f)]
-            if sum(x + y for x, y in pairs) == e * f:
-                break
+        e, f, pairs = _random_lie_type(rng)
         d = strata.deformation_dims(pairs, e, f)
         split = all(pr == (0, e) for pr in pairs)
-        chk((d["polarized"] == e * f) == split,
-            "polarized dimension g characterizes the split locus", pairs=pairs)
+        check((d["polarized"] == e * f) == split,
+              label="polarized dimension g characterizes the split locus", pairs=pairs)
 
     # polarization degree exponent
-    chk(strata.polarization_degree_exponent([(1, 2), (0, 1)], 2, 2, normalize=False) == 2,
-        "degree exponent, two slots")
-    chk(strata.polarization_degree_exponent([(1, 1), (0, 1), (0, 0)], 1, 3,
-                                            normalize=False) == 4,
-        "degree exponent, three slots")
+    check(strata.polarization_degree_exponent([(1, 2), (0, 1)], 2, 2, normalize=False) == 2,
+          label="degree exponent, two slots")
+    check(strata.polarization_degree_exponent([(1, 1), (0, 1), (0, 0)], 1, 3,
+                                              normalize=False) == 4,
+          label="degree exponent, three slots")
     for _ in range(_scaled(100, scale)):
-        e = rng.randrange(1, 4)
-        f = rng.randrange(1, 5)
-        while True:
-            pairs = [tuple(sorted((rng.randrange(e + 1), rng.randrange(e + 1))))
-                     for _ in range(f)]
-            if sum(x + y for x, y in pairs) == e * f:
-                break
+        e, f, pairs = _random_lie_type(rng)
         D = strata.polarization_degree_exponent(pairs, e, f, normalize=True)
-        chk(D >= 0 and D % 2 == 0, "normalized exponent is a nonnegative even integer")
+        check(D >= 0 and D % 2 == 0,
+              label="normalized exponent is a nonnegative even integer")
         if all(x + y == e for x, y in pairs):
-            chk(D == 0, "balanced Lie types are separably polarizable")
+            check(D == 0, label="balanced Lie types are separably polarizable")
 
     # Newton stratum codimension
     for g in range(1, 9):
         for m in inv.admissible_indices(g):
-            chk(strata.newton_stratum_codim(g, m) == -(-m.numerator // m.denominator),
-                "codimension is the ceiling")
-    chk(strata.newton_stratum_codim(5, Fraction(5, 2)) == 3, "half-integer ceiling")
+            check(strata.newton_stratum_codim(g, m) == -(-m.numerator // m.denominator),
+                  label="codimension is the ceiling")
+    check(strata.newton_stratum_codim(5, Fraction(5, 2)) == 3, label="half-integer ceiling")
 
     # superspecial tables
-    chk(strata.superspecial_types(3, 1) == [((0, 3),), ((1, 2),)], "table e=3 f=1")
-    chk(strata.superspecial_types(2, 1) == [((0, 2),), ((1, 1),)], "table e=2 f=1")
-    chk(len(strata.superspecial_types(1, 2)) == 2, "table e=1 f=2 has two classes")
+    check(strata.superspecial_types(3, 1) == [((0, 3),), ((1, 2),)], label="table e=3 f=1")
+    check(strata.superspecial_types(2, 1) == [((0, 2),), ((1, 1),)], label="table e=2 f=1")
+    check(len(strata.superspecial_types(1, 2)) == 2, label="table e=1 f=2 has two classes")
     for e, f in ((1, 2), (2, 2), (2, 4), (3, 2)):
         for pat in strata.superspecial_types(e, f):
             for i in range(f):
                 x, y = pat[i]
                 nx, ny = pat[(i + 1) % f]
-                chk({nx, ny} == {e - x, e - y} or (f % 2 == 1 and (nx, ny) == (x, y)),
-                    "alternating rule in the table", pattern=pat)
+                check({nx, ny} == {e - x, e - y} or (f % 2 == 1 and (nx, ny) == (x, y)),
+                      label="alternating rule in the table", pattern=pat)
 
     # duality formulas against the constructed dual module
     checked_duals = 0
-    towers = {}
     while checked_duals < _scaled(100, scale):
         e = rng.randrange(1, 4)
         f = rng.randrange(1, 4)
-        key = (e, f)
-        if key not in towers:
-            towers[key] = _tower(3, f, e, ext=2, slack=2)
-        tower = towers[key]
+        tw = tower(3, f, e, ext=2, slack=2)
         kind = rng.randrange(3)
         if kind == 0:
             mask = rng.randrange(2 ** f)
@@ -527,177 +465,109 @@ def criterion_formulas(seed=0, scale=1.0):
             c = {}
             for i in tau:
                 w = rng.randrange(0, e + 2)
-                unit = tower.ram(tower.teichmuller(tower.residue_field.random_unit(rng)))
-                c[i] = tower.zero() if rng.random() < 0.2 else unit * tower.pi_pow(w)
-            M = fam.normal_form(tower, tau, c)
+                unit = _random_unit(tw, rng)
+                c[i] = tw.zero() if rng.random() < 0.2 else unit * tw.pi_pow(w)
+            M = fam.normal_form(tw, tau, c)
         elif kind == 1:
             a = rng.randrange(0, e * f // 2 + 1)
             d_, r_ = divmod(a, e)
             if not (2 * d_ + 1 <= f or (2 * d_ == f and r_ == 0)):
                 continue
-            M = fam.slope_family(tower, a)
+            M = fam.slope_family(tw, a)
         else:
             if f % 2:
                 e1 = rng.randrange(e + 1)
-                M = fam.superspecial(tower, e1, e - e1, "general")
+                M = fam.superspecial(tw, e1, e - e1, "general")
             else:
-                M = fam.superspecial(tower, variant="rapoport")
+                M = fam.superspecial(tw, variant="rapoport")
         if M.delta is None:
             continue
         L, a_ = inv.lie_type(M), inv.a_type(M)
         Ld, ad = inv.dual_invariants(L, a_)
         D = M.dual()
-        chk(inv.lie_type(D).pairs == Ld.pairs, "dual Lie type formula",
-            pairs=L.pairs)
-        chk(inv.a_type(D).pairs == ad.pairs, "dual a-type formula",
-            pairs=a_.pairs)
+        check(inv.lie_type(D).pairs == Ld.pairs, label="dual Lie type formula",
+              pairs=L.pairs)
+        check(inv.a_type(D).pairs == ad.pairs, label="dual a-type formula",
+              pairs=a_.pairs)
         DD = D.dual()
-        chk(inv.lie_type(DD).pairs == L.pairs and inv.a_type(DD).pairs == a_.pairs,
-            "double dual restores the invariants")
+        check(inv.lie_type(DD).pairs == L.pairs and inv.a_type(DD).pairs == a_.pairs,
+              label="double dual restores the invariants")
         checked_duals += 1
 
     # a-type bounds on the same random modules
     for _ in range(_scaled(100, scale)):
         e = rng.randrange(1, 4)
         f = rng.randrange(1, 4)
-        key = (e, f)
-        if key not in towers:
-            towers[key] = _tower(3, f, e, ext=2, slack=2)
-        tower = towers[key]
+        tw = tower(3, f, e, ext=2, slack=2)
         mask = rng.randrange(2 ** f)
         tau = tuple(i for i in range(f) if mask >> i & 1)
-        c = {i: tower.random_ram(rng) * tower.pi_pow(rng.randrange(e + 1))
-             for i in tau}
-        M = fam.normal_form(tower, tau, c)
+        c = {i: tw.random_ram(rng) * tw.pi_pow(rng.randrange(e + 1)) for i in tau}
+        M = fam.normal_form(tw, tau, c)
         L, a_ = inv.lie_type(M), inv.a_type(M)
         for (a1, (lo, hi)), (x, y) in zip(inv.a_type_bounds(L), a_.pairs):
-            chk(x == a1 and lo <= y <= hi, "a-type lies within the Lie-type bounds",
-                lie=L.pairs, a=a_.pairs)
-
-    return {
-        "id": 11, "suite": "strata",
-        "name": "dimension, degree, table and duality formulas",
-        "description": "stratum dimensions, deformation dimensions, polarization "
-                       "degree exponents, Newton codimensions, superspecial "
-                       "tables, and duality formulas against constructed duals",
-        "cases": cases, "passed": not failures, "failures": failures[:5],
-    }
+            check(x == a1 and lo <= y <= hi, label="a-type lies within the Lie-type bounds",
+                  lie=L.pairs, a=a_.pairs)
 
 
 # --------------------------------------------------------------------------
 # criterion 12: the banded determinant identity
 # --------------------------------------------------------------------------
 
-def criterion_det_identity(seed=0, scale=1.0):
+@criterion(12, "strata", "banded determinant identity over square-zero entries",
+           "det(U + N) = Y_1^n + sum Tr_{k-1}(N) U_{1,k} for n <= 6 "
+           "and every block split, on random square-zero evaluations")
+def criterion_det_identity(check, seed, scale):
     trials = _scaled(100, scale)
-    failures = []
-    cases = 0
     rng = random.Random(seed)
     for n in range(1, 7):
-        splits = [None] + [(m1, n - m1) for m1 in range(1, n)]
-        for split in splits:
-            cases += 1
-            if split is None:
-                rep = strata.verify_det_identity(n, trials=trials, rng=rng)
-            else:
-                rep = strata.verify_det_identity(n, split[0], split[1],
-                                                 trials=trials, rng=rng)
-            if not rep["ok"]:
-                failures.append(rep)
-    return {
-        "id": 12, "suite": "strata",
-        "name": "banded determinant identity over square-zero entries",
-        "description": "det(U + N) = Y_1^n + sum Tr_{k-1}(N) U_{1,k} for n <= 6 "
-                       "and every block split, on random square-zero evaluations",
-        "cases": cases, "passed": not failures, "failures": failures[:3],
-    }
+        for m1 in range(n):  # m1 = 0: no block split
+            split = (m1, n - m1) if m1 else ()
+            rep = strata.verify_det_identity(n, *split, trials=trials, rng=rng)
+            check(rep["ok"], **rep)
 
 
 # --------------------------------------------------------------------------
 # criterion 13: the arithmetic kernel
 # --------------------------------------------------------------------------
 
-def criterion_arith(seed=0, scale=1.0):
+@criterion(13, "arith", "arithmetic kernel axioms",
+           "ring axioms, Frobenius homomorphism and order, "
+           "valuation rules, Teichmuller properties, randomized")
+def criterion_arith(check, seed, scale):
     rng = random.Random(seed)
     n_rounds = _scaled(500, scale)
-    failures = []
-    cases = 0
-
-    def chk(cond, label, **info):
-        nonlocal cases
-        cases += 1
-        if not cond:
-            failures.append({"label": label, **info})
-
-    towers = [
-        _tower(3, 2, 2, ext=1), _tower(3, 1, 3, ext=2),
-        _tower(5, 2, 1, ext=2), _tower(7, 1, 2, ext=1),
-    ]
-    for tower in towers:
-        chk(tower.pi().ord_pi() == 1, "pi has valuation 1")
-        chk(tower.ram(tower.p).ord_pi() == tower.e, "p has valuation e")
-        full = tower.pi_precision
+    for tw in (tower(3, 2, 2), tower(3, 1, 3, ext=2), tower(5, 2, 1, ext=2), tower(7, 1, 2)):
+        check(tw.pi().ord_pi() == 1, label="pi has valuation 1")
+        check(tw.ram(tw.p).ord_pi() == tw.e, label="p has valuation e")
+        full = tw.pi_precision
         for _ in range(n_rounds):
-            a, b, c = (tower.random_ram(rng) for _ in range(3))
-            chk((a + b) + c == a + (b + c), "addition associativity")
-            chk((a * b) * c == a * (b * c), "multiplication associativity")
-            chk(a * (b + c) == a * b + a * c, "distributivity")
-            chk(a * b == b * a, "commutativity")
+            a, b, c = (tw.random_ram(rng) for _ in range(3))
+            check((a + b) + c == a + (b + c), label="addition associativity")
+            check((a * b) * c == a * (b * c), label="multiplication associativity")
+            check(a * (b + c) == a * b + a * c, label="distributivity")
+            check(a * b == b * a, label="commutativity")
             n = rng.randrange(-2, 3)
-            chk(a.sigma(n) * b.sigma(n) == (a * b).sigma(n),
-                "Frobenius is multiplicative")
-            chk(a.sigma(n) + b.sigma(n) == (a + b).sigma(n),
-                "Frobenius is additive")
-            chk(a.sigma(tower.d) == a, "Frobenius has order f*ext")
+            check(a.sigma(n) * b.sigma(n) == (a * b).sigma(n),
+                  label="Frobenius is multiplicative")
+            check(a.sigma(n) + b.sigma(n) == (a + b).sigma(n), label="Frobenius is additive")
+            check(a.sigma(tw.d) == a, label="Frobenius has order f*ext")
             va, vb = a.ord_lower(), b.ord_lower()
             if a and b and va + vb < full:
-                chk((a * b).ord_pi() == a.ord_pi() + b.ord_pi(),
-                    "valuation is additive")
+                check((a * b).ord_pi() == a.ord_pi() + b.ord_pi(),
+                      label="valuation is additive")
             if a + b:
-                chk((a + b).ord_pi() >= min(va, vb), "ultrametric inequality")
-            x, y = tower.residue_field.random(rng), tower.residue_field.random(rng)
-            chk(tower.teichmuller(x * y) == tower.teichmuller(x) * tower.teichmuller(y),
-                "Teichmuller lift is multiplicative")
-            chk(tower.teichmuller(x).residue() == x,
-                "Teichmuller lift is a section of reduction")
-            w = tower.random_witt(rng)
-            chk(tower.teichmuller(w.residue().frob()) == tower.teichmuller(w.residue()).sigma(),
-                "Frobenius matches the residue Frobenius on Teichmuller points")
-    return {
-        "id": 13, "suite": "arith",
-        "name": "arithmetic kernel axioms",
-        "description": "ring axioms, Frobenius homomorphism and order, "
-                       "valuation rules, Teichmuller properties, randomized",
-        "cases": cases, "passed": not failures, "failures": failures[:5],
-    }
+                check((a + b).ord_pi() >= min(va, vb), label="ultrametric inequality")
+            x, y = tw.residue_field.random(rng), tw.residue_field.random(rng)
+            check(tw.teichmuller(x * y) == tw.teichmuller(x) * tw.teichmuller(y),
+                  label="Teichmuller lift is multiplicative")
+            check(tw.teichmuller(x).residue() == x,
+                  label="Teichmuller lift is a section of reduction")
+            w = tw.random_witt(rng)
+            check(tw.teichmuller(w.residue().frob()) == tw.teichmuller(w.residue()).sigma(),
+                  label="Frobenius matches the residue Frobenius on Teichmuller points")
 
 
-CRITERIA = {
-    1: criterion_slope_family,
-    2: criterion_t1_formula,
-    3: criterion_t2_formula,
-    4: criterion_degenerate_coeffs,
-    5: criterion_spaced_bound,
-    6: criterion_deformation_strata,
-    7: criterion_nonordinary_locus,
-    8: criterion_spaced_density,
-    9: criterion_hecke,
-    10: criterion_nonrapoport,
-    11: criterion_formulas,
-    12: criterion_det_identity,
-    13: criterion_arith,
-}
-
-SUITES = {
-    "arith": (13,),
-    "slopes": (1, 2, 3, 4, 5, 10),
-    "strata": (11, 12),
-    "deform": (6, 7, 8),
-    "hecke": (9,),
-}
-SUITES["all"] = tuple(i for ids in (SUITES[s] for s in
-                                    ("arith", "slopes", "strata", "deform", "hecke"))
-                      for i in ids)
+SUITES["all"] = sum((SUITES[s] for s in ("arith", "slopes", "strata", "deform", "hecke")), ())
 
 
 def run_criteria(ids, seed=0, scale=1.0):

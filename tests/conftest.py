@@ -2,19 +2,7 @@ import random
 
 import pytest
 
-from dieumod import CoeffTower
-
-_cache = {}
-
-
-def tower(p, f, e, ext=1, slack=0):
-    """Cached tower; `slack` adds precision for n-fold twisted powers."""
-    key = (p, f, e, ext, slack)
-    if key not in _cache:
-        g = e * f
-        N = max(-(-(g + 2) // e), -(-(slack * g + 2) // e))
-        _cache[key] = CoeffTower(p, f, e, ext, N)
-    return _cache[key]
+from dieumod.verify import tower  # noqa: F401  (cached; tests import it from here)
 
 
 @pytest.fixture

@@ -113,6 +113,18 @@ def test_malformed_module_shapes(capsys, tmp_path, mutate, code):
     assert json.loads(out)["error"]["code"] == code
 
 
+@pytest.mark.parametrize("argv,code", [
+    (("sample-deform", "--f", "2", "--tau", "1", "--target", "0"), "bad-shape"),
+    (("construct", "--family", "normal", "--tau", "0", "--cjson", "[1]"), "bad-input"),
+    (("construct", "--family", "normal", "--tau", "0", "--cjson", '{"0": ["x"]}'),
+     "bad-input"),
+], ids=["short-target", "cjson-list", "cjson-string-coefficient"])
+def test_malformed_arguments(capsys, argv, code):
+    exit_code, out = run_cli(capsys, *argv)
+    assert exit_code == 1
+    assert json.loads(out)["error"]["code"] == code
+
+
 def test_usage_error_exit_2(capsys):
     try:
         main(["frobnicate"])

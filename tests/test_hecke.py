@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dieumod import DomainError
+from dieumod import DomainError, hecke
 from dieumod.hecke import (
     SmallField, build_setting, enumerate_stable_planes, compare_variety,
     chart_equations_hold, parametrized_chart_set, probe_report,
@@ -103,3 +103,13 @@ class TestEnumeration:
     def test_size_guard(self):
         with pytest.raises(DomainError, match="cap"):
             enumerate_stable_planes(build_setting(5), size_cap=10)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["chart", "grassmannian"])
+    def test_size_guard_before_field_tables(self, monkeypatch, full):
+        # p = 101 gives q = 10201: each q x q table would take about 0.8 GB
+        def no_tables(p, r):
+            raise AssertionError("SmallField built for a search over the cap")
+        monkeypatch.setattr(hecke, "SmallField", no_tables)
+        with pytest.raises(DomainError, match="cap") as exc:
+            probe_report(101, full_grassmannian=full)
+        assert exc.value.code == "size-guard"
