@@ -9,9 +9,26 @@ module is emitted without a pairing otherwise, flagged on `pairing_note`.
 """
 
 import warnings
+from functools import cache
 
 from .wittring import DomainError
 from .modules import DModule
+
+
+@cache
+def _odd_sign_scalar(tower):
+    """(zeta, None) for the Teichmuller scalar zeta with sigma^f(zeta) =
+    -zeta that absorbs an odd sign, or (None, note) when the tower has none;
+    computed once per tower."""
+    if tower.p == 2:
+        return None, "no pairing: sign -1 is not a Teichmuller scalar at p = 2"
+    order = tower.q - 1
+    need = 2 * (tower.p ** tower.f - 1)
+    if order % need:
+        return None, ("no pairing: the working field has no scalar with "
+                      "sigma^f(z) = -z; use an even base-field extension")
+    zeta = tower.residue_field.gen_pow(order // need)
+    return tower.ram(tower.teichmuller(zeta)), None
 
 
 def _pairing_scalars(tower, signs):
@@ -19,24 +36,17 @@ def _pairing_scalars(tower, signs):
 
     Returns (deltas, note); deltas is None when the sign cannot be absorbed.
     """
-    f = tower.f
     total = 1
     for s in signs:
         total *= s
     if total == 1:
         delta0 = tower.one()
     else:
-        if tower.p == 2:
-            return None, "no pairing: sign -1 is not a Teichmuller scalar at p = 2"
-        order = tower.q - 1
-        need = 2 * (tower.p ** f - 1)
-        if order % need:
-            return None, ("no pairing: the working field has no scalar with "
-                          "sigma^f(z) = -z; use an even base-field extension")
-        zeta = tower.residue_field.gen_pow(order // need)
-        delta0 = tower.ram(tower.teichmuller(zeta))
+        delta0, note = _odd_sign_scalar(tower)
+        if delta0 is None:
+            return None, note
     deltas = [delta0]
-    for i in range(1, f):
+    for i in range(1, tower.f):
         prev = deltas[-1].sigma()
         deltas.append(prev if signs[i] == 1 else -prev)
     return deltas, None

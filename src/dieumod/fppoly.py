@@ -2,12 +2,19 @@
 
 Polynomials are plain lists of ints in [0, m), little-endian
 (index j holds the coefficient of T^j).  The zero polynomial is [].
-Nothing here is performance critical except multiplication mod a fixed
-monic modulus, which the Witt layer handles itself with precomputed
-reduction tables.
+
+Two parts sit on hot paths.  `window_table`/`window_pow` compute fixed-base
+powers (the residue-field generator and its Teichmuller lift) with one
+product per nonzero base-2^W digit of the exponent; they take the ring's
+multiplication as an argument so both layers share them.  Multiplication
+mod a fixed monic modulus over Z/p^N is handled by the Witt layer itself
+with precomputed reduction tables.  `smallest_primitive` is memoized by
+(p, d), since every tower of the same residue degree needs it.
 """
 
-from functools import reduce
+from functools import cache
+
+W = 4  # window width in bits of the fixed-base power tables
 
 
 def trim(a):
@@ -82,6 +89,35 @@ def ppowmod(a, n, b, m):
         a = pmod(pmul(a, a, m), b, m)
         n >>= 1
     return result
+
+
+def window_table(base, max_exp, mul, one):
+    """Fixed-base power table for exponents 0 <= k < max_exp:
+    rows[i][j] = base**(j << (W*i)) for 0 <= j < 2**W."""
+    rows = []
+    step = base  # base**(1 << (W*i)) for the row being built
+    for i in range(max(1, -(-(max_exp - 1).bit_length() // W))):
+        if i:
+            step = mul(rows[-1][-1], rows[-1][1])
+        row = [one, step]
+        for _ in range((1 << W) - 2):
+            row.append(mul(row[-1], step))
+        rows.append(row)
+    return rows
+
+
+def window_pow(rows, k, mul, one):
+    """base**k from a window_table: at most one product per nonzero
+    base-2**W digit of k (k must be below the table's max_exp)."""
+    acc = None
+    i = 0
+    while k:
+        j = k & ((1 << W) - 1)
+        if j:
+            acc = rows[i][j] if acc is None else mul(acc, rows[i][j])
+        k >>= W
+        i += 1
+    return one if acc is None else acc
 
 
 def pgcd(a, b, p):
@@ -181,8 +217,10 @@ def is_primitive(f, p):
     return True
 
 
+@cache
 def smallest_primitive(p, d):
-    """Lexicographically smallest monic primitive polynomial of degree d over F_p.
+    """Lexicographically smallest monic primitive polynomial of degree d over F_p,
+    as a tuple (memoized, so it must not be mutable).
 
     Candidates are ordered by the integer sum(c_j * p^j) over the lower
     coefficients, which makes the choice reproducible across runs.
@@ -195,7 +233,7 @@ def smallest_primitive(p, d):
             t //= p
         f = coeffs + [1]
         if is_irreducible(f, p) and is_primitive(f, p):
-            return f
+            return tuple(f)
     raise RuntimeError("no primitive polynomial found (impossible for prime p)")
 
 

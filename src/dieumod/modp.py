@@ -20,6 +20,10 @@ class ResidueField:
         self.order = p ** self.d
         if self.d < 1:
             raise ValueError("modulus must have positive degree")
+        self._gen_rows = None  # window table of gen(), built on first gen_pow
+
+    def _mul(self, a, b):
+        return fppoly.pmod(fppoly.pmul(a, b, self.p), self.mu, self.p)
 
     def __eq__(self, other):
         return isinstance(other, ResidueField) and (self.p, self.mu) == (other.p, other.mu)
@@ -49,9 +53,16 @@ class ResidueField:
         return self.elem([0, 1], 1)
 
     def gen_pow(self, k):
-        """gen()**k, remembering the exponent so Witt lifts stay cheap."""
+        """gen()**k, remembering the exponent so Witt lifts stay cheap.
+
+        Read off a fixed-base window table of the generator (built on the
+        first call), one product per nonzero base-16 digit of k.
+        """
         k %= self.order - 1
-        c = fppoly.ppowmod([0, 1], k, list(self.mu), self.p)
+        if self._gen_rows is None:
+            base = list(self.gen().coeffs)
+            self._gen_rows = fppoly.window_table(base, self.order - 1, self._mul, [1])
+        c = fppoly.window_pow(self._gen_rows, k, self._mul, [1])
         return FqElem(self, tuple(c), k)
 
     def random(self, rng):

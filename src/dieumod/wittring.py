@@ -14,6 +14,7 @@ raises PrecisionError when a requested answer is no longer certified.
 
 import json
 import math
+import operator
 from . import fppoly
 from .modp import ResidueField, FqElem, PiPoly
 
@@ -92,6 +93,7 @@ class CoeffTower:
         self._packmask = (1 << self._packbits) - 1
         self._packed_xpow = [self._pack(row) for row in self._xpow]
         self._sigma_maps = {}
+        self._gen_rows = None  # window table of T, built on the first logged lift
         self._zero_w = None
         self._one_w = None
 
@@ -129,13 +131,14 @@ class CoeffTower:
         return low
 
     def _sigma_map(self, n):
+        """Packed images sigma^n(x^j) = x^(j p^n) of the basis, j < d."""
         n %= self.d
         if n not in self._sigma_maps:
-            rows = [self._pad([1])]
+            rows = [self._pack([1])]
             pn = self.p ** n
             for j in range(1, self.d):
                 img = fppoly.ppowmod([0, 1], j * pn, list(self.modulus), self.pN)
-                rows.append(self._pad(img))
+                rows.append(self._pack(img))
             self._sigma_maps[n] = rows
         return self._sigma_maps[n]
 
@@ -203,13 +206,17 @@ class CoeffTower:
         return self._one_w
 
     def witt_gen(self):
-        return self.witt([0, 1])
+        """The residue of T mod the modulus (a constant when d = 1)."""
+        return self.witt(fppoly.pmod([0, 1], self.modulus, self.pN))
 
     def teichmuller(self, a):
         """The unique multiplicative lift of a residue-field element.
 
         Elements carrying a discrete log (from gen_pow/random_unit) lift as
-        powers of T; otherwise iterate q-th powers to the fixpoint.
+        T**log, read off a fixed-base window table of T built on first use.
+        Otherwise iterate y -> sigma^(-1)(y)**p from any lift y of a: if
+        y = w(a) mod p^k then sigma^(-1)(y) = w(a^(1/p)) mod p^k, and its
+        p-th power is w(a) mod p^(k+1), so each step gains one digit.
         """
         if isinstance(a, int):
             a = self.residue_field.elem(a)
@@ -218,10 +225,14 @@ class CoeffTower:
         if not a:
             return self.witt_zero()
         if a.log is not None:
-            return self.witt_gen() ** a.log if a.log else self.witt_one()
+            if self._gen_rows is None:
+                self._gen_rows = fppoly.window_table(
+                    self.witt_gen(), self.q - 1, operator.mul, self.witt_one())
+            return fppoly.window_pow(self._gen_rows, a.log % (self.q - 1),
+                                     operator.mul, self.witt_one())
         y = self.witt(list(a.coeffs))
         for _ in range(self.N + 1):
-            y2 = y ** self.q
+            y2 = y.sigma(-1) ** self.p
             if y2 == y:
                 return y2
             y = y2
@@ -335,7 +346,7 @@ class WittElem:
         acc = 0
         for j, c in enumerate(self.coeffs):
             if c:
-                acc += c * t._pack(rows[j])
+                acc += c * rows[j]
         return WittElem(t, tuple(c % t.pN for c in t._unpack(acc, t.d)))
 
     def ord_p(self):

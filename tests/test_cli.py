@@ -125,6 +125,14 @@ def test_malformed_arguments(capsys, argv, code):
     assert json.loads(out)["error"]["code"] == code
 
 
+def test_sample_deform_on_degree_one_tower(capsys):
+    # d = f * ext = 1: Teichmuller lifts of sampled units need T mod the modulus
+    code, out = run_cli(capsys, "sample-deform", "--p", "5", "--f", "1", "--e", "2",
+                        "--ext", "1", "--tau", "0", "--target", "0", "--trials", "3")
+    assert code == 0
+    assert json.loads(out)["slope_histogram"] == {"0": 3}
+
+
 def test_usage_error_exit_2(capsys):
     try:
         main(["frobnicate"])

@@ -5,7 +5,8 @@ import pytest
 from dieumod import (
     DomainError, lie_type, a_type, a_index, newton_point, classify,
 )
-from dieumod import families as fam
+from dieumod import CoeffTower, families as fam
+from dieumod.modp import ResidueField
 from dieumod.modp import smith_exponents
 from conftest import tower
 
@@ -68,6 +69,24 @@ class TestNormalForm:
         t = tower(3, 2, 1, ext=1)
         M = fam.normal_form(t, (0,), {0: t.zero()})
         assert M.delta is None and M.pairing_note is not None
+
+    def test_odd_sign_scalar_computed_once_per_tower(self, monkeypatch):
+        t = CoeffTower(3, 3, 1, 2, 7)
+        calls = []
+        gen_pow = ResidueField.gen_pow
+
+        def counting_gen_pow(field, k):
+            calls.append(k)
+            return gen_pow(field, k)
+
+        monkeypatch.setattr(ResidueField, "gen_pow", counting_gen_pow)
+        deltas = [fam.normal_form(t, tau, {i: t.one() for i in tau}).delta
+                  for tau in ((0,), (1,), (0, 1, 2), (2,))]
+        assert len(calls) <= 1
+        z = deltas[0][0]
+        assert z == deltas[2][0]
+        # delta0 absorbs the odd sign: sigma^f(delta0) = -delta0
+        assert z.sigma(t.f) == -z
 
 
 class TestSuperspecial:

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from dieumod import fppoly
 from dieumod.modp import ResidueField, PiPoly, smith_exponents
 
 
@@ -97,3 +98,28 @@ def test_pipoly_inverse():
     e = 3
     u = PiPoly(F, e, [F.one(), F.elem(2), F.one()])
     assert u * u.inverse() == PiPoly(F, e, [F.one()])
+
+
+def test_window_pow_matches_builtin_pow(rng):
+    M = 10 ** 9 + 7
+
+    def mul(a, b):
+        return a * b % M
+
+    for max_exp in (1, 2, 16, 17, 255, 256, 257, 3 ** 16):
+        rows = fppoly.window_table(3, max_exp, mul, 1)
+        ks = {0, max_exp - 1} | {rng.randrange(max_exp) for _ in range(20)}
+        for k in ks:
+            assert fppoly.window_pow(rows, k, mul, 1) == pow(3, k, M)
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (3, 2), (2, 8), (5, 4), (3, 8), (2, 16)])
+def test_gen_pow_matches_repeated_squaring(p, d, rng):
+    F = ResidueField(p, fppoly.smallest_primitive(p, d))
+    q = F.order
+    g = F.gen()
+    ks = [0, 1, 15, 16, 255, 256, q - 2] + [rng.randrange(q - 1) for _ in range(10)]
+    for k in ks:
+        x = F.gen_pow(k)
+        assert x == g ** k
+        assert x.log == k % (q - 1)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -9,6 +9,8 @@ from dieumod import (
     deformation_dims, polarization_degree_exponent, superspecial_types,
     verify_det_identity,
 )
+from dieumod import strata
+from dieumod.strata import SqZero
 
 
 class TestSlopes:
@@ -125,3 +127,52 @@ class TestDetIdentity:
 
     def test_n_one(self):
         assert verify_det_identity(1, trials=20)["ok"]
+
+
+def _leibniz(rows, one, zero):
+    """Determinant as the signed sum over permutations (independent of strata)."""
+    n = len(rows)
+    acc = zero
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
+def _random_sqzero_matrix(n, p, m, rng):
+    return [[SqZero(p, rng.randrange(p), [rng.randrange(p) for _ in range(m)])
+             for _ in range(n)] for _ in range(n)]
+
+
+class TestDeterminant:
+    P, M = 5, 3
+
+    def test_det_and_cofactors_match_leibniz(self, rng):
+        one, zero = SqZero(self.P, 1, [0] * self.M), SqZero(self.P, 0, [0] * self.M)
+        for n in range(1, 7):
+            for _ in range(2 if n == 6 else 4):
+                rows = _random_sqzero_matrix(n, self.P, self.M, rng)
+                assert strata._det(rows) == _leibniz(rows, one, zero)
+                cofactors = strata._first_row_cofactors(rows, self.P, self.M)
+                assert len(cofactors) == n
+                for k in range(n):
+                    minor = [r[:k] + r[k + 1:] for r in rows[1:]]
+                    expect = _leibniz(minor, one, zero)
+                    assert cofactors[k] == (-expect if k % 2 else expect)
+
+    def test_det_products_at_most_n_two_to_n_minus_one(self, rng, monkeypatch):
+        n = 6
+        rows = _random_sqzero_matrix(n, self.P, self.M, rng)
+        calls = []
+        mul = SqZero.__mul__
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(SqZero, "__mul__", counting_mul)
+        strata._det(rows)
+        assert 0 < len(calls) <= n * 2 ** (n - 1)

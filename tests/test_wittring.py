@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dieumod import CoeffTower, DomainError, PrecisionError, INF
+from dieumod.wittring import WittElem
 from dieumod import fppoly
 from conftest import tower
 
@@ -13,6 +14,15 @@ class TestTowerConstruction:
         # f*ext = 1: the Witt ring is Z/5^4 itself, modulus T - tau
         assert t.d == 1
         assert len(t.modulus) == 2
+
+    def test_primitive_polynomial_shared_by_degree(self):
+        mu = fppoly.smallest_primitive(5, 2)
+        assert isinstance(mu, tuple)
+        before = fppoly.smallest_primitive.cache_info().misses
+        towers = [CoeffTower(5, 2, 1, 1, 4), CoeffTower(5, 2, 1, 1, 6),
+                  CoeffTower(5, 1, 2, 2, 3)]
+        assert fppoly.smallest_primitive.cache_info().misses == before
+        assert all(list(t.residue_field.mu) == list(mu) for t in towers)
 
     def test_modulus_is_primitive_mod_p(self):
         t = tower(3, 2, 1)
@@ -124,13 +134,38 @@ class TestTeichmuller:
             assert t.teichmuller(x).sigma() == t.teichmuller(x.frob())
 
     def test_genpow_fast_path_matches_iteration(self, rng):
-        t = tower(3, 2, 2, ext=2)
-        for _ in range(10):
-            k = rng.randrange(t.q - 1)
-            viapow = t.teichmuller(t.residue_field.gen_pow(k))
-            plain = t.residue_field.elem(list(t.residue_field.gen_pow(k).coeffs))
-            assert plain.log is None
-            assert t.teichmuller(plain) == viapow
+        # the logged lift (window table of T) against the log-less lift
+        # (Frobenius-root iteration), p in {2, 3, 5}, d = 1 included, N >= 2
+        towers = [tower(3, 2, 2, ext=2)] + [
+            CoeffTower(p, 1, 2, d, N)
+            for p, d, N in ((2, 1, 5), (2, 4, 3), (3, 1, 4), (3, 3, 2), (5, 1, 2), (5, 2, 4))]
+        for t in towers:
+            F = t.residue_field
+            for k in [0, 1, t.q - 2] + [rng.randrange(t.q - 1) for _ in range(8)]:
+                viapow = t.teichmuller(F.gen_pow(k))
+                plain = F.elem(list(F.gen_pow(k).coeffs))
+                assert plain.log is None
+                y = t.teichmuller(plain)
+                assert y == viapow
+                assert y ** t.q == y and y.residue() == plain
+
+    def test_logged_lift_costs_one_product_per_window_digit(self, monkeypatch):
+        t = CoeffTower(3, 1, 2, 16, 2)
+        F = t.residue_field
+        t.teichmuller(F.gen_pow(1))  # the power table is built on first use
+        calls = []
+        mul = WittElem.__mul__
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(WittElem, "__mul__", counting_mul)
+        for k in (t.q - 2, 16 ** 6 - 1, 2 ** 25 + 1, 16, 1):
+            calls.clear()
+            t.teichmuller(F.gen_pow(k))
+            digits = sum(1 for i in range(0, k.bit_length(), 4) if k >> i & 15)
+            assert len(calls) <= digits
 
 
 class TestRamified:
