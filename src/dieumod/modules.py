@@ -82,8 +82,8 @@ class DModule:
             raise DomainError("bad-shape", "mode must be 'separable' or 'general'")
         self.mode = mode
         self.det_orders = []
-        for i, A in enumerate(self.matrices):
-            d = mat_det(A)
+        dets = [mat_det(A) for A in self.matrices]
+        for i, (A, d) in enumerate(zip(self.matrices, dets)):
             v = d.ord_pi()
             if v is INF:
                 raise DomainError("degenerate", f"det A[{i}] vanishes to working precision",
@@ -112,11 +112,11 @@ class DModule:
                 f"sum of det valuations {self.det_sum} exceeds 2g = {2 * g}")
         if self.delta is not None:
             p = tower.p
-            for i, A in enumerate(self.matrices):
+            for i, d in enumerate(dets):
                 if not self.delta[i]:
                     raise DomainError("degenerate-pairing",
                                       f"pairing scalar at slot {i} vanishes", slot=i)
-                lhs = mat_det(A) * self.delta[i]
+                lhs = d * self.delta[i]
                 rhs = self.delta[(i - 1) % tower.f].sigma() * p
                 if lhs - rhs:
                     raise DomainError(

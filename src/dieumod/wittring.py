@@ -10,6 +10,29 @@ Ramified elements carry a certified precision `prec` (number of exact
 pi-adic digits, at most e*N).  Ring operations never lose precision;
 division by pi does, and everything downstream either tracks the loss or
 raises PrecisionError when a requested answer is no longer certified.
+
+Products follow the structure of the operands:
+
+* A Witt product is one Kronecker product: each operand is packed into one
+  integer, d slots of `_packbits` bits, and the 2d-1 slots of the product go
+  through `CoeffTower._reduce` (mod p^N, then x^(d+k) from a table).  An
+  int, or a constant Witt element (coefficients 1.. all zero), scales
+  coefficientwise instead.
+* A ramified product of two operands that both have at least two nonzero
+  pi-coefficients is dense: each operand is packed as one bivariate
+  Kronecker integer, 2d-1 slots per pi-degree, one big-int product is
+  taken, pi^(e+k) = p * pi^k is folded on the packed parts and each of the
+  e results is reduced once.  Otherwise one operand is a pi-monomial (or
+  zero) and each nonzero coefficient of the other is multiplied once.
+* sigma^n is the identity on constants and for n = 0 mod d; it returns its
+  argument unchanged there.  A ramified sum or difference keeps each
+  coefficient whose other summand is zero.
+
+Slot width: before `_reduce` a slot holds at most (p+1)*e*d*(p^N-1)^2 (the
+folded dense ramified product; a Witt product or a Frobenius image holds at
+most d*(p^N-1)^2), and `_reduce` adds at most (d-1)*(p^N-1)^2 to a low slot.
+`_packbits` is the bit length of ((p+1)*e + 1)*d*(p^N-1)^2, so no slot
+carries into the next.
 """
 
 import json
@@ -82,16 +105,18 @@ class CoeffTower:
         self._key = (p, f, e, ext, N, self.modulus)
         self.residue_field = ResidueField(p, mu)
 
-        # reduction table for x^(d+k), packed multiplication parameters,
-        # and Frobenius basis maps sigma^n(x^j) = x^(j p^n)
-        self._xpow = []
+        # packed multiplication parameters (slot width: see the module
+        # docstring), the packed reduction table for x^(d+k), and Frobenius
+        # basis maps sigma^n(x^j) = x^(j p^n)
+        self._packbits = (((p + 1) * e + 1) * self.d * (self.pN - 1) ** 2).bit_length()
+        self._packmask = (1 << self._packbits) - 1
+        self._lowmask = (1 << self.d * self._packbits) - 1
+        self._stride = (2 * self.d - 1) * self._packbits  # bits per pi-degree
+        self._packed_xpow = []
         r = fppoly.pmod([0] * self.d + [1], modulus, self.pN)
         for _ in range(self.d - 1):
-            self._xpow.append(self._pad(r))
+            self._packed_xpow.append(self._pack(r))
             r = fppoly.pmod([0] + r, modulus, self.pN)
-        self._packbits = 2 * self.pN.bit_length() + self.d.bit_length() + 2
-        self._packmask = (1 << self._packbits) - 1
-        self._packed_xpow = [self._pack(row) for row in self._xpow]
         self._sigma_maps = {}
         self._gen_rows = None  # window table of T, built on the first logged lift
         self._zero_w = None
@@ -115,20 +140,38 @@ class CoeffTower:
             acc >>= self._packbits
         return out
 
-    def _mulmod(self, a, b):
-        """Product of two padded coefficient lists mod (modulus, p^N)."""
-        conv = self._unpack(self._pack(a) * self._pack(b), 2 * self.d - 1)
-        low = [c % self.pN for c in conv[: self.d]]
-        if self.d > 1:
-            acc = 0
-            for k in range(self.d, 2 * self.d - 1):
-                c = conv[k] % self.pN
-                if c:
-                    acc += c * self._packed_xpow[k - self.d]
-            if acc:
-                extra = self._unpack(acc, self.d)
-                low = [(x + y) % self.pN for x, y in zip(low, extra)]
-        return low
+    def _reduce(self, conv):
+        """Coefficient tuple mod (modulus, p^N) of a packed product of 2d-1
+        slots."""
+        pN, bits, mask = self.pN, self._packbits, self._packmask
+        acc = conv & self._lowmask
+        conv >>= self.d * bits
+        for row in self._packed_xpow:
+            c = (conv & mask) % pN
+            if c:
+                acc += c * row
+            conv >>= bits
+        return tuple([c % pN for c in self._unpack(acc, self.d)])
+
+    def _ram_pack(self, coeffs):
+        """Bivariate Kronecker integer of e Witt coefficients."""
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc << self._stride) | self._pack(c.coeffs)
+        return acc
+
+    def _ram_mul_dense(self, a, b):
+        """Product of two e-tuples of Witt coefficients: one packed product,
+        the fold pi^(e+k) = p * pi^k on the packed parts, e reductions."""
+        width = self.e * self._stride
+        prod = self._ram_pack(a) * self._ram_pack(b)
+        prod = (prod & ((1 << width) - 1)) + self.p * (prod >> width)
+        seg = (1 << self._stride) - 1
+        out = []
+        for _ in range(self.e):
+            out.append(WittElem(self, self._reduce(prod & seg)))
+            prod >>= self._stride
+        return out
 
     def _sigma_map(self, n):
         """Packed images sigma^n(x^j) = x^(j p^n) of the basis, j < d."""
@@ -302,7 +345,8 @@ class WittElem:
         return f"W{list(self.coeffs)}"
 
     def _wrap(self, coeffs):
-        return WittElem(self.tower, tuple(c % self.tower.pN for c in coeffs))
+        pN = self.tower.pN
+        return WittElem(self.tower, tuple([c % pN for c in coeffs]))
 
     def _lift(self, other):
         if isinstance(other, int):
@@ -320,34 +364,38 @@ class WittElem:
     def __neg__(self):
         return self._wrap([-a for a in self.coeffs])
 
+    def _scale(self, m):
+        pN = self.tower.pN
+        return WittElem(self.tower, tuple([c * m % pN for c in self.coeffs]))
+
     def __mul__(self, other):
-        other = self._lift(other)
-        return WittElem(self.tower, tuple(self.tower._mulmod(list(self.coeffs), list(other.coeffs))))
+        if isinstance(other, int):
+            return self._scale(other)
+        a, b = self.coeffs, other.coeffs
+        if not any(b[1:]):
+            return self._scale(b[0])
+        if not any(a[1:]):
+            return other._scale(a[0])
+        t = self.tower
+        return WittElem(t, t._reduce(t._pack(a) * t._pack(b)))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.tower.witt_one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.tower.witt_one())
 
     def sigma(self, n=1):
         """Witt Frobenius sigma^n; sigma(T) = T^p, identity on Z/p^N."""
-        rows = self.tower._sigma_map(n)
         t = self.tower
+        if not n % t.d or not any(self.coeffs[1:]):
+            return self
+        rows = t._sigma_map(n)
         acc = 0
         for j, c in enumerate(self.coeffs):
             if c:
                 acc += c * rows[j]
-        return WittElem(t, tuple(c % t.pN for c in t._unpack(acc, t.d)))
+        return WittElem(t, tuple([c % t.pN for c in t._unpack(acc, t.d)]))
 
     def ord_p(self):
         """min coefficient valuation; N for the zero element."""
@@ -365,7 +413,10 @@ class WittElem:
         return self.ord_p() == 0
 
     def residue(self):
-        return self.tower.residue_field.elem([c % self.tower.p for c in self.coeffs])
+        """The reduction mod p; the coefficients already have degree < d."""
+        p = self.tower.p
+        return FqElem(self.tower.residue_field,
+                      tuple(fppoly.trim([c % p for c in self.coeffs])))
 
     def inverse(self):
         if not self.is_unit():
@@ -392,15 +443,33 @@ class WittElem:
         return list(self.coeffs)
 
 
+def _power(x, n, one):
+    """x**n by left-to-right squaring: bit_length(n) - 1 squarings and
+    popcount(n) - 1 further products, none for n in {0, 1}."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    if not n:
+        return one
+    result = x
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
+
+
 def _truncated(tower, coeffs, prec):
     """Zero all pi-adic digits at or above prec (coefficient j carries the
     digits j, j+e, j+2e, ...)."""
     e, N, p = tower.e, tower.N, tower.p
     out = []
     for j, c in enumerate(coeffs):
-        levels = max(0, min(N, -(-(prec - j) // e)))
-        mod = p ** levels
-        out.append(WittElem(tower, tuple(x % mod for x in c.coeffs)))
+        levels = max(0, -(-(prec - j) // e))
+        if levels >= N:  # every digit of this coefficient is certified
+            out.append(c)
+        else:
+            mod = p ** levels
+            out.append(WittElem(tower, tuple([x % mod for x in c.coeffs])))
     return tuple(out)
 
 
@@ -440,13 +509,13 @@ class RamElem:
     def __add__(self, other):
         other = self._lift(other)
         return RamElem(self.tower,
-                       [a + b for a, b in zip(self.coeffs, other.coeffs)],
+                       [a + b if b else a for a, b in zip(self.coeffs, other.coeffs)],
                        min(self.prec, other.prec))
 
     def __sub__(self, other):
         other = self._lift(other)
         return RamElem(self.tower,
-                       [a - b for a, b in zip(self.coeffs, other.coeffs)],
+                       [a - b if b else a for a, b in zip(self.coeffs, other.coeffs)],
                        min(self.prec, other.prec))
 
     def __neg__(self):
@@ -464,43 +533,48 @@ class RamElem:
     def __mul__(self, other):
         if isinstance(other, FqElem):
             raise TypeError("lift residue elements before multiplying")
-        other = self._lift(other)
         t = self.tower
-        e = t.e
         full = t.pi_precision
-        conv = [t.witt_zero() for _ in range(2 * e - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] = conv[i + j] + a * b
-        # fold pi^(e+k) = p * pi^k
-        for k in range(e, 2 * e - 1):
-            if conv[k]:
-                conv[k - e] = conv[k - e] + conv[k] * t.p
+        if isinstance(other, (int, WittElem)):
+            w = t.witt(other)
+            prec = self.prec
+            if prec < full:
+                prec = min(prec + t.e * w.ord_p(), full)
+            return RamElem(t, [c * w if c else c for c in self.coeffs], prec)
+        a, b = self.coeffs, other.coeffs
+        a_nz = [i for i, c in enumerate(a) if c]
+        b_nz = [i for i, c in enumerate(b) if c]
+        if len(a_nz) > 1 and len(b_nz) > 1:
+            coeffs = t._ram_mul_dense(a, b)
+        else:
+            if len(a_nz) > len(b_nz):
+                a, b, a_nz, b_nz = b, a, b_nz, a_nz
+            # a is zero or the monomial c * pi^k: one product per coefficient of b
+            coeffs = [t.witt_zero()] * t.e
+            for k in a_nz:
+                c = a[k]
+                for i in b_nz:
+                    j = i + k
+                    if j < t.e:
+                        coeffs[j] = b[i] * c
+                    else:  # pi^j = p * pi^(j-e)
+                        coeffs[j - t.e] = b[i] * c * t.p
         prec = full
         if self.prec < full or other.prec < full:
             prec = min(self._repr_ord() + other.prec, other._repr_ord() + self.prec,
                        self.prec + other.prec, full)
-        return RamElem(t, conv[:e], prec)
+        return RamElem(t, coeffs, prec)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.tower.one())
 
     def sigma(self, n=1):
         """sigma^n coefficientwise; sigma(pi) = pi since pi^e = p."""
+        if not n % self.tower.d:
+            return self
         return RamElem(self.tower, [c.sigma(n) for c in self.coeffs], self.prec)
 
     def ord_pi(self):

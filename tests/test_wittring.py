@@ -1,9 +1,11 @@
 import json
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dieumod import CoeffTower, DomainError, PrecisionError, INF
-from dieumod.wittring import WittElem
+from dieumod.wittring import WittElem, RamElem
 from dieumod import fppoly
 from conftest import tower
 
@@ -234,3 +236,216 @@ class TestRamified:
         x = t.pi() + t.ram(5)
         data = x.to_json()
         assert t.ram([t.witt(c) for c in data]) == x
+
+
+class TestPower:
+    @pytest.mark.parametrize("cls", [WittElem, RamElem])
+    def test_products_per_power(self, cls, rng, monkeypatch):
+        # bit_length(k) - 1 squarings and popcount(k) - 1 further products
+        t = tower(3, 2, 2, ext=2)
+        x = t.random_witt(rng) if cls is WittElem else t.random_ram(rng)
+        one = t.witt_one() if cls is WittElem else t.one()
+        calls = []
+        mul = cls.__mul__
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counting_mul)
+        for k, products in ((0, 0), (1, 0), (2, 1), (3, 2), (16, 4)):
+            calls.clear()
+            y = x ** k
+            assert len(calls) == products, k
+            expected = one
+            for _ in range(k):
+                expected = mul(expected, x)
+            assert y == expected
+
+
+def test_residue_matches_field_elem(rng):
+    for t in (tower(3, 1, 1), tower(3, 2, 2, ext=2), CoeffTower(2, 1, 2, 8, 3),
+              CoeffTower(5, 1, 1, 1, 4)):
+        for _ in range(20):
+            w = t.random_witt(rng)
+            r = w.residue()
+            assert r == t.residue_field.elem([c % t.p for c in w.coeffs])
+            assert r.coeffs == t.residue_field.elem(list(r.coeffs)).coeffs
+
+
+# -- schoolbook reference for *, sigma and ** ----------------------------------
+#
+# Witt elements are coefficient lists mod (modulus, p^N), reduced by long
+# division; sigma^n substitutes T -> T^(p^n) by Horner's rule; ramified
+# products convolve over pi, fold pi^(e+k) = p * pi^k and then apply the
+# precision formula  prec(ab) = min(ord(a) + prec(b), ord(b) + prec(a),
+# prec(a) + prec(b), e*N)  (e*N when both are exact), truncating the digits
+# at or above it.
+
+
+def ref_witt_mul(t, a, b):
+    conv = [0] * (2 * t.d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    m = t.modulus
+    for k in range(2 * t.d - 2, t.d - 1, -1):
+        c, conv[k] = conv[k], 0
+        for j in range(t.d):
+            conv[k - t.d + j] -= c * m[j]
+    return [c % t.pN for c in conv[:t.d]]
+
+
+def ref_witt_pow(t, a, k):
+    out, base = [1] + [0] * (t.d - 1), list(a)
+    while k:
+        if k & 1:
+            out = ref_witt_mul(t, out, base)
+        base = ref_witt_mul(t, base, base)
+        k >>= 1
+    return out
+
+
+def ref_witt_sigma(t, a, n):
+    gen = [0, 1] if t.d > 1 else [(-t.modulus[0]) % t.pN]
+    img = ref_witt_pow(t, gen, t.p ** (n % t.d))  # sigma^n(T) = T^(p^n)
+    out = [0] * t.d
+    for c in reversed(a):
+        out = ref_witt_mul(t, out, img)
+        out[0] = (out[0] + c) % t.pN
+    return out
+
+
+def vp(c, p):
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
+def ref_ord(t, coeffs):
+    vals = [t.e * min(vp(c, t.p) for c in w if c) + j
+            for j, w in enumerate(coeffs) if any(w)]
+    return min(vals, default=t.pi_precision)
+
+
+def ref_truncate(t, coeffs, prec):
+    out = []
+    for j, w in enumerate(coeffs):
+        mod = t.p ** max(0, min(t.N, -(-(prec - j) // t.e)))
+        out.append([c % mod for c in w])
+    return out
+
+
+def ref_ram_mul(t, a, pa, b, pb):
+    """(coefficients, prec) of a product of (coefficients, prec) pairs."""
+    e, full = t.e, t.pi_precision
+    conv = [[0] * t.d for _ in range(2 * e - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] = [(u + v) % t.pN for u, v in zip(conv[i + j], ref_witt_mul(t, x, y))]
+    for k in range(e - 1):
+        conv[k] = [(u + t.p * v) % t.pN for u, v in zip(conv[k], conv[k + e])]
+    prec = full
+    if pa < full or pb < full:
+        prec = min(ref_ord(t, a) + pb, ref_ord(t, b) + pa, pa + pb, full)
+    return ref_truncate(t, conv[:e], prec), prec
+
+
+def ram_of(x):
+    return [list(w.coeffs) for w in x.coeffs], x.prec
+
+
+@cache
+def ref_tower(p, e, d, N):
+    return CoeffTower(p, 1, e, d, N)
+
+
+@st.composite
+def towers(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    e = draw(st.integers(1, 4))
+    d = draw(st.sampled_from((1, 2, 4, 8, 16)))
+    low = -(-(e + 2) // e)  # smallest N with e*N >= e*f + 2 at f = 1
+    return ref_tower(p, e, d, draw(st.integers(low, low + 3)))
+
+
+def witt_coeffs(draw, t, kind):
+    pN = t.pN
+    if kind == "zero":
+        return [0] * t.d
+    if kind == "constant":
+        return [draw(st.integers(0, pN - 1))] + [0] * (t.d - 1)
+    return [draw(st.integers(0, pN - 1)) for _ in range(t.d)]
+
+
+def ram_elem(draw, t):
+    kind = draw(st.sampled_from(("dense", "monomial", "constant", "zero", "truncated")))
+    e = t.e
+    if kind in ("dense", "truncated"):
+        coeffs = [witt_coeffs(draw, t, "dense") for _ in range(e)]
+    else:
+        coeffs = [[0] * t.d for _ in range(e)]
+        if kind != "zero":
+            k = draw(st.integers(0, e - 1))
+            coeffs[k] = witt_coeffs(draw, t, "dense" if kind == "monomial" else "constant")
+    prec = t.pi_precision
+    if kind == "truncated":
+        prec = draw(st.integers(1, prec))
+    x = RamElem(t, [t.witt(c) for c in coeffs], prec)
+    assert ram_of(x) == (ref_truncate(t, coeffs, prec), prec)
+    return x
+
+
+class TestReferenceArithmetic:
+    """`*`, `sigma(n)` and `**` against the schoolbook reference above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_witt(self, data):
+        t = data.draw(towers())
+        kinds = st.sampled_from(("dense", "constant", "zero"))
+        a = witt_coeffs(data.draw, t, data.draw(kinds))
+        b = witt_coeffs(data.draw, t, data.draw(kinds))
+        m = data.draw(st.integers(-2 * t.pN, 2 * t.pN))
+        x, y = t.witt(a), t.witt(b)
+        assert list((x * y).coeffs) == ref_witt_mul(t, a, b)
+        assert list((x * m).coeffs) == ref_witt_mul(t, a, [m % t.pN] + [0] * (t.d - 1))
+        for n in (-1, 0, 1, t.d, 2 * t.d, data.draw(st.integers(-3 * t.d, 3 * t.d))):
+            assert list(x.sigma(n).coeffs) == ref_witt_sigma(t, a, n), n
+        k = data.draw(st.integers(0, 9))
+        assert list((x ** k).coeffs) == ref_witt_pow(t, a, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ramified(self, data):
+        t = data.draw(towers())
+        x, y = ram_elem(data.draw, t), ram_elem(data.draw, t)
+        assert ram_of(x * y) == ref_ram_mul(t, *ram_of(x), *ram_of(y))
+        m = data.draw(st.integers(-2 * t.pN, 2 * t.pN))
+        assert ram_of(x * m) == ram_of(x * t.ram(m)) == ref_ram_mul(t, *ram_of(x), *ram_of(t.ram(m)))
+        w = t.witt(witt_coeffs(data.draw, t, "dense"))
+        assert ram_of(x * w) == ram_of(x * t.ram(w))
+        for n in (-1, 0, 1, t.d, 2 * t.d):
+            coeffs, prec = ram_of(x)
+            assert ram_of(x.sigma(n)) == (
+                ref_truncate(t, [ref_witt_sigma(t, c, n) for c in coeffs], prec), prec), n
+        k = data.draw(st.integers(0, 5))
+        ref = ram_of(t.one())
+        for _ in range(k):
+            ref = ref_ram_mul(t, *ref, *ram_of(x))
+        assert ram_of(x ** k) == ref
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_slot_at_its_bound(self, p):
+        # every coefficient p^N - 1 at the largest e*d: the dense ramified
+        # product fills each slot to its maximum, so a carry between slots
+        # would show in the result
+        t = ref_tower(p, 4, 16, 6)
+        top = [[t.pN - 1] * t.d for _ in range(t.e)]
+        x = t.ram([t.witt(c) for c in top])
+        assert ram_of(x * x) == ref_ram_mul(t, top, t.pi_precision, top, t.pi_precision)
+        w = t.witt(top[0])
+        assert list((w * w).coeffs) == ref_witt_mul(t, top[0], top[0])
+        assert list(w.sigma(1).coeffs) == ref_witt_sigma(t, top[0], 1)
