@@ -1,8 +1,15 @@
 """The three invariants of a module: Lie type, a-type, Newton polygon,
 plus the a-index, classification flags, a-type bounds and dual formulas.
 
-Lie type and a-type are elementary-divisor data of mod-p cokernels over
-k[pi]/(pi^e); the Newton point is an element of
+Lie type and a-type are the elementary divisors of M^i / V M^(i+1) and of
+M^i / (F M^(i-1) + V M^(i+1)).  Both cokernels are killed by p (pM lies in
+FM and in VM), so their divisors are the Smith exponents over the DVR
+O = W(F_{p^d})[pi], namely (d1, d2 - d1) with d1 the minimum entry
+valuation and d2 the minimum 2x2 minor valuation of the row matrix.  They
+are read off the determinant and entry valuations of the slot matrices
+and, for the a-type, a few minors capped at what they can still change;
+a minor that vanishes to working precision below its cap raises
+PrecisionError.  The Newton point is an element of
 
     S(g) = {0, 1, ..., floor(g/2)} u {g/2}
 
@@ -13,9 +20,7 @@ entry valuations of iterated twisted powers (the independent oracle).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .modp import smith_exponents, mat_rank_over_field
 from .wittring import PrecisionError, DomainError, INF
 
 
@@ -123,54 +128,99 @@ class AType:
         }
 
 
-class _Reduction:
-    """One reduction of M mod p, read by every mod-p invariant: per slot i
-    the rows of Vbar (V: slot i+1 -> i) and of Fbar (F: slot i-1 -> i) over
-    k[pi]/(pi^e).  Fbar is reduced only when read, so the Lie type alone
-    never pays for it."""
+def _entry_order(M, i):
+    """m_i, the minimum entry valuation of A[i], certified."""
+    m = M.entry_orders[i]
+    if m is None:
+        raise PrecisionError(
+            f"slot {i}: the minimum entry valuation of A[{i}] is attained only "
+            "by entries that vanish to working precision; raise N")
+    return m
 
-    def __init__(self, M):
-        self.M = M
-        self.vbar = [M.vbar_matrix((i + 1) % M.f) for i in range(M.f)]
 
-    @cached_property
-    def rows(self):
-        return [self.M.fbar_matrix(i) + v for i, v in enumerate(self.vbar)]
+def _lie_type(M):
+    """Slot i reads V: slot j -> i, j = i+1, whose matrix is
+    sigma^-1(p adj(A[j]) / pi^v_j) up to a unit: its entries have minimum
+    valuation e - v_j + m_j and its determinant 2e - v_j."""
+    e, f = M.e, M.f
+    pairs = []
+    for i in range(f):
+        j = (i + 1) % f
+        v, m = M.det_orders[j], _entry_order(M, j)
+        pairs.append((e - v + m, e - m))
+    return LieType(e, tuple(pairs))
 
-    @cached_property
-    def lie_type(self):
-        return LieType(self.M.e, tuple(tuple(smith_exponents(r, self.M.e)) for r in self.vbar))
 
-    @cached_property
-    def a_type(self):
-        return AType(self.M.e, tuple(tuple(smith_exponents(r, self.M.e)) for r in self.rows))
+def _a_pair(M, i):
+    """Slot i: the rows of A[i] stacked on the V rows of slot i.  d1 is the
+    minimum entry valuation, s the minimum 2x2 minor valuation capped at
+    d1 + e.  Two minors are known (v_i and 2e - v_j); up to sign and the
+    offset e - v_j, the four mixed ones are the entries of sigma(A[i]) A[j]
+    (sigma moved onto A[i]'s rows; valuations are sigma-invariant).  Every
+    minor is >= 2 d1, so the scan stops once s reaches that floor."""
+    e, f = M.e, M.f
+    j = (i + 1) % f
+    off = e - M.det_orders[j]
+    d1 = min(e, _entry_order(M, i), off + _entry_order(M, j))
+    floor = 2 * d1
+    s = min(M.det_orders[i], e + off, d1 + e)
+    A, B = M.matrices[i], M.matrices[j]
+    full = M.tower.pi_precision
+    for row in A:
+        if s == floor:
+            break
+        row = [x.sigma() for x in row]
+        for c in (0, 1):
+            # a product with a certified-zero factor is an exact zero: dropped
+            terms = [x * y for x, y in zip(row, (B[0][c], B[1][c]))
+                     if (x or x.prec < full) and (y or y.prec < full)]
+            if not terms:
+                continue
+            minor = sum(terms[1:], terms[0])
+            lo = minor.ord_lower()
+            if lo + off >= s:
+                continue
+            if lo >= minor.prec:
+                raise PrecisionError(
+                    f"slot {i}: a mixed minor of the a-type vanishes to working "
+                    f"precision below {s}; it is certified only >= {lo + off}; "
+                    "raise N", lower_bound=lo + off)
+            s = lo + off
+            if s == floor:
+                break
+    return d1, s - d1
 
-    def a_index(self):
-        L = self.lie_type
-        if not L.is_rapoport:
-            raise DomainError("not-rapoport",
-                              "a-index is only defined on the Rapoport locus",
-                              lie_type=L.to_json())
-        tau = tuple(i for i, (_, ai) in enumerate(self.a_type.pairs) if ai)
-        reduced = sum(2 - mat_rank_over_field([[x.constant() for x in row] for row in r])
-                      for r in self.rows)
-        return tau, len(tau), reduced
+
+def _a_type(M):
+    return AType(M.e, tuple(_a_pair(M, i) for i in range(M.f)))
+
+
+def _a_index(L, a):
+    if not L.is_rapoport:
+        raise DomainError("not-rapoport",
+                          "a-index is only defined on the Rapoport locus",
+                          lie_type=L.to_json())
+    tau = tuple(i for i, (_, ai) in enumerate(a.pairs) if ai)
+    # the rank mod pi of slot i's rows is its number of zero exponents
+    reduced = sum((a1 > 0) + (a2 > 0) for a1, a2 in a.pairs)
+    return tau, len(tau), reduced
 
 
 def lie_type(M):
     """Elementary divisors of M^i / V M^(i+1), slot by slot."""
-    return _Reduction(M).lie_type
+    return _lie_type(M)
 
 
 def a_type(M):
     """Elementary divisors of M^i / (F M^(i-1) + V M^(i+1)), slot by slot."""
-    return _Reduction(M).a_type
+    return _a_type(M)
 
 
 def a_index(M):
     """(tau, t, reduced a-number) for a module satisfying the Rapoport
     condition; refuses other modules, where the a-index is not defined."""
-    return _Reduction(M).a_index()
+    L = _lie_type(M)
+    return _a_index(L, _a_type(M) if L.is_rapoport else None)
 
 
 def newton_point(M, method="fast", max_doublings=7):
@@ -247,8 +297,7 @@ def _newton_oracle(M, max_doublings):
 
 def classify(M):
     """Flags {rapoport, dp, ordinary, supersingular, superspecial}."""
-    r = _Reduction(M)
-    return _flags(M, r.lie_type, r.a_type, newton_point(M))
+    return _flags(M, _lie_type(M), _a_type(M), newton_point(M))
 
 
 def _flags(M, L, a, np_):
@@ -301,15 +350,15 @@ def dual_invariants(L, a):
 
 
 def invariant_report(M):
-    """Everything at once, as a JSON-ready dict (one reduction mod p)."""
-    r = _Reduction(M)
-    L, a = r.lie_type, r.a_type
+    """Everything at once, as a JSON-ready dict; the mod-p invariants are
+    read off determinantal divisors once."""
+    L, a = _lie_type(M), _a_type(M)
     flags = newton = None
     if M.det_sum == M.g:
         np_ = newton_point(M)
         newton = np_.to_json()
         flags = _flags(M, L, a, np_)
-    tau, _, reduced = r.a_index() if L.is_rapoport else (None, None, None)
+    tau, _, reduced = _a_index(L, a) if L.is_rapoport else (None, None, None)
     return {
         "lie_type": L.to_json(),
         "a_type": a.to_json()["pairs"],

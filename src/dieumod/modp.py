@@ -5,6 +5,12 @@ Residue-field elements are coefficient tuples over F_p modulo a fixed
 irreducible polynomial.  k[pi]/(pi^e) is a chain ring, so a matrix over it
 has a Smith form diag(pi^v1, pi^v2, ...) and the exponents are found by
 valuation-minimal pivoting.
+
+The invariants do not use the chain-ring part: `invariants` reads Lie type
+and a-type off valuations over the DVR.  `PiPoly`, `smith_exponents` and
+`mat_rank_over_field` (with `DModule.fbar_matrix` / `vbar_matrix`) are the
+independent reference route of the tests and the names the benchmark's
+traced run wraps.  The residue field also serves Teichmuller sampling.
 """
 
 from . import fppoly

@@ -82,23 +82,30 @@ class DModule:
             raise DomainError("bad-shape", "mode must be 'separable' or 'general'")
         self.mode = mode
         self.det_orders = []
+        self.entry_orders = []
         dets = [mat_det(A) for A in self.matrices]
         for i, (A, d) in enumerate(zip(self.matrices, dets)):
             v = d.ord_pi()
             if v is INF:
                 raise DomainError("degenerate", f"det A[{i}] vanishes to working precision",
                                   slot=i)
-            adj_min = min(x.ord_lower() for row in mat_adj(A) for x in row)
-            if adj_min + tower.e < v:
+            entries = [x for row in A for x in row]
+            ords = [x.ord_lower() for x in entries]
+            m = min(ords)  # adj(A) has the entries of A up to sign
+            if m + tower.e < v:
                 # ord_lower is a certified lower bound, so a failure with an
                 # uncertified entry is a precision problem, not a bad module
-                min(x.ord_pi() for row in mat_adj(A) for x in row)
+                min(x.ord_pi() for x in entries)
                 raise DomainError(
                     "v-nonintegral",
                     f"slot {i}: p*A^(-1) is not integral "
-                    f"(min adjugate valuation {adj_min}, det valuation {v})",
+                    f"(min adjugate valuation {m}, det valuation {v})",
                     slot=i)
             self.det_orders.append(v)
+            # m is exact once an entry attaining it is certified, which always
+            # holds when the entries share one precision (2m <= v < prec)
+            self.entry_orders.append(
+                m if any(o == m < x.prec for o, x in zip(ords, entries)) else None)
         self.det_sum = sum(self.det_orders)
         g = tower.g
         if mode == "separable" and self.det_sum != g:
@@ -201,16 +208,14 @@ class DModule:
     def vbar_matrix(self, i):
         """Matrix of V: slot i -> slot i-1, reduced mod p, up to a unit
         scalar: the det's unit part is not divided out (same row span, no
-        precision spent on inverting it).  dual() uses the exact p*A^(-1)."""
+        precision spent on inverting it).  dual() uses the exact p*A^(-1).
+        With fbar_matrix, the chain-ring reference route for the mod-p
+        invariants, which `invariants` reads off valuations instead."""
         return mat_mod_p(mat_sigma(self._p_adjugate(i), -1))
 
     def fbar_matrix(self, i):
         """A[i] mod p: matrix of F: slot i-1 -> slot i."""
         return mat_mod_p(self.matrices[i])
-
-    def reduce_mod_p(self):
-        """Per slot i, (Fbar[i], Vbar[i]) over k[pi]/(pi^e); Vbar as in vbar_matrix."""
-        return [(self.fbar_matrix(i), self.vbar_matrix(i)) for i in range(self.f)]
 
     def dual(self):
         """Module of the dual p-divisible group: A_dual[i] = (p A[i]^(-1))^T,

@@ -1,0 +1,42 @@
+"""Every function the benchmark's traced run wraps still exists.
+
+perfbench/tracing.py is loaded from its file, not edited or imported as a
+package, and each TARGETS entry is resolved as Tracer.install resolves it:
+the module as an attribute of the dieumod package, then the attribute path,
+the last name read with vars() on its owner.  A source change that removes
+or renames a traced name fails here, in well under a second.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import dieumod
+from dieumod import verify  # noqa: F401  (Tracer.install imports it too)
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves():
+    targets = load_tracing().TARGETS
+    assert targets
+    missing = []
+    for modname, path, name in targets:
+        owner = getattr(dieumod, modname, None)
+        *cls_path, attr = path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part, None)
+        if owner is None or not callable(vars(owner).get(attr)):
+            missing.append(name)
+    assert not missing, f"traced names missing from src: {missing}"
+
+
+def test_span_names_unique():
+    names = [name for _, _, name in load_tracing().TARGETS]
+    assert len(names) == len(set(names))

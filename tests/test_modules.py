@@ -126,14 +126,15 @@ class TestReduceModP:
     def test_ordinary(self):
         t = tower(3, 2, 2)
         M = DModule(t, ordinary_mats(t), [t.one()] * 2)
-        for fbar, vbar in M.reduce_mod_p():
+        for i in range(t.f):
+            fbar, vbar = M.fbar_matrix(i), M.vbar_matrix(i)
             assert [[c.ord() for c in row] for row in fbar] == [[0, 2], [2, 2]]
             assert [[c.ord() for c in row] for row in vbar] == [[2, 2], [2, 0]]
 
     def test_pi_swap(self):
         t = tower(5, 1, 2, ext=2)
         M = fam.nonrapoport_module(t)
-        fbar, vbar = M.reduce_mod_p()[0]
+        fbar, vbar = M.fbar_matrix(0), M.vbar_matrix(0)
         assert [[c.ord() for c in row] for row in fbar] == [[2, 1], [1, 2]]
         assert [[c.ord() for c in row] for row in vbar] == [[2, 1], [1, 2]]
 
