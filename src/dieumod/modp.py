@@ -2,7 +2,10 @@
 and Smith normal form over it.
 
 Residue-field elements are coefficient tuples over F_p modulo a fixed
-irreducible polynomial.  k[pi]/(pi^e) is a chain ring, so a matrix over it
+irreducible polynomial.  A product is one packed (Kronecker) integer
+product whose slots x^(d+k) are replaced from a table of x^(d+k) mod
+(mu, p), as `CoeffTower._reduce` does over Z/p^N; the table is built on the
+first product.  k[pi]/(pi^e) is a chain ring, so a matrix over it
 has a Smith form diag(pi^v1, pi^v2, ...) and the exponents are found by
 valuation-minimal pivoting.
 
@@ -27,9 +30,43 @@ class ResidueField:
         if self.d < 1:
             raise ValueError("modulus must have positive degree")
         self._gen_rows = None  # window table of gen(), built on first gen_pow
+        # packed products: a slot holds at most d*(p-1)^2 before the
+        # reduction adds at most (d-1)*(p-1)^2, so it never carries
+        self._bits = ((2 * self.d - 1) * (p - 1) ** 2).bit_length()
+        self._xpow = None  # packed x^(d+k) mod (mu, p), built on the first _mul
+
+    def _pack(self, coeffs):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc << self._bits) | c
+        return acc
 
     def _mul(self, a, b):
-        return fppoly.pmod(fppoly.pmul(a, b, self.p), self.mu, self.p)
+        """Trimmed coefficient tuple of a * b for reduced a, b: one packed
+        product whose slots x^(d+k) are replaced from a table."""
+        p, d = self.p, self.d
+        if self._xpow is None:
+            r = fppoly.pmod([0] * d + [1], self.mu, p)
+            rows = []
+            for _ in range(d - 1):
+                rows.append(self._pack(r))
+                r = fppoly.pmod([0] + r, self.mu, p)
+            self._xpow = rows
+        bits = self._bits
+        mask = (1 << bits) - 1
+        conv = self._pack(a) * self._pack(b)
+        acc = conv & ((1 << d * bits) - 1)
+        conv >>= d * bits
+        for row in self._xpow:
+            c = (conv & mask) % p
+            if c:
+                acc += c * row
+            conv >>= bits
+        out = []
+        for _ in range(d):
+            out.append((acc & mask) % p)
+            acc >>= bits
+        return tuple(fppoly.trim(out))
 
     def __eq__(self, other):
         return isinstance(other, ResidueField) and (self.p, self.mu) == (other.p, other.mu)
@@ -134,11 +171,11 @@ class FqElem:
     def __mul__(self, other):
         other = self._lift(other)
         f = self.field
-        c = fppoly.pmod(fppoly.pmul(list(self.coeffs), list(other.coeffs), f.p), list(f.mu), f.p)
+        c = f._mul(self.coeffs, other.coeffs)
         log = None
         if self.log is not None and other.log is not None and self.coeffs and other.coeffs:
             log = (self.log + other.log) % (f.order - 1)
-        return FqElem(f, tuple(c), log)
+        return FqElem(f, c, log)
 
     __radd__ = __add__
     __rmul__ = __mul__

@@ -25,10 +25,10 @@ def mat(tower, rows):
 
 
 def mat_mul(A, B):
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
+    """A * B for 2x2 matrices of RamElems, by the packed kernel
+    `CoeffTower.mat_mul`: entries and precisions equal those of the
+    entrywise products and sums."""
+    return A[0][0].tower.mat_mul(A, B)
 
 
 def mat_sigma(A, n):

@@ -24,14 +24,19 @@ Products follow the structure of the operands:
   taken, pi^(e+k) = p * pi^k is folded on the packed parts and each of the
   e results is reduced once.  Otherwise one operand is a pi-monomial (or
   zero) and each nonzero coefficient of the other is multiplied once.
+* A product of 2x2 matrices (`CoeffTower.mat_mul`) packs each of the eight
+  entries once as above, sums the two big-int products of each output
+  entry while still packed, and folds and reduces that sum once: 4e
+  reductions and no entrywise RamElem products or sums.
 * sigma^n is the identity on constants and for n = 0 mod d; it returns its
   argument unchanged there.  A ramified sum or difference keeps each
   coefficient whose other summand is zero.
 
-Slot width: before `_reduce` a slot holds at most (p+1)*e*d*(p^N-1)^2 (the
-folded dense ramified product; a Witt product or a Frobenius image holds at
+Slot width: before `_reduce` a slot holds at most 2*(p+1)*e*d*(p^N-1)^2
+(the folded sum of two dense ramified products in a matrix entry; a single
+folded product holds half of that, a Witt product or a Frobenius image at
 most d*(p^N-1)^2), and `_reduce` adds at most (d-1)*(p^N-1)^2 to a low slot.
-`_packbits` is the bit length of ((p+1)*e + 1)*d*(p^N-1)^2, so no slot
+`_packbits` is the bit length of (2*(p+1)*e + 1)*d*(p^N-1)^2, so no slot
 carries into the next.
 """
 
@@ -108,7 +113,7 @@ class CoeffTower:
         # packed multiplication parameters (slot width: see the module
         # docstring), the packed reduction table for x^(d+k), and Frobenius
         # basis maps sigma^n(x^j) = x^(j p^n)
-        self._packbits = (((p + 1) * e + 1) * self.d * (self.pN - 1) ** 2).bit_length()
+        self._packbits = ((2 * (p + 1) * e + 1) * self.d * (self.pN - 1) ** 2).bit_length()
         self._packmask = (1 << self._packbits) - 1
         self._lowmask = (1 << self.d * self._packbits) - 1
         self._stride = (2 * self.d - 1) * self._packbits  # bits per pi-degree
@@ -160,11 +165,11 @@ class CoeffTower:
             acc = (acc << self._stride) | self._pack(c.coeffs)
         return acc
 
-    def _ram_mul_dense(self, a, b):
-        """Product of two e-tuples of Witt coefficients: one packed product,
-        the fold pi^(e+k) = p * pi^k on the packed parts, e reductions."""
+    def _ram_unpack(self, prod):
+        """e Witt coefficients of a packed ramified product (or sum of
+        products): the fold pi^(e+k) = p * pi^k on the packed parts, then
+        one reduction per pi-degree."""
         width = self.e * self._stride
-        prod = self._ram_pack(a) * self._ram_pack(b)
         prod = (prod & ((1 << width) - 1)) + self.p * (prod >> width)
         seg = (1 << self._stride) - 1
         out = []
@@ -172,6 +177,33 @@ class CoeffTower:
             out.append(WittElem(self, self._reduce(prod & seg)))
             prod >>= self._stride
         return out
+
+    def mat_mul(self, A, B):
+        """Product of 2x2 matrices of RamElems of this tower.
+
+        Each entry is packed once; each output entry is the packed sum of
+        its two products, folded and reduced once (4e reductions).  The
+        precision is that of the entrywise products and sum: full when its
+        four factors are, else the minimum of the product formula of
+        `RamElem.__mul__` over its two products."""
+        pa = [[self._ram_pack(x.coeffs) for x in row] for row in A]
+        pb = [[self._ram_pack(x.coeffs) for x in row] for row in B]
+        full = self.pi_precision
+        prec = [[full, full], [full, full]]
+        if any(x.prec < full for M in (A, B) for row in M for x in row):
+            ra = [[x._repr_ord() for x in row] for row in A]
+            rb = [[x._repr_ord() for x in row] for row in B]
+            for i in (0, 1):
+                for j in (0, 1):
+                    for k in (0, 1):
+                        x, y = A[i][k], B[k][j]
+                        prec[i][j] = min(prec[i][j], ra[i][k] + y.prec,
+                                         rb[k][j] + x.prec, x.prec + y.prec)
+        return tuple(
+            tuple(RamElem(self, self._ram_unpack(pa[i][0] * pb[0][j] + pa[i][1] * pb[1][j]),
+                          prec[i][j])
+                  for j in (0, 1))
+            for i in (0, 1))
 
     def _sigma_map(self, n):
         """Packed images sigma^n(x^j) = x^(j p^n) of the basis, j < d."""
@@ -398,16 +430,17 @@ class WittElem:
         return WittElem(t, tuple([c % t.pN for c in t._unpack(acc, t.d)]))
 
     def ord_p(self):
-        """min coefficient valuation; N for the zero element."""
-        best = self.tower.N
-        for c in self.coeffs:
-            if c:
-                v = 0
-                while c % self.tower.p == 0:
-                    c //= self.tower.p
-                    v += 1
-                best = min(best, v)
-        return best
+        """min coefficient valuation (that of their gcd); N for the zero
+        element."""
+        c = math.gcd(*self.coeffs)
+        if not c:
+            return self.tower.N
+        p = self.tower.p
+        v = 0
+        while c % p == 0:
+            c //= p
+            v += 1
+        return v
 
     def is_unit(self):
         return self.ord_p() == 0
@@ -545,7 +578,7 @@ class RamElem:
         a_nz = [i for i, c in enumerate(a) if c]
         b_nz = [i for i, c in enumerate(b) if c]
         if len(a_nz) > 1 and len(b_nz) > 1:
-            coeffs = t._ram_mul_dense(a, b)
+            coeffs = t._ram_unpack(t._ram_pack(a) * t._ram_pack(b))
         else:
             if len(a_nz) > len(b_nz):
                 a, b, a_nz, b_nz = b, a, b_nz, a_nz

@@ -123,3 +123,20 @@ def test_gen_pow_matches_repeated_squaring(p, d, rng):
         x = F.gen_pow(k)
         assert x == g ** k
         assert x.log == k % (q - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_packed_product_matches_long_division(p, rng):
+    # ResidueField._mul (packed product, table of x^(d+k)) against
+    # pmul + pmod, with empty and all-(p-1) operands at every degree
+    for d in (1, 2, 3, 4, 7, 8, 16):
+        F = ResidueField(p, fppoly.smallest_primitive(p, d))
+        top = [p - 1] * d
+        pairs = [([], []), ([], top), (top, []), (top, top), ([1], top)]
+        for _ in range(40):
+            pairs.append(tuple(fppoly.trim([rng.randrange(p) for _ in range(d)])
+                               for _ in range(2)))
+        for a, b in pairs:
+            expected = fppoly.pmod(fppoly.pmul(a, b, p), list(F.mu), p)
+            assert F._mul(a, b) == tuple(expected), (d, a, b)
+            assert (F.elem(a) * F.elem(b)).coeffs == tuple(expected)

@@ -6,6 +6,7 @@ from dieumod import (
     DModule, DomainError, PrecisionError, lie_type, a_type, newton_point,
 )
 from dieumod.modules import mat_det, mat_mul, mat_sigma
+from dieumod.wittring import CoeffTower, RamElem
 from dieumod import families as fam
 from conftest import tower
 
@@ -120,6 +121,27 @@ class TestTwistedPower:
         M = fam.normal_form(t, (0,), {0: t.zero()})
         with pytest.raises(PrecisionError):
             M.iterate_twisted(8)
+
+
+class TestMatMul:
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_dense_product_is_one_kernel_call(self, e, rng, monkeypatch):
+        # no entrywise RamElem products or sums, one reduction per
+        # pi-degree of each of the four output entries
+        t = tower(3, 2, e, ext=2)
+        A, B = (tuple(tuple(t.random_ram(rng) for _ in range(2)) for _ in range(2))
+                for _ in range(2))
+        calls = {}
+        for cls, name in ((RamElem, "__mul__"), (RamElem, "__add__"), (CoeffTower, "_reduce")):
+            calls[name] = 0
+
+            def counting(*args, _orig=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(cls, name, counting)
+        mat_mul(A, B)
+        assert calls == {"__mul__": 0, "__add__": 0, "_reduce": 4 * e}
 
 
 class TestReduceModP:

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from dieumod import CoeffTower, DomainError, PrecisionError, INF
 from dieumod.wittring import WittElem, RamElem
+from dieumod.modules import mat_mul
+from dieumod import families as fam
 from dieumod import fppoly
 from conftest import tower
 
@@ -263,6 +265,24 @@ class TestPower:
             assert y == expected
 
 
+@pytest.mark.parametrize("t", [tower(3, 1, 1), tower(3, 2, 2, ext=2),
+                               CoeffTower(2, 1, 2, 8, 3), CoeffTower(5, 1, 1, 1, 4)],
+                         ids=repr)
+def test_ord_p_is_min_coefficient_valuation(t, rng):
+    p, N, d = t.p, t.N, t.d
+    cases = [[0] * d, [t.pN - 1] * d]
+    for j in range(d):
+        for k in range(N):
+            single = [0] * d
+            single[j] = p ** k * rng.choice([1, p - 1, t.pN // p ** k - 1])
+            cases.append(single)
+    for _ in range(20):  # mixed valuations, zero coefficients included
+        cases.append([p ** rng.randrange(N) * rng.randrange(t.pN) % t.pN for _ in range(d)])
+    for c in cases:
+        expected = min((vp(x, p) for x in c if x), default=N)
+        assert t.witt(c).ord_p() == expected, c
+
+
 def test_residue_matches_field_elem(rng):
     for t in (tower(3, 1, 1), tower(3, 2, 2, ext=2), CoeffTower(2, 1, 2, 8, 3),
               CoeffTower(5, 1, 1, 1, 4)):
@@ -449,3 +469,61 @@ class TestReferenceArithmetic:
         w = t.witt(top[0])
         assert list((w * w).coeffs) == ref_witt_mul(t, top[0], top[0])
         assert list(w.sigma(1).coeffs) == ref_witt_sigma(t, top[0], 1)
+
+
+# -- the packed 2x2 kernel against the entrywise product -----------------------
+
+
+def entrywise_mat_mul(A, B):
+    """The entrywise product `mat_mul` replaced: four RamElem sums of
+    products, each with the precision rules of `*` and `+`."""
+    return (
+        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
+        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
+    )
+
+
+@cache
+def dual_entries(t):
+    """Entries of the duals of family modules on t (f = 1): their precision
+    is lowered by the unit division in p * A^(-1)."""
+    out = []
+    for build in (lambda: fam.slope_family(t, 1), lambda: fam.superspecial(t),
+                  lambda: fam.normal_form(t, (0,), {0: t.pi()})):
+        try:
+            D = build().dual()
+        except (DomainError, PrecisionError):
+            continue
+        out += [x for A in D.matrices for row in A for x in row]
+    return tuple(out)
+
+
+def mat_entry(draw, t):
+    duals = dual_entries(t)
+    if duals and draw(st.booleans()):
+        return draw(st.sampled_from(duals))
+    return ram_elem(draw, t)
+
+
+class TestMatMulKernel:
+    """`mat_mul` (one packed kernel) equals the entrywise product, prec
+    included (RamElem == compares coefficients and prec)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_entrywise_product(self, data):
+        t = data.draw(towers())
+        A, B = (tuple(tuple(mat_entry(data.draw, t) for _ in range(2)) for _ in range(2))
+                for _ in range(2))
+        assert mat_mul(A, B) == entrywise_mat_mul(A, B)
+
+    # every coefficient p^N - 1: on the p = 3 and p = 5 towers the sum of
+    # two folded products fills a slot past the width a single product
+    # needs, so a slot width sized for one product would carry
+    @pytest.mark.parametrize("p,e,d,N", [(2, 4, 16, 6), (3, 4, 16, 5), (3, 4, 1, 5),
+                                         (5, 3, 8, 4), (5, 4, 16, 2), (5, 4, 2, 5)])
+    def test_every_slot_at_its_bound(self, p, e, d, N):
+        t = ref_tower(p, e, d, N)
+        x = t.ram([t.witt([t.pN - 1] * d) for _ in range(e)])
+        A = ((x, x), (x, x))
+        assert mat_mul(A, A) == entrywise_mat_mul(A, A)
