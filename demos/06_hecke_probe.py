@@ -9,10 +9,10 @@ cut out by t1^(p+1) = t2^(p+1), t1^2 + t2 t3 = 0 (whose extra F_q-points
 all sit on the coordinate line t1 = t2 = 0 and extend to no stable plane).
 """
 
-from dieumod.hecke import build_setting, enumerate_stable_planes, compare_variety
+from dieumod.hecke import HeckeSetting, enumerate_stable_planes, compare_variety
 
 for p in (3, 5):
-    S = build_setting(p, 1)
+    S = HeckeSetting(p, 1)
     planes = enumerate_stable_planes(S)
     rep = compare_variety(S, planes)
     print(f"p = {p}, q = {S.q}:")
@@ -29,7 +29,7 @@ for p in (3, 5):
 
 # The full Grassmannian sweep finds the chart planes plus the p+1 boundary
 # planes where the echelon pivots degenerate.
-S = build_setting(3, 1)
+S = HeckeSetting(3, 1)
 full = enumerate_stable_planes(S, chart_only=False)
 outside = [pl.rref for pl in full if pl.chart is None]
 print(f"p = 3 full Grassmannian: {len(full)} stable planes, "

@@ -6,9 +6,8 @@ a-type stratification combinatorics, and brute-force verification probes.
 
 from .wittring import (
     CoeffTower, WittElem, RamElem, PrecisionError, DomainError, INF,
-    build_coeff_tower, frobenius, ord_pi, teichmuller,
 )
-from .modules import DModule, build_module
+from .modules import DModule
 from .invariants import (
     NewtonPoint, LieType, AType, admissible_indices, slope_point,
     lie_type, a_type, a_index, newton_point, classify,
@@ -25,7 +24,7 @@ from .families import (
     deform_specialize, nonrapoport_module, sample_deform,
 )
 from .hecke import (
-    SmallField, HeckeSetting, StablePlane, build_setting,
+    SmallField, HeckeSetting, StablePlane,
     enumerate_stable_planes, compare_variety, probe_report,
 )
 

@@ -240,7 +240,7 @@ def nonrapoport_module(tower):
     return _attach(module, {"kind": "nonrapoport"}, note)
 
 
-def sample_deform(tower, tau, target, trials, rng, newton_method="fast"):
+def sample_deform(tower, tau, target, trials, rng):
     """Random Teichmuller specializations over the target stratum; returns a
     histogram {newton index: count} plus the builder inputs echoed back."""
     from .invariants import newton_point
@@ -260,7 +260,7 @@ def sample_deform(tower, tau, target, trials, rng, newton_method="fast"):
             for j in range(target[i], e):
                 assignment[(i, j)] = tower.residue_field.random_unit(rng)
         M = deform_specialize(base, target, assignment)
-        idx = newton_point(M, newton_method).index
+        idx = newton_point(M).index
         hist[idx] = hist.get(idx, 0) + 1
     return {"trials": trials, "tau": list(tau), "target": list(target),
             "slope_histogram": {str(k): v for k, v in sorted(hist.items())}}

@@ -4,10 +4,14 @@ non-Rapoport superspecial point.
 The ambient space is the 4-dimensional mod-p Dieudonne space N with basis
 (x1, x2, x1', x2'), pi x_i' = x_i, pi x_i = 0, F and V exchanging the primed
 and unprimed pairs semilinearly, and the alternating form <x1, x2'> =
-<x1', x2> = 1.  We enumerate all pi-, F-, V-stable isotropic planes, either
-in the affine chart around span(x1, x2) or over the whole Lagrangian
-Grassmannian, purely from the definitions, and compare the result with the
-closed-form chart equations and the displayed coordinate variety
+<x1', x2> = 1.  We enumerate all pi-, F-, V-stable isotropic planes purely
+from the definitions, Schubert cell by Schubert cell: the cell with pivot
+columns (j1, j2) holds the planes whose reduced row echelon form has its
+leading 1s there.  The affine chart around span(x1, x2) is the cell with
+pivots (x1, x2); its free entries (t11, t12, t21, t22) are the chart
+coordinates.  The search runs over the chart alone or over all six cells of
+the Grassmannian, and the result is compared with the closed-form chart
+equations and the displayed coordinate variety
 
     k[t1, t2, t3] / (t1^(p+1) - t2^(p+1), t1^2 + t2 t3).
 
@@ -21,6 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from . import fppoly
+from .modp import ResidueField
 from .wittring import DomainError
 
 
@@ -42,15 +47,12 @@ class SmallField:
             neg += ((-digits[i]) % p) * p ** i
         self.ADD = add
         self.NEG = neg
-        # exp/log through the primitive generator T
-        exp = np.zeros(q - 1, dtype=np.int64)
+        # exp/log through the primitive generator T of F_p[T]/(mu)
+        F = ResidueField(p, mu)
+        exp = np.array([sum(c * p ** i for i, c in enumerate(F.gen_pow(k).coeffs))
+                        for k in range(q - 1)], dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
-        cur = [1]
-        for k in range(q - 1):
-            enc_k = sum(c * p ** i for i, c in enumerate(cur))
-            exp[k] = enc_k
-            log[enc_k] = k
-            cur = fppoly.pmod(fppoly.pmul(cur, [0, 1], p), mu, p)
+        log[exp] = np.arange(q - 1)
         self.EXP, self.LOG = exp, log
         mul = np.zeros((q, q), dtype=np.int64)
         idx = (log[1:, None] + log[None, 1:]) % (q - 1)
@@ -144,32 +146,6 @@ class HeckeSetting:
         assert int(self.pair(e[0], e[3])) == 1 and int(self.pair(e[2], e[1])) == 1
 
 
-def _chart_masks(S):
-    """Boolean mask over all q^4 chart points of the raw stability definition,
-    together with the coordinate arrays."""
-    K = S.field
-    q = S.q
-    e = K.elements()
-    t11, t12, t21, t22 = [a.reshape(-1) for a in np.meshgrid(e, e, e, e, indexing="ij")]
-    zero = np.zeros_like(t11)
-    rows = ((np.ones_like(t11), zero, t11, t12),
-            (zero, np.ones_like(t11), t21, t22))
-
-    def member(v):
-        # v lies in the span iff v - v0*row0 - v1*row1 = 0; the rows have an
-        # identity block in the first two coordinates
-        c0, c1 = v[0], v[1]
-        m2 = K.sub(v[2], K.add(K.mul(c0, t11), K.mul(c1, t21)))
-        m3 = K.sub(v[3], K.add(K.mul(c0, t12), K.mul(c1, t22)))
-        return (m2 == 0) & (m3 == 0)
-
-    mask = S.pair(rows[0], rows[1]) == 0
-    for op in (S.pi_map, S.f_map, S.v_map):
-        for r in rows:
-            mask &= member(op(r))
-    return mask, (t11, t12, t21, t22)
-
-
 def _check_size(q, chart_only, size_cap):
     """Raise size-guard when the search over F_q has more than size_cap candidates."""
     if chart_only and q ** 4 > size_cap:
@@ -179,64 +155,57 @@ def _check_size(q, chart_only, size_cap):
         raise DomainError("size-guard", f"Grassmannian has {total} planes > cap")
 
 
+def _cell_planes(S, j1, j2):
+    """Stable planes of the Schubert cell with pivot columns j1 < j2.
+
+    Row r1 has a 1 in column j1 and a free entry in each later column other
+    than j2; row r2 has a 1 in column j2 and a free entry in each later
+    column; every other entry is 0.  The free entries run over F_q in
+    meshgrid ("ij") order, r1's first."""
+    K = S.field
+    free1 = [c for c in range(j1 + 1, 4) if c != j2]
+    free2 = list(range(j2 + 1, 4))
+    grids = [g.reshape(-1) for g in
+             np.meshgrid(*[K.elements()] * (len(free1) + len(free2)), indexing="ij")]
+    count = grids[0].size if grids else 1
+    r1 = [np.zeros(count, dtype=np.int64)] * 4
+    r2 = list(r1)
+    r1[j1] = r2[j2] = np.ones(count, dtype=np.int64)
+    for c, g in zip(free1, grids):
+        r1[c] = g
+    for c, g in zip(free2, grids[len(free1):]):
+        r2[c] = g
+    rest = [c for c in range(4) if c not in (j1, j2)]
+
+    def member(v):
+        # v lies in the span iff v - v[j1] r1 - v[j2] r2 = 0; the pivot
+        # coordinates of that difference vanish by construction
+        c1, c2 = v[j1], v[j2]
+        ok = np.ones(count, dtype=bool)
+        for c in rest:
+            ok &= K.sub(v[c], K.add(K.mul(c1, r1[c]), K.mul(c2, r2[c]))) == 0
+        return ok
+
+    mask = S.pair(r1, r2) == 0
+    for op in (S.pi_map, S.f_map, S.v_map):
+        mask &= member(op(r1)) & member(op(r2))
+    planes = []
+    for i in np.nonzero(mask)[0]:
+        rref = (tuple(int(x[i]) for x in r1), tuple(int(x[i]) for x in r2))
+        chart = rref[0][2:] + rref[1][2:] if (j1, j2) == (0, 1) else None
+        planes.append(StablePlane(rref, chart))
+    return planes
+
+
 def enumerate_stable_planes(S, chart_only=True, size_cap=10 ** 7):
     """All pi-, F-, V-stable isotropic planes, verified from the raw
-    definitions.  With chart_only the search runs over the affine chart
-    around span(x1, x2); otherwise over the whole Grassmannian, reporting
-    planes by their reduced row echelon form."""
-    q = S.q
-    _check_size(q, chart_only, size_cap)
-    if chart_only:
-        mask, coords = _chart_masks(S)
-        idx = np.nonzero(mask)[0]
-        planes = []
-        for i in idx:
-            t = tuple(int(c[i]) for c in coords)
-            rref = ((1, 0, t[0], t[1]), (0, 1, t[2], t[3]))
-            planes.append(StablePlane(rref, t))
-        return planes
-
-    K = S.field
-    planes = []
-    for j1, j2 in combinations(range(4), 2):
-        free1 = [c for c in range(j1 + 1, 4) if c != j2]
-        free2 = list(range(j2 + 1, 4))
-        n1, n2 = len(free1), len(free2)
-        grids = np.meshgrid(*([K.elements()] * (n1 + n2)), indexing="ij") \
-            if n1 + n2 else []
-        grids = [g.reshape(-1) for g in grids]
-        count = grids[0].size if grids else 1
-        ones = np.ones(count, dtype=np.int64)
-        zeros = np.zeros(count, dtype=np.int64)
-        r1 = [zeros.copy() for _ in range(4)]
-        r2 = [zeros.copy() for _ in range(4)]
-        r1[j1] = ones
-        r2[j2] = ones
-        for k, c in enumerate(free1):
-            r1[c] = grids[k]
-        for k, c in enumerate(free2):
-            r2[c] = grids[n1 + k]
-        r1, r2 = tuple(r1), tuple(r2)
-
-        def member(v):
-            c0, c1 = v[j1], v[j2]
-            ok = np.ones(count, dtype=bool)
-            for c in range(4):
-                resid = K.sub(v[c], K.add(K.mul(c0, r1[c]), K.mul(c1, r2[c])))
-                ok &= resid == 0
-            return ok
-
-        mask = S.pair(r1, r2) == 0
-        for op in (S.pi_map, S.f_map, S.v_map):
-            mask &= member(op(r1)) & member(op(r2))
-        for i in np.nonzero(mask)[0]:
-            rref = (tuple(int(r1[c][i]) for c in range(4)),
-                    tuple(int(r2[c][i]) for c in range(4)))
-            chart = None
-            if j1 == 0 and j2 == 1:
-                chart = (rref[0][2], rref[0][3], rref[1][2], rref[1][3])
-            planes.append(StablePlane(rref, chart))
-    return planes
+    definitions and reported by their reduced row echelon form.  With
+    chart_only the search runs over the chart, the cell with pivots
+    (x1, x2); otherwise over all six Schubert cells of the Grassmannian,
+    the chart first."""
+    _check_size(S.q, chart_only, size_cap)
+    cells = [(0, 1)] if chart_only else combinations(range(4), 2)
+    return [pl for j1, j2 in cells for pl in _cell_planes(S, j1, j2)]
 
 
 def chart_equations_hold(S, t):
@@ -265,7 +234,7 @@ def parametrized_chart_set(S):
     roots = [int(K.EXP[k]) for k in range(0, q - 1, (q - 1) // (p + 1))]
     out = {(0, 0, 0, 0)}
     for a in roots:
-        ainv = int(K.EXP[(-K.LOG[a]) % (q - 1)])
+        ainv = int(K.power(a, -1))
         for t in range(1, q):
             out.add((t, int(K.mul(np.int64(a), np.int64(t))),
                      int(K.NEG[K.mul(np.int64(ainv), np.int64(t))]),
@@ -289,8 +258,7 @@ def compare_variety(S, planes):
 
     e = K.elements()
     T1, T2, T3 = [a.reshape(-1) for a in np.meshgrid(e, e, e, indexing="ij")]
-    pow_p1 = np.zeros(q, dtype=np.int64)
-    pow_p1[K.EXP] = K.EXP[(K.LOG[K.EXP] * (p + 1)) % (q - 1)]
+    pow_p1 = K._power_table(p + 1)
     sq = K.MUL[e, e]
     variety = (K.sub(pow_p1[T1], pow_p1[T2]) == 0) & \
               (K.add(sq[T1], K.MUL[T2, T3]) == 0)
@@ -304,7 +272,7 @@ def compare_variety(S, planes):
             if t[0] == 0:
                 lines.add(("degenerate", t))
                 continue
-            inv = K.EXP[(-K.LOG[np.int64(t[0])]) % (q - 1)]
+            inv = K.power(t[0], -1)
             lines.add(tuple(int(K.mul(np.int64(x), inv)) for x in t))
     return {
         "p": p, "q": q,
@@ -322,10 +290,6 @@ def compare_variety(S, planes):
     }
 
 
-def build_setting(p, s=1):
-    return HeckeSetting(p, s)
-
-
 def probe_report(p, s=1, full_grassmannian=False, size_cap=10 ** 7):
     """One-call report used by the command line front end.  The size cap is
     checked before the q x q field tables are allocated."""
@@ -333,12 +297,12 @@ def probe_report(p, s=1, full_grassmannian=False, size_cap=10 ** 7):
     _check_size(q, True, size_cap)
     if full_grassmannian:
         _check_size(q, False, size_cap)
-    S = build_setting(p, s)
-    planes = enumerate_stable_planes(S, chart_only=True, size_cap=size_cap)
-    report = compare_variety(S, planes)
+    S = HeckeSetting(p, s)
+    planes = enumerate_stable_planes(S, chart_only=not full_grassmannian,
+                                     size_cap=size_cap)
+    report = compare_variety(S, planes)  # reads the chart planes only
     if full_grassmannian:
-        allp = enumerate_stable_planes(S, chart_only=False, size_cap=size_cap)
-        outside = [pl.rref for pl in allp if pl.chart is None]
-        report["grassmannian_total"] = len(allp)
+        outside = [pl.rref for pl in planes if pl.chart is None]
+        report["grassmannian_total"] = len(planes)
         report["outside_chart"] = [[list(r) for r in rr] for rr in outside]
     return report

@@ -23,6 +23,9 @@ from fractions import Fraction
 
 from .wittring import PrecisionError, DomainError, INF
 
+# doubling budget of the Newton oracle: twisted powers up to the 2^7-fold
+_MAX_DOUBLINGS = 7
+
 
 def admissible_indices(g):
     """S(g) as an ordered list of Fractions."""
@@ -223,7 +226,7 @@ def a_index(M):
     return _a_index(L, _a_type(M) if L.is_rapoport else None)
 
 
-def newton_point(M, method="fast", max_doublings=7):
+def newton_point(M, method="fast"):
     """Newton point of the module (det-valuation budget must equal g).
 
     fast:   index = min(g/2, ord_pi(trace of the one-slot F^f matrix));
@@ -238,7 +241,7 @@ def newton_point(M, method="fast", max_doublings=7):
     if method == "fast":
         return _newton_fast(M)
     if method == "oracle":
-        return _newton_oracle(M, max_doublings)
+        return _newton_oracle(M)
     raise DomainError("bad-shape", f"unknown method {method!r}")
 
 
@@ -266,7 +269,7 @@ def _ceil_to_slopes(g, x):
     return Fraction(g, 2)
 
 
-def _newton_oracle(M, max_doublings):
+def _newton_oracle(M):
     """Bracket the index from below.  Superadditivity of the minimal entry
     valuations gives m_n/n <= index for every n (Fekete), so the ceiling of
     m_n/n in S(g) is a certified lower bound that converges to the index;
@@ -276,7 +279,7 @@ def _newton_oracle(M, max_doublings):
     history = []
     n = 0
     try:
-        for n, m_n in M.min_valuation_doublings(max_doublings):
+        for n, m_n in M.min_valuation_doublings(_MAX_DOUBLINGS):
             cand = _ceil_to_slopes(g, min(half, Fraction(m_n, n)))
             history.append(cand)
             if cand == half:

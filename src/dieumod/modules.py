@@ -257,7 +257,3 @@ class DModule:
 
     def dumps(self):
         return json.dumps(self.to_json(), sort_keys=True)
-
-
-def build_module(tower, matrices, delta=None, mode="separable"):
-    return DModule(tower, matrices, delta, mode)

@@ -343,11 +343,11 @@ def _first_row_cofactors(rows, p, m):
             for k in range(n)]
 
 
-def verify_det_identity(n, m1=None, m2=None, trials=20, p=5, rng=None):
+def verify_det_identity(n, m1=None, m2=None, trials=20, rng=None):
     """Randomized exact check of det(U + N) = Y_1^n + sum_k Tr_{k-1}(N) U_{1,k}.
 
     U is the lower-triangular band of the indeterminates Y (evaluated at
-    random scalars) and N has square-zero entries.  With a block split
+    random scalars of F_5) and N has square-zero entries.  With a block split
     (m1, m2), the left side uses the block-diagonal diag(U_m1, U_m2) + N and
     only the diagonal blocks of N contribute their partial traces; the
     cofactors U_{1,k} on the right are always those of the full n x n band
@@ -357,6 +357,7 @@ def verify_det_identity(n, m1=None, m2=None, trials=20, p=5, rng=None):
     """
     import random as _random
     rng = rng or _random.Random(0)
+    p = 5
     if m1 is not None:
         m2 = n - m1 if m2 is None else m2
         if m1 + m2 != n or m1 < 1 or m2 < 1:

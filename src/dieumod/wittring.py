@@ -138,12 +138,15 @@ class CoeffTower:
             acc = (acc << self._packbits) | c
         return acc
 
-    def _unpack(self, acc, n):
+    def _split(self, acc):
+        """Coefficient tuple of the d low slots of a packed integer, each
+        reduced mod p^N."""
+        pN, bits, mask = self.pN, self._packbits, self._packmask
         out = []
-        for _ in range(n):
-            out.append(acc & self._packmask)
-            acc >>= self._packbits
-        return out
+        for _ in range(self.d):
+            out.append((acc & mask) % pN)
+            acc >>= bits
+        return tuple(out)
 
     def _reduce(self, conv):
         """Coefficient tuple mod (modulus, p^N) of a packed product of 2d-1
@@ -156,7 +159,7 @@ class CoeffTower:
             if c:
                 acc += c * row
             conv >>= bits
-        return tuple([c % pN for c in self._unpack(acc, self.d)])
+        return self._split(acc)
 
     def _ram_pack(self, coeffs):
         """Bivariate Kronecker integer of e Witt coefficients."""
@@ -238,8 +241,6 @@ class CoeffTower:
     def to_json(self):
         return {"p": self.p, "f": self.f, "e": self.e, "ext": self.ext,
                 "N": self.N, "modulus": list(self.modulus)}
-
-    describe = to_json
 
     @classmethod
     def from_json(cls, data):
@@ -427,7 +428,7 @@ class WittElem:
         for j, c in enumerate(self.coeffs):
             if c:
                 acc += c * rows[j]
-        return WittElem(t, tuple([c % t.pN for c in t._unpack(acc, t.d)]))
+        return WittElem(t, t._split(acc))
 
     def ord_p(self):
         """min coefficient valuation (that of their gcd); N for the zero
@@ -675,20 +676,3 @@ class RamElem:
 
     def to_json(self):
         return [c.to_json() for c in self.coeffs]
-
-
-def frobenius(x, n=1):
-    """sigma^n on either element kind (negative n allowed; order d = f*ext)."""
-    return x.sigma(n)
-
-
-def ord_pi(x):
-    return x.ord_pi()
-
-
-def teichmuller(tower, a):
-    return tower.teichmuller(a)
-
-
-def build_coeff_tower(p, f, e, ext=1, N=None):
-    return CoeffTower(p, f, e, ext, N)

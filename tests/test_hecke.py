@@ -3,7 +3,7 @@ import pytest
 
 from dieumod import DomainError, hecke
 from dieumod.hecke import (
-    SmallField, build_setting, enumerate_stable_planes, compare_variety,
+    SmallField, HeckeSetting, enumerate_stable_planes, compare_variety,
     chart_equations_hold, parametrized_chart_set, probe_report,
 )
 
@@ -35,13 +35,13 @@ class TestSmallField:
 class TestSetting:
     def test_validation(self):
         with pytest.raises(DomainError):
-            build_setting(2)
+            HeckeSetting(2)
         with pytest.raises(DomainError):
-            build_setting(4)
-        build_setting(3)
+            HeckeSetting(4)
+        HeckeSetting(3)
 
     def test_operator_identities(self):
-        S = build_setting(3)
+        S = HeckeSetting(3)
         v = tuple(np.int64(x) for x in (1, 2, 5, 7))
         pi2 = S.pi_map(S.pi_map(v))
         assert all(int(c) == 0 for c in pi2)
@@ -51,7 +51,7 @@ class TestSetting:
 
 class TestEnumeration:
     def test_p3_counts_and_equations(self):
-        S = build_setting(3)
+        S = HeckeSetting(3)
         planes = enumerate_stable_planes(S)
         assert len(planes) == 33
         rep = compare_variety(S, planes)
@@ -65,23 +65,25 @@ class TestEnumeration:
         assert rep["extra_points_on_t1_t2_zero"]
 
     def test_isotropy_trace_condition(self):
-        S = build_setting(3)
+        S = HeckeSetting(3)
         K = S.field
         for pl in enumerate_stable_planes(S):
             t11, _, _, t22 = pl.chart
             assert int(K.ADD[np.int64(t11), np.int64(t22)]) == 0
 
     def test_parametrized_set_is_exact(self):
-        S = build_setting(3)
+        S = HeckeSetting(3)
         got = {pl.chart for pl in enumerate_stable_planes(S)}
         assert got == parametrized_chart_set(S)
 
     def test_full_grassmannian_contains_chart(self):
-        S = build_setting(3)
-        chart = {pl.rref for pl in enumerate_stable_planes(S)}
+        S = HeckeSetting(3)
+        chart = enumerate_stable_planes(S)
         full = enumerate_stable_planes(S, chart_only=False)
         rrefs = {pl.rref for pl in full}
-        assert chart <= rrefs
+        assert {pl.rref for pl in chart} <= rrefs
+        # the Grassmannian search runs the chart cell first, in chart order
+        assert full[:len(chart)] == chart
         outside = [pl for pl in full if pl.chart is None]
         # the leftover stable planes are limits of the chart lines: their
         # echelon pivots degenerate out of the (1, 2) columns
@@ -89,8 +91,17 @@ class TestEnumeration:
         for pl in outside:
             assert pl.rref[0][:2] != (1, 0) or pl.rref[1][:2] != (0, 1)
 
+    def test_full_report_enumerates_once(self, monkeypatch):
+        # the chart planes are read off the Grassmannian search's first cell
+        real, calls = hecke.enumerate_stable_planes, []
+        monkeypatch.setattr(hecke, "enumerate_stable_planes",
+                            lambda *a, **k: calls.append(k) or real(*a, **k))
+        rep = probe_report(3, full_grassmannian=True)
+        assert [k["chart_only"] for k in calls] == [False]
+        assert rep["enumerated"] == 33 and rep["grassmannian_total"] == 37
+
     def test_equations_reject_nonsolutions(self):
-        S = build_setting(3)
+        S = HeckeSetting(3)
         assert not chart_equations_hold(S, (1, 0, 0, 0))
 
     def test_p5_report(self):
@@ -102,7 +113,7 @@ class TestEnumeration:
 
     def test_size_guard(self):
         with pytest.raises(DomainError, match="cap"):
-            enumerate_stable_planes(build_setting(5), size_cap=10)
+            enumerate_stable_planes(HeckeSetting(5), size_cap=10)
 
     @pytest.mark.parametrize("full", [False, True], ids=["chart", "grassmannian"])
     def test_size_guard_before_field_tables(self, monkeypatch, full):

@@ -71,7 +71,7 @@ class TestTowerConstruction:
     def test_serialization_roundtrip(self):
         t = tower(3, 2, 2)
         t2 = CoeffTower.from_json(json.loads(t.dumps()))
-        assert t2.describe() == t.describe()
+        assert t2.to_json() == t.to_json()
 
 
 class TestWittArithmetic:
