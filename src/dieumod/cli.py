@@ -5,6 +5,7 @@ error object), 2 on usage errors.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -108,6 +109,8 @@ def cmd_sample_deform(args):
 
 
 def cmd_verify(args):
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        raise DomainError("bad-input", f"--scale must be finite and positive, not {args.scale}")
     report = vf.run_suite(args.suite, seed=args.seed, scale=args.scale)
     for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"
@@ -123,7 +126,7 @@ def build_parser():
                     "rank-2 Dieudonne modules with real multiplication")
     seed_parent = argparse.ArgumentParser(add_help=False)
     seed_parent.add_argument("--seed", type=int,
-                             default=int(os.environ.get("DIEUMOD_SEED", "0")),
+                             default=os.environ.get("DIEUMOD_SEED", "0"),
                              help="random seed (flag wins over DIEUMOD_SEED)")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -246,6 +246,8 @@ def sample_deform(tower, tau, target, trials, rng):
     from .invariants import newton_point
 
     e, f = tower.e, tower.f
+    if trials < 0:
+        raise DomainError("bad-shape", f"trials must be >= 0, not {trials}")
     tau = tuple(sorted(set(i % f for i in tau)))
     target = _target_atype(target, e, f)
     c = {}

@@ -1,15 +1,18 @@
-"""Dense polynomial helpers over Z/m, used by the Witt-ring layer.
+"""Dense polynomial helpers over Z/m, used by the residue field and the
+Witt layer.
 
 Polynomials are plain lists of ints in [0, m), little-endian
 (index j holds the coefficient of T^j).  The zero polynomial is [].
 
-Two parts sit on hot paths.  `window_table`/`window_pow` compute fixed-base
-powers (the residue-field generator and its Teichmuller lift) with one
-product per nonzero base-2^W digit of the exponent; they take the ring's
-multiplication as an argument so both layers share them.  Multiplication
-mod a fixed monic modulus over Z/p^N is handled by the Witt layer itself
-with precomputed reduction tables.  `smallest_primitive` is memoized by
-(p, d), since every tower of the same residue degree needs it.
+Three parts sit on hot paths.  `PackedQuotient` owns the packed (Kronecker)
+product in (Z/m)[x]/(modulus): `modp.ResidueField` (m = p) and
+`wittring.CoeffTower` (m = p^N) each build one and pick its slot width.
+`window_table`/`window_pow` compute fixed-base powers (the residue-field
+generator and its Teichmuller lift) with one product per nonzero base-2^W
+digit of the exponent, and `power` squares and multiplies; they take the
+ring's multiplication from their arguments so every layer shares them.
+`smallest_primitive` is memoized by (p, d), since every tower of the same
+residue degree needs it.
 """
 
 from functools import cache
@@ -91,6 +94,52 @@ def ppowmod(a, n, b, m):
     return result
 
 
+class PackedQuotient:
+    """(Z/m)[x]/(modulus) for a monic modulus of degree d, packed: slot j of
+    `bits` bits holds coefficient j, so a product is one big-int product.
+    The caller picks `bits` so that no slot carries into the next."""
+
+    def __init__(self, modulus, m, bits):
+        self.d = d = len(modulus) - 1
+        self.m, self.bits = m, bits
+        self._mask = (1 << bits) - 1
+        self._lowmask = (1 << d * bits) - 1
+        self._xpow = []  # packed x^(d+k) mod (modulus, m), 0 <= k < d-1
+        r = pmod([0] * d + [1], modulus, m)
+        for _ in range(d - 1):
+            self._xpow.append(self.pack(r))
+            r = pmod([0] + r, modulus, m)
+
+    def pack(self, coeffs):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc << self.bits) | c
+        return acc
+
+    def split(self, acc):
+        """Coefficient tuple of the d low slots of a packed integer, each
+        reduced mod m."""
+        m, bits, mask = self.m, self.bits, self._mask
+        out = []
+        for _ in range(self.d):
+            out.append((acc & mask) % m)
+            acc >>= bits
+        return tuple(out)
+
+    def reduce(self, conv):
+        """Coefficient tuple mod (modulus, m) of a packed product of 2d-1
+        slots."""
+        m, bits, mask = self.m, self.bits, self._mask
+        acc = conv & self._lowmask
+        conv >>= self.d * bits
+        for row in self._xpow:
+            c = (conv & mask) % m
+            if c:
+                acc += c * row
+            conv >>= bits
+        return self.split(acc)
+
+
 def window_table(base, max_exp, mul, one):
     """Fixed-base power table for exponents 0 <= k < max_exp:
     rows[i][j] = base**(j << (W*i)) for 0 <= j < 2**W."""
@@ -118,6 +167,22 @@ def window_pow(rows, k, mul, one):
         k >>= W
         i += 1
     return one if acc is None else acc
+
+
+def power(x, n, one):
+    """x**n by left-to-right squaring: bit_length(n) - 1 squarings and
+    popcount(n) - 1 further products, none for n in {0, 1}; a negative n
+    inverts x first."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    if not n:
+        return one
+    result = x
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
 
 
 def pgcd(a, b, p):

@@ -3,9 +3,9 @@ and Smith normal form over it.
 
 Residue-field elements are coefficient tuples over F_p modulo a fixed
 irreducible polynomial.  A product is one packed (Kronecker) integer
-product whose slots x^(d+k) are replaced from a table of x^(d+k) mod
-(mu, p), as `CoeffTower._reduce` does over Z/p^N; the table is built on the
-first product.  k[pi]/(pi^e) is a chain ring, so a matrix over it
+product reduced by the field's `fppoly.PackedQuotient` (m = p), the kernel
+that `wittring.CoeffTower` runs over Z/p^N; powers go through
+`fppoly.power`.  k[pi]/(pi^e) is a chain ring, so a matrix over it
 has a Smith form diag(pi^v1, pi^v2, ...) and the exponents are found by
 valuation-minimal pivoting.
 
@@ -32,41 +32,16 @@ class ResidueField:
         self._gen_rows = None  # window table of gen(), built on first gen_pow
         # packed products: a slot holds at most d*(p-1)^2 before the
         # reduction adds at most (d-1)*(p-1)^2, so it never carries
-        self._bits = ((2 * self.d - 1) * (p - 1) ** 2).bit_length()
-        self._xpow = None  # packed x^(d+k) mod (mu, p), built on the first _mul
-
-    def _pack(self, coeffs):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc << self._bits) | c
-        return acc
+        self._ring = fppoly.PackedQuotient(
+            self.mu, p, ((2 * self.d - 1) * (p - 1) ** 2).bit_length())
 
     def _mul(self, a, b):
-        """Trimmed coefficient tuple of a * b for reduced a, b: one packed
-        product whose slots x^(d+k) are replaced from a table."""
-        p, d = self.p, self.d
-        if self._xpow is None:
-            r = fppoly.pmod([0] * d + [1], self.mu, p)
-            rows = []
-            for _ in range(d - 1):
-                rows.append(self._pack(r))
-                r = fppoly.pmod([0] + r, self.mu, p)
-            self._xpow = rows
-        bits = self._bits
-        mask = (1 << bits) - 1
-        conv = self._pack(a) * self._pack(b)
-        acc = conv & ((1 << d * bits) - 1)
-        conv >>= d * bits
-        for row in self._xpow:
-            c = (conv & mask) % p
-            if c:
-                acc += c * row
-            conv >>= bits
-        out = []
-        for _ in range(d):
-            out.append((acc & mask) % p)
-            acc >>= bits
-        return tuple(fppoly.trim(out))
+        """Trimmed coefficient tuple of a * b for reduced a, b."""
+        ring = self._ring
+        c = ring.reduce(ring.pack(a) * ring.pack(b))
+        while c and not c[-1]:
+            c = c[:-1]
+        return c
 
     def __eq__(self, other):
         return isinstance(other, ResidueField) and (self.p, self.mu) == (other.p, other.mu)
@@ -93,7 +68,7 @@ class ResidueField:
 
     def gen(self):
         """The residue of T; a multiplicative generator when mu is primitive."""
-        return self.elem([0, 1], 1)
+        return self.elem([0, 1], 1 % (self.order - 1))
 
     def gen_pow(self, k):
         """gen()**k, remembering the exponent so Witt lifts stay cheap.
@@ -191,15 +166,9 @@ class FqElem:
         return FqElem(f, tuple(u), log)
 
     def __pow__(self, n):
-        f = self.field
-        if not self.coeffs:
-            if n < 0:
-                raise ZeroDivisionError("zero in residue field")
-            return f.one() if n == 0 else f.zero()
-        n %= f.order - 1
-        c = fppoly.ppowmod(list(self.coeffs), n, list(f.mu), f.p)
-        log = None if self.log is None else self.log * n % (f.order - 1)
-        return FqElem(f, tuple(c), log)
+        if self.coeffs:  # a unit: x**(q-1) = 1
+            n %= self.field.order - 1
+        return fppoly.power(self, n, self.field.one())
 
     def frob(self, n=1):
         """Frobenius x -> x^(p^n)."""

@@ -13,11 +13,13 @@ raises PrecisionError when a requested answer is no longer certified.
 
 Products follow the structure of the operands:
 
-* A Witt product is one Kronecker product: each operand is packed into one
-  integer, d slots of `_packbits` bits, and the 2d-1 slots of the product go
-  through `CoeffTower._reduce` (mod p^N, then x^(d+k) from a table).  An
-  int, or a constant Witt element (coefficients 1.. all zero), scales
-  coefficientwise instead.
+* A Witt product is one Kronecker product in the packed format owned by
+  the tower's `fppoly.PackedQuotient` over Z/p^N: each operand is packed
+  into one integer of d slots, and the 2d-1 slots of the product are
+  reduced by the kernel (mod p^N, then x^(d+k) from a table).  The tower
+  binds the kernel's `pack`, `split` and `reduce` as `_pack`, `_split` and
+  `_reduce`.  An int, or a constant Witt element (coefficients 1.. all
+  zero), scales coefficientwise instead.
 * A ramified product of two operands that both have at least two nonzero
   pi-coefficients is dense: each operand is packed as one bivariate
   Kronecker integer, 2d-1 slots per pi-degree, one big-int product is
@@ -36,8 +38,8 @@ Slot width: before `_reduce` a slot holds at most 2*(p+1)*e*d*(p^N-1)^2
 (the folded sum of two dense ramified products in a matrix entry; a single
 folded product holds half of that, a Witt product or a Frobenius image at
 most d*(p^N-1)^2), and `_reduce` adds at most (d-1)*(p^N-1)^2 to a low slot.
-`_packbits` is the bit length of (2*(p+1)*e + 1)*d*(p^N-1)^2, so no slot
-carries into the next.
+The tower's slot width is the bit length of (2*(p+1)*e + 1)*d*(p^N-1)^2,
+so no slot carries into the next.
 """
 
 import json
@@ -110,18 +112,13 @@ class CoeffTower:
         self._key = (p, f, e, ext, N, self.modulus)
         self.residue_field = ResidueField(p, mu)
 
-        # packed multiplication parameters (slot width: see the module
-        # docstring), the packed reduction table for x^(d+k), and Frobenius
+        # the packed kernel over Z/p^N (slot width: see the module
+        # docstring), its methods bound for the hot paths, and Frobenius
         # basis maps sigma^n(x^j) = x^(j p^n)
-        self._packbits = ((2 * (p + 1) * e + 1) * self.d * (self.pN - 1) ** 2).bit_length()
-        self._packmask = (1 << self._packbits) - 1
-        self._lowmask = (1 << self.d * self._packbits) - 1
-        self._stride = (2 * self.d - 1) * self._packbits  # bits per pi-degree
-        self._packed_xpow = []
-        r = fppoly.pmod([0] * self.d + [1], modulus, self.pN)
-        for _ in range(self.d - 1):
-            self._packed_xpow.append(self._pack(r))
-            r = fppoly.pmod([0] + r, modulus, self.pN)
+        bits = ((2 * (p + 1) * e + 1) * self.d * (self.pN - 1) ** 2).bit_length()
+        self._ring = ring = fppoly.PackedQuotient(modulus, self.pN, bits)
+        self._pack, self._split, self._reduce = ring.pack, ring.split, ring.reduce
+        self._stride = (2 * self.d - 1) * bits  # bits per pi-degree
         self._sigma_maps = {}
         self._gen_rows = None  # window table of T, built on the first logged lift
         self._zero_w = None
@@ -131,35 +128,6 @@ class CoeffTower:
 
     def _pad(self, coeffs):
         return list(coeffs) + [0] * (self.d - len(coeffs))
-
-    def _pack(self, coeffs):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc << self._packbits) | c
-        return acc
-
-    def _split(self, acc):
-        """Coefficient tuple of the d low slots of a packed integer, each
-        reduced mod p^N."""
-        pN, bits, mask = self.pN, self._packbits, self._packmask
-        out = []
-        for _ in range(self.d):
-            out.append((acc & mask) % pN)
-            acc >>= bits
-        return tuple(out)
-
-    def _reduce(self, conv):
-        """Coefficient tuple mod (modulus, p^N) of a packed product of 2d-1
-        slots."""
-        pN, bits, mask = self.pN, self._packbits, self._packmask
-        acc = conv & self._lowmask
-        conv >>= self.d * bits
-        for row in self._packed_xpow:
-            c = (conv & mask) % pN
-            if c:
-                acc += c * row
-            conv >>= bits
-        return self._split(acc)
 
     def _ram_pack(self, coeffs):
         """Bivariate Kronecker integer of e Witt coefficients."""
@@ -416,7 +384,7 @@ class WittElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return _power(self, n, self.tower.witt_one())
+        return fppoly.power(self, n, self.tower.witt_one())
 
     def sigma(self, n=1):
         """Witt Frobenius sigma^n; sigma(T) = T^p, identity on Z/p^N."""
@@ -475,21 +443,6 @@ class WittElem:
 
     def to_json(self):
         return list(self.coeffs)
-
-
-def _power(x, n, one):
-    """x**n by left-to-right squaring: bit_length(n) - 1 squarings and
-    popcount(n) - 1 further products, none for n in {0, 1}."""
-    if n < 0:
-        x, n = x.inverse(), -n
-    if not n:
-        return one
-    result = x
-    for bit in bin(n)[3:]:
-        result = result * result
-        if bit == "1":
-            result = result * x
-    return result
 
 
 def _truncated(tower, coeffs, prec):
@@ -603,7 +556,7 @@ class RamElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return _power(self, n, self.tower.one())
+        return fppoly.power(self, n, self.tower.one())
 
     def sigma(self, n=1):
         """sigma^n coefficientwise; sigma(pi) = pi since pi^e = p."""

@@ -66,6 +66,14 @@ def test_seed_flag_wins_over_env(capsys, monkeypatch):
     assert json.loads(out_env) == json.loads(out_flag)
 
 
+def test_bad_seed_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("DIEUMOD_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["poset", "--e", "1", "--f", "2"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
 def test_domain_error_yields_json_and_exit_1(capsys):
     code, out = run_cli(capsys, "construct", "--family", "slope", "--a", "9",
                         "--p", "3", "--f", "2", "--e", "1")
@@ -118,7 +126,14 @@ def test_malformed_module_shapes(capsys, tmp_path, mutate, code):
     (("construct", "--family", "normal", "--tau", "0", "--cjson", "[1]"), "bad-input"),
     (("construct", "--family", "normal", "--tau", "0", "--cjson", '{"0": ["x"]}'),
      "bad-input"),
-], ids=["short-target", "cjson-list", "cjson-string-coefficient"])
+    (("verify", "--suite", "slopes", "--scale", "inf"), "bad-input"),
+    (("verify", "--suite", "slopes", "--scale", "nan"), "bad-input"),
+    (("verify", "--suite", "slopes", "--scale", "0"), "bad-input"),
+    (("verify", "--suite", "slopes", "--scale", "-1"), "bad-input"),
+    (("sample-deform", "--f", "2", "--tau", "0", "--target", "1,0", "--trials", "-5"),
+     "bad-shape"),
+], ids=["short-target", "cjson-list", "cjson-string-coefficient", "scale-inf",
+        "scale-nan", "scale-zero", "scale-negative", "negative-trials"])
 def test_malformed_arguments(capsys, argv, code):
     exit_code, out = run_cli(capsys, *argv)
     assert exit_code == 1

@@ -9,6 +9,7 @@ import pytest
 
 from dieumod import fppoly
 from dieumod.modp import ResidueField, PiPoly, smith_exponents
+from dieumod.wittring import CoeffTower
 
 
 def _all_pipoly(field, e):
@@ -118,25 +119,45 @@ def test_gen_pow_matches_repeated_squaring(p, d, rng):
     F = ResidueField(p, fppoly.smallest_primitive(p, d))
     q = F.order
     g = F.gen()
+    zero = F.zero()
+    assert zero ** 0 == F.one() and zero ** 1 == zero ** 5 == zero
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
     ks = [0, 1, 15, 16, 255, 256, q - 2] + [rng.randrange(q - 1) for _ in range(10)]
     for k in ks:
         x = F.gen_pow(k)
-        assert x == g ** k
-        assert x.log == k % (q - 1)
+        assert x == g ** k and (g ** k).log == x.log == k % (q - 1)
+        assert g ** -k == x.inverse() and (g ** -k).log == -k % (q - 1)
+        # an element without a known log, against powers of coefficient lists
+        r = F.random(rng)
+        assert (r ** k).coeffs == tuple(fppoly.ppowmod(list(r.coeffs), k, list(F.mu), p))
+        if r:
+            assert (r ** -k).coeffs == tuple(
+                fppoly.ppowmod(list(r.coeffs), -k % (q - 1), list(F.mu), p))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_packed_product_matches_long_division(p, rng):
-    # ResidueField._mul (packed product, table of x^(d+k)) against
-    # pmul + pmod, with empty and all-(p-1) operands at every degree
+    # fppoly.PackedQuotient (packed product, table of x^(d+k)) against
+    # pmul + pmod, with empty and all-(m-1) operands at every degree: over
+    # F_p in the residue field, and over Z/p^N with the tower's slot width,
+    # where all-(p^N-1) operands sit at the no-carry bound of a Witt product
     for d in (1, 2, 3, 4, 7, 8, 16):
         F = ResidueField(p, fppoly.smallest_primitive(p, d))
-        top = [p - 1] * d
-        pairs = [([], []), ([], top), (top, []), (top, top), ([1], top)]
-        for _ in range(40):
-            pairs.append(tuple(fppoly.trim([rng.randrange(p) for _ in range(d)])
-                               for _ in range(2)))
-        for a, b in pairs:
-            expected = fppoly.pmod(fppoly.pmul(a, b, p), list(F.mu), p)
-            assert F._mul(a, b) == tuple(expected), (d, a, b)
-            assert (F.elem(a) * F.elem(b)).coeffs == tuple(expected)
+        t = CoeffTower(p, 1, 2, d, 3)
+        for m, modulus, ring in ((p, list(F.mu), F._ring),
+                                 (t.pN, list(t.modulus), t._ring)):
+            top = [m - 1] * d
+            pairs = [([], []), ([], top), (top, []), (top, top), ([1], top)]
+            for _ in range(40):
+                pairs.append(tuple(fppoly.trim([rng.randrange(m) for _ in range(d)])
+                                   for _ in range(2)))
+            for a, b in pairs:
+                expected = fppoly.pmod(fppoly.pmul(a, b, m), modulus, m)
+                padded = tuple(expected + [0] * (d - len(expected)))
+                assert ring.reduce(ring.pack(a) * ring.pack(b)) == padded, (m, d, a, b)
+                if m == p:
+                    assert F._mul(a, b) == tuple(expected), (d, a, b)
+                    assert (F.elem(a) * F.elem(b)).coeffs == tuple(expected)
+                else:
+                    assert (t.witt(a) * t.witt(b)).coeffs == padded, (d, a, b)

@@ -6,7 +6,7 @@ from dieumod import (
     DModule, DomainError, PrecisionError, lie_type, a_type, newton_point,
 )
 from dieumod.modules import mat_det, mat_mul, mat_sigma
-from dieumod.wittring import CoeffTower, RamElem
+from dieumod.wittring import RamElem
 from dieumod import families as fam
 from conftest import tower
 
@@ -122,6 +122,23 @@ class TestTwistedPower:
         with pytest.raises(PrecisionError):
             M.iterate_twisted(8)
 
+    def test_doublings_match_iterates(self, rng):
+        # the squaring chain twists C_n by sigma^(f*n), iterate_twisted
+        # twists by sigma^f once per factor; on ext = 2 towers sigma^f is
+        # not the identity, so a wrong exponent on either side shows
+        modules = []
+        for f, e in ((1, 2), (2, 1), (2, 2), (3, 1), (3, 2)):
+            t = tower(3, f, e, ext=2, slack=8)
+            modules += [fam.slope_family(t, a) for a in range(t.g // 2 + 1)]
+            for _ in range(3):
+                mask = rng.randrange(1, 2 ** f)
+                tau = tuple(i for i in range(f) if mask >> i & 1)
+                modules.append(fam.normal_form(t, tau, {i: t.random_ram(rng) for i in tau}))
+        modules.append(fam.nonrapoport_module(tower(5, 1, 2, ext=2, slack=8)))
+        for M in modules:  # slack 8 certifies every iterate up to F^(8f)
+            want = [(2 ** k, M.iterate_twisted(2 ** k)) for k in range(4)]
+            assert list(M.min_valuation_doublings(3)) == want, M
+
 
 class TestMatMul:
     @pytest.mark.parametrize("e", [1, 2, 3])
@@ -132,14 +149,14 @@ class TestMatMul:
         A, B = (tuple(tuple(t.random_ram(rng) for _ in range(2)) for _ in range(2))
                 for _ in range(2))
         calls = {}
-        for cls, name in ((RamElem, "__mul__"), (RamElem, "__add__"), (CoeffTower, "_reduce")):
+        for owner, name in ((RamElem, "__mul__"), (RamElem, "__add__"), (t, "_reduce")):
             calls[name] = 0
 
-            def counting(*args, _orig=getattr(cls, name), _name=name):
+            def counting(*args, _orig=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _orig(*args)
 
-            monkeypatch.setattr(cls, name, counting)
+            monkeypatch.setattr(owner, name, counting)
         mat_mul(A, B)
         assert calls == {"__mul__": 0, "__add__": 0, "_reduce": 4 * e}
 
