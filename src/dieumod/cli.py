@@ -195,17 +195,32 @@ def build_parser():
     return ap
 
 
-def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+def _run(args):
     try:
         return args.func(args)
     except (DomainError, PrecisionError) as exc:
         code = getattr(exc, "code", "precision")
         _emit({"error": {"code": code, "message": str(exc)}})
         return 1
+    except BrokenPipeError:
+        raise
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         _emit({"error": {"code": "bad-input", "message": str(exc)}})
+        return 1
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # stdout was closed early (say by `| head`): point it at devnull so
+        # the flush at exit cannot fail again, and report on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(json.dumps({"error": {"code": "broken-pipe", "message": str(exc)}}),
+              file=sys.stderr)
         return 1
 
 

@@ -1,18 +1,22 @@
-"""Dense polynomial helpers over Z/m, used by the residue field and the
-Witt layer.
+"""Polynomial arithmetic over Z/m for the residue field and the Witt layer.
 
-Polynomials are plain lists of ints in [0, m), little-endian
-(index j holds the coefficient of T^j).  The zero polynomial is [].
+Ring elements, of F_{p^d} (m = p) and of W_N(F_{p^d}) (m = p^N) alike, are
+tuples of exactly d coefficients in [0, m), little-endian: the format of
+`PackedQuotient`, which owns their packed (Kronecker) product in
+(Z/m)[x]/(modulus).  `modp.ResidueField` and `wittring.CoeffTower` each
+build one and pick its slot width.  `window_table`/`window_pow` compute
+fixed-base powers (the residue-field generator and its Teichmuller lift)
+with one product per nonzero base-2^W digit of the exponent, and `power`
+squares and multiplies (a residue-field inverse is x**(q-2), by Fermat);
+they take the ring's multiplication from their arguments so every layer
+shares them.
 
-Three parts sit on hot paths.  `PackedQuotient` owns the packed (Kronecker)
-product in (Z/m)[x]/(modulus): `modp.ResidueField` (m = p) and
-`wittring.CoeffTower` (m = p^N) each build one and pick its slot width.
-`window_table`/`window_pow` compute fixed-base powers (the residue-field
-generator and its Teichmuller lift) with one product per nonzero base-2^W
-digit of the exponent, and `power` squares and multiplies; they take the
-ring's multiplication from their arguments so every layer shares them.
-`smallest_primitive` is memoized by (p, d), since every tower of the same
-residue degree needs it.
+The list helpers (`padd`, `psub`, `pmul`, `pscale`, `pmod`, `ppowmod`,
+`pgcd`; plain lists, zero is []) serve set-up and input canonicalization
+only: the primitivity and irreducibility tests, the Teichmuller modulus, the
+tower's modulus check and Frobenius maps, and reducing an over-long
+coefficient list.  `smallest_primitive` is memoized by (p, d), since every
+tower of the same residue degree needs it.
 """
 
 from functools import cache
@@ -195,22 +199,6 @@ def pgcd(a, b, p):
     return a
 
 
-def pgcdext(a, b, p):
-    """Extended gcd over F_p: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, psub(u0, pmul(q, u1, p), p)
-        v0, v1 = v1, psub(v0, pmul(q, v1, p), p)
-    if r0:
-        c = pow(r0[-1], -1, p)
-        r0, u0, v0 = pscale(r0, c, p), pscale(u0, c, p), pscale(v0, c, p)
-    return r0, u0, v0
-
-
 def is_prime(n):
     if n < 2:
         return False
@@ -346,7 +334,3 @@ def teichmuller_modulus(mu, p, N):
         out.append(coef[0] if coef else 0)
     return out
 
-
-def crandom(rng, p, d):
-    """Random coefficient list of length d over F_p."""
-    return trim([rng.randrange(p) for _ in range(d)])

@@ -79,9 +79,6 @@ class SmallField:
     def mul(self, a, b):
         return self.MUL[a, b]
 
-    def neg(self, a):
-        return self.NEG[a]
-
     def elements(self):
         return np.arange(self.q, dtype=np.int64)
 

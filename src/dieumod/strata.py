@@ -164,7 +164,9 @@ def atype_poset(e, f, cap=10 ** 6):
 
 # -- closed-form dimension and degree formulas ------------------------------
 
-def _check_lie_pairs(pairs, e):
+def _check_lie_pairs(pairs, e, f):
+    if len(pairs) != f:
+        raise DomainError("bad-shape", f"{len(pairs)} Lie pairs for f = {f} slots")
     for x, y in pairs:
         if not (0 <= x <= y <= e):
             raise DomainError("bad-shape", f"Lie pair {(x, y)} out of range")
@@ -173,7 +175,7 @@ def _check_lie_pairs(pairs, e):
 def dp_stratum_dim(pairs, e, f):
     """Dimension g - 2 sum_i min(e^i_1, e^i_2) of the Lie-type stratum."""
     pairs = [tuple(sorted(pr)) for pr in pairs]
-    _check_lie_pairs(pairs, e)
+    _check_lie_pairs(pairs, e, f)
     g = e * f
     if sum(x + y for x, y in pairs) != g:
         raise DomainError("det-budget", "Lie exponents must sum to g")
@@ -191,7 +193,7 @@ def deformation_dims(pairs, e, f):
     which happens exactly on the equal-slot-sum locus.
     """
     pairs = [tuple(sorted(pr)) for pr in pairs]
-    _check_lie_pairs(pairs, e)
+    _check_lie_pairs(pairs, e, f)
     unrestricted = sum(
         min(pr[j], e - pr[k]) for pr in pairs for j in range(2) for k in range(2))
     msum = sum(min(pr) for pr in pairs)
@@ -213,7 +215,7 @@ def polarization_degree_exponent(pairs, e, f, normalize=True):
     the minimal degree); otherwise the caller's slot 0 is used literally.
     """
     pairs = [tuple(sorted(pr)) for pr in pairs]
-    _check_lie_pairs(pairs, e)
+    _check_lie_pairs(pairs, e, f)
     sums = [x + y for x, y in pairs]
     if normalize:
         if sum(sums) != e * f:

@@ -299,15 +299,9 @@ def criterion_spaced_density(check, seed, scale):
                 if not any(a) or not strata.is_spaced(a):
                     continue
                 tau = tuple(i for i in range(f) if a[i])
-                hits = 0
                 expected = min(Fraction(g, 2), Fraction(sum(a)))
-                base = fam.normal_form(tw, tau, {i: tw.pi_pow(a[i] - 1) for i in tau})
-                for _ in range(trials):
-                    asg = {(i, j): tw.residue_field.random_unit(rng)
-                           for i in range(f) for j in range(a[i], e)}
-                    M = fam.deform_specialize(base, a, asg)
-                    if inv.newton_point(M, "fast").index == expected:
-                        hits += 1
+                hist = fam.sample_deform(tw, tau, a, trials, rng)["slope_histogram"]
+                hits = hist.get(str(expected), 0)
                 check(hits >= math.ceil(0.99 * trials),
                       e=e, f=f, a=list(a), hits=hits, trials=trials)
 

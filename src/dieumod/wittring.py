@@ -274,7 +274,7 @@ class CoeffTower:
                     self.witt_gen(), self.q - 1, operator.mul, self.witt_one())
             return fppoly.window_pow(self._gen_rows, a.log % (self.q - 1),
                                      operator.mul, self.witt_one())
-        y = self.witt(list(a.coeffs))
+        y = WittElem(self, a.coeffs)
         for _ in range(self.N + 1):
             y2 = y.sigma(-1) ** self.p
             if y2 == y:
@@ -417,15 +417,13 @@ class WittElem:
     def residue(self):
         """The reduction mod p; the coefficients already have degree < d."""
         p = self.tower.p
-        return FqElem(self.tower.residue_field,
-                      tuple(fppoly.trim([c % p for c in self.coeffs])))
+        return FqElem(self.tower.residue_field, tuple([c % p for c in self.coeffs]))
 
     def inverse(self):
         if not self.is_unit():
             raise DomainError("non-unit", "inverting a non-unit Witt element")
         t = self.tower
-        r = self.residue().inverse()
-        z = t.witt(list(r.coeffs))
+        z = WittElem(t, self.residue().inverse().coeffs)
         one = t.witt_one()
         for _ in range(t.N.bit_length() + 1):
             err = one - self * z

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dieumod.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -164,3 +170,17 @@ def test_verify_scaled_suite(capsys):
     rep = json.loads(captured.out)
     assert rep["passed"] and rep["checks"][0]["id"] == 9
     assert "pass" in captured.err
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader takes 10 bytes of a 4.5 MB poset and closes the pipe
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "dieumod.cli", "poset", "--e", "3", "--f", "6"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert json.loads(err)["error"]["code"] == "broken-pipe"

@@ -92,6 +92,8 @@ def test_residue_field_ops(rng):
             assert x * x.inverse() == F.one()
     assert F.gen_pow(5) == g ** 5
     assert (g ** 3).frob() == (g.frob()) ** 3
+    # elements() lists F_9 in the order of sum(c_j * 3^j)
+    assert [x.coeffs[0] + 3 * x.coeffs[1] for x in F.elements()] == list(range(9))
 
 
 def test_pipoly_inverse():
@@ -121,18 +123,20 @@ def test_gen_pow_matches_repeated_squaring(p, d, rng):
     g = F.gen()
     zero = F.zero()
     assert zero ** 0 == F.one() and zero ** 1 == zero ** 5 == zero
-    with pytest.raises(ZeroDivisionError):
-        zero ** -1
+    for inverse_of_zero in (lambda: zero ** -1, zero.inverse):
+        with pytest.raises(ZeroDivisionError):
+            inverse_of_zero()
     ks = [0, 1, 15, 16, 255, 256, q - 2] + [rng.randrange(q - 1) for _ in range(10)]
     for k in ks:
         x = F.gen_pow(k)
         assert x == g ** k and (g ** k).log == x.log == k % (q - 1)
-        assert g ** -k == x.inverse() and (g ** -k).log == -k % (q - 1)
+        assert g ** -k == x.inverse() and (g ** -k).log == x.inverse().log == -k % (q - 1)
         # an element without a known log, against powers of coefficient lists
         r = F.random(rng)
-        assert (r ** k).coeffs == tuple(fppoly.ppowmod(list(r.coeffs), k, list(F.mu), p))
+        assert r ** k == F.elem(fppoly.ppowmod(list(r.coeffs), k, list(F.mu), p))
         if r:
-            assert (r ** -k).coeffs == tuple(
+            assert r * r.inverse() == F.one() == r.inverse() * r
+            assert r ** -k == F.elem(
                 fppoly.ppowmod(list(r.coeffs), -k % (q - 1), list(F.mu), p))
 
 
@@ -157,7 +161,41 @@ def test_packed_product_matches_long_division(p, rng):
                 padded = tuple(expected + [0] * (d - len(expected)))
                 assert ring.reduce(ring.pack(a) * ring.pack(b)) == padded, (m, d, a, b)
                 if m == p:
-                    assert F._mul(a, b) == tuple(expected), (d, a, b)
-                    assert (F.elem(a) * F.elem(b)).coeffs == tuple(expected)
+                    assert F._mul(a, b) == padded, (d, a, b)
+                    assert (F.elem(a) * F.elem(b)).coeffs == padded
                 else:
                     assert (t.witt(a) * t.witt(b)).coeffs == padded, (d, a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_every_element_is_a_d_tuple(p, d, rng):
+    # every FqElem carries the packed kernel's format: exactly d residues in
+    # [0, p), the shape of WittElem.coeffs, zero included
+    t = CoeffTower(p, 1, 1, d, 3)
+    F = t.residue_field
+    x, y, u = F.random(rng), F.random(rng), F.random_unit(rng)
+    made = {
+        "elem": F.elem([1, p + 1]), "elem-int": F.elem(p + 1), "elem-empty": F.elem([]),
+        "elem-long": F.elem([rng.randrange(3 * p) for _ in range(2 * d + 3)]),
+        "zero": F.zero(), "one": F.one(), "gen": F.gen(),
+        "gen_pow": F.gen_pow(F.order - 2), "random": x, "random_unit": u,
+        "add": x + y, "add-int": x + 1, "sub": x - y, "sub-self": x - x, "neg": -x,
+        "mul": x * y, "mul-zero": x * F.zero(), "pow": u ** 3, "pow-neg": u ** -2,
+        "pow-zero": F.zero() ** 3, "inverse": u.inverse(), "frob": x.frob(),
+        "residue": t.random_witt(rng).residue(), "residue-zero": t.witt_zero().residue(),
+    }
+    for name, z in made.items():
+        assert len(z.coeffs) == d and all(0 <= c < p for c in z.coeffs), (name, z)
+    long = [rng.randrange(p) for _ in range(2 * d + 3)]
+    assert F.elem(long) == F.elem(fppoly.pmod(long, list(F.mu), p))
+
+
+def test_inverse_of_a_zero_divisor_is_refused():
+    # x + 1 over F_2[x]/(x^2 + 1) = F_2[x]/((x + 1)^2) has no inverse; x is a
+    # unit there, but x^(q-2) = 1 is not its inverse, so it is refused too
+    # rather than given a wrong one
+    R = ResidueField(2, [1, 0, 1])
+    for c in ([1, 1], [0, 1]):
+        with pytest.raises(ArithmeticError, match="modulus is not irreducible"):
+            R.elem(c).inverse()

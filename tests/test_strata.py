@@ -105,6 +105,22 @@ class TestFormulas:
         assert polarization_degree_exponent(rotated, 1, 3, normalize=True) == 4
         assert polarization_degree_exponent(rotated, 1, 3, normalize=False) == -2
 
+    @pytest.mark.parametrize("call", [
+        lambda: dp_stratum_dim([(0, 1), (0, 1)], 1, 1),
+        lambda: dp_stratum_dim([(0, 2), (1, 2)], 2, 1),
+        lambda: deformation_dims([(0, 1)], 1, 3),
+        lambda: polarization_degree_exponent([(0, 1)], 1, 3, normalize=False),
+        lambda: polarization_degree_exponent([(0, 1)] * 3, 1, 2, normalize=False),
+        lambda: polarization_degree_exponent([(0, 1)] * 3, 1, 2),
+        lambda: deformation_dims([(0, 3)], 2, 1),
+    ], ids=["dp-dim-long", "dp-dim-long-budget", "deformation-short", "degree-short",
+            "degree-long", "degree-long-normalized", "pair-out-of-range"])
+    def test_bad_lie_shape_is_rejected(self, call):
+        # one Lie pair per slot, each in [0, e]; checked before any budget
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert exc.value.code == "bad-shape"
+
     def test_superspecial_tables(self):
         assert superspecial_types(3, 1) == [((0, 3),), ((1, 2),)]
         assert superspecial_types(2, 1) == [((0, 2),), ((1, 1),)]
