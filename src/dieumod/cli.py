@@ -14,7 +14,6 @@ from .modules import DModule, is_json_ram
 from . import invariants as inv
 from . import strata
 from . import families as fam
-from . import hecke as hk
 from . import verify as vf
 
 
@@ -90,6 +89,7 @@ def cmd_poset(args):
 
 
 def cmd_hecke(args):
+    from . import hecke as hk  # numpy loads with the probe only
     report = hk.probe_report(args.p, args.s,
                              full_grassmannian=args.full_grassmannian,
                              size_cap=args.size_cap)

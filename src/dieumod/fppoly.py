@@ -4,19 +4,23 @@ Ring elements, of F_{p^d} (m = p) and of W_N(F_{p^d}) (m = p^N) alike, are
 tuples of exactly d coefficients in [0, m), little-endian: the format of
 `PackedQuotient`, which owns their packed (Kronecker) product in
 (Z/m)[x]/(modulus).  `modp.ResidueField` and `wittring.CoeffTower` each
-build one and pick its slot width.  `window_table`/`window_pow` compute
-fixed-base powers (the residue-field generator and its Teichmuller lift)
-with one product per nonzero base-2^W digit of the exponent, and `power`
-squares and multiplies (a residue-field inverse is x**(q-2), by Fermat);
-they take the ring's multiplication from their arguments so every layer
-shares them.
+build one.  `power` squares and multiplies (a residue-field inverse is
+x**(q-2), by Fermat) and `window_table`/`window_pow` compute fixed-base
+powers (the residue-field generator and its Teichmuller lift) with one
+product per nonzero base-2^W digit of the exponent; all three take the
+ring's multiplication from their arguments so every layer shares them.
 
-The list helpers (`padd`, `psub`, `pmul`, `pscale`, `pmod`, `ppowmod`,
-`pgcd`; plain lists, zero is []) serve set-up and input canonicalization
-only: the primitivity and irreducibility tests, the Teichmuller modulus, the
-tower's modulus check and Frobenius maps, and reducing an over-long
-coefficient list.  `smallest_primitive` is memoized by (p, d), since every
-tower of the same residue degree needs it.
+Set-up runs on the same kernel.  The Rabin irreducibility test, the
+primitivity test and the Teichmuller modulus take their powers with
+`power` in a `PackedQuotient`; the Frobenius h -> h^p of F_p[x]/(f) is
+F_p-linear, so the Rabin test applies it as the substitution x -> x^p
+(`PackedQuotient.power_rows` and `substitute`), as the tower's sigma maps
+do.  `smallest_primitive` is memoized by (p, d), since every tower of the
+same residue degree needs it.
+
+The list helpers (`trim`, `pdivmod`, `pmod`, `pgcd`; plain lists, zero is
+[]) serve only the gcd of the Rabin test, reducing an over-long
+coefficient list, and the kernel's table of x^(d+k).
 """
 
 from functools import cache
@@ -28,42 +32,6 @@ def trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def padd(a, b, m):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return trim(out)
-
-
-def psub(a, b, m):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return trim(out)
-
-
-def pmul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return trim([c % m for c in out])
-
-
-def pscale(a, c, m):
-    c %= m
-    return trim([x * c % m for x in a])
 
 
 def pdivmod(a, b, m):
@@ -86,25 +54,19 @@ def pmod(a, b, m):
     return pdivmod(a, b, m)[1]
 
 
-def ppowmod(a, n, b, m):
-    """a**n mod (b, m) by square and multiply."""
-    result = [1]
-    a = pmod(a, b, m)
-    while n:
-        if n & 1:
-            result = pmod(pmul(result, a, m), b, m)
-        a = pmod(pmul(a, a, m), b, m)
-        n >>= 1
-    return result
-
-
 class PackedQuotient:
     """(Z/m)[x]/(modulus) for a monic modulus of degree d, packed: slot j of
     `bits` bits holds coefficient j, so a product is one big-int product.
-    The caller picks `bits` so that no slot carries into the next."""
+    No slot may carry into the next.  The default width fits one product
+    of reduced elements (a slot holds at most d*(m-1)^2 and `reduce` adds
+    at most (d-1)*(m-1)^2 to a low slot) and a `substitute`; a caller that
+    sums products before reducing passes a wider `bits`.  `one` and `x` are
+    the coefficient tuples of 1 and of the residue of x."""
 
-    def __init__(self, modulus, m, bits):
+    def __init__(self, modulus, m, bits=None):
         self.d = d = len(modulus) - 1
+        if bits is None:
+            bits = ((2 * d - 1) * (m - 1) ** 2).bit_length()
         self.m, self.bits = m, bits
         self._mask = (1 << bits) - 1
         self._lowmask = (1 << d * bits) - 1
@@ -113,6 +75,9 @@ class PackedQuotient:
         for _ in range(d - 1):
             self._xpow.append(self.pack(r))
             r = pmod([0] + r, modulus, m)
+        self.one = (1,) + (0,) * (d - 1)
+        x = pmod([0, 1], modulus, m)
+        self.x = tuple(x) + (0,) * (d - len(x))
 
     def pack(self, coeffs):
         acc = 0
@@ -141,6 +106,29 @@ class PackedQuotient:
             if c:
                 acc += c * row
             conv >>= bits
+        return self.split(acc)
+
+    def mul(self, a, b):
+        """Coefficient tuple of a * b for reduced coefficient sequences."""
+        return self.reduce(self.pack(a) * self.pack(b))
+
+    def power_rows(self, y):
+        """Packed y^j for 0 <= j < d, from d-2 products: the rows of the
+        substitution x -> y (y reduced)."""
+        rows, r = [self.pack(self.one)], y
+        for j in range(1, self.d):
+            if j > 1:
+                r = self.mul(r, y)
+            rows.append(self.pack(r))
+        return rows
+
+    def substitute(self, rows, a):
+        """a(y) for the rows of `power_rows(y)`: one linear combination of
+        the packed rows (a slot holds at most d*(m-1)^2), then `split`."""
+        acc = 0
+        for c, row in zip(a, rows):
+            if c:
+                acc += c * row
         return self.split(acc)
 
 
@@ -173,19 +161,19 @@ def window_pow(rows, k, mul, one):
     return one if acc is None else acc
 
 
-def power(x, n, one):
+def power(x, n, mul, one):
     """x**n by left-to-right squaring: bit_length(n) - 1 squarings and
     popcount(n) - 1 further products, none for n in {0, 1}; a negative n
-    inverts x first."""
+    inverts x first (x must then have an `inverse` method)."""
     if n < 0:
         x, n = x.inverse(), -n
     if not n:
         return one
     result = x
     for bit in bin(n)[3:]:
-        result = result * result
+        result = mul(result, result)
         if bit == "1":
-            result = result * x
+            result = mul(result, x)
     return result
 
 
@@ -195,7 +183,8 @@ def pgcd(a, b, p):
     while b:
         a, b = b, pmod(a, b, p)
     if a:
-        a = pscale(a, pow(a[-1], -1, p), p)
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
     return a
 
 
@@ -238,36 +227,36 @@ def factorize(n):
 
 
 def is_irreducible(f, p):
-    """Rabin test for a monic polynomial over F_p."""
+    """Rabin test for a monic polynomial over F_p: x^(p^d) = x mod f, and
+    x^(p^(d/r)) - x is prime to f for every prime r | d."""
     d = len(f) - 1
     if d < 1:
         return False
-    x = pmod([0, 1], f, p)
-    # T^(p^d) == T mod f
-    h = x
+    ring = PackedQuotient(f, p)
+    x = ring.x
+    frob = ring.power_rows(power(x, p, ring.mul, ring.one))  # h -> h^p
+    h = [x]  # h[k] = x^(p^k)
     for _ in range(d):
-        h = ppowmod(h, p, f, p)
-    if psub(h, x, p):
+        h.append(ring.substitute(frob, h[-1]))
+    if h[d] != x:
         return False
     for r in factorize(d):
-        h = x
-        for _ in range(d // r):
-            h = ppowmod(h, p, f, p)
-        if len(pgcd(psub(h, x, p), f, p)) > 1:
+        diff = trim([(a - b) % p for a, b in zip(h[d // r], x)])
+        if len(pgcd(diff, f, p)) > 1:
             return False
     return True
 
 
 def is_primitive(f, p):
-    """True when the residue of T mod f generates F_{p^d}^* (f irreducible)."""
+    """True when the residue of x mod f generates F_{p^d}^* (f monic
+    irreducible)."""
     d = len(f) - 1
     order = p ** d - 1
     if not f[0]:
         return False
-    for r in factorize(order):
-        if ppowmod([0, 1], order // r, f, p) == [1]:
-            return False
-    return True
+    ring = PackedQuotient(f, p)
+    return all(power(ring.x, order // r, ring.mul, ring.one) != ring.one
+               for r in factorize(order))
 
 
 @cache
@@ -285,7 +274,8 @@ def smallest_primitive(p, d):
             coeffs.append(t % p)
             t //= p
         f = coeffs + [1]
-        if is_irreducible(f, p) and is_primitive(f, p):
+        # f[0] = 0 leaves x | f, never primitive: skip the Rabin test
+        if f[0] and is_irreducible(f, p) and is_primitive(f, p):
             return tuple(f)
     raise RuntimeError("no primitive polynomial found (impossible for prime p)")
 
@@ -302,35 +292,29 @@ def teichmuller_modulus(mu, p, N):
     m = p ** N
     if N == 1:
         return [c % p for c in mu]
-    m0 = list(mu)  # any monic lift defines the unramified ring Z/p^N[x]/(m0)
-
-    def rmul(a, b):
-        return pmod(pmul(a, b, m), m0, m)
+    # mu is itself a monic lift: Z/p^N[x]/(mu) is the unramified ring
+    ring = PackedQuotient(mu, m)
+    mul, one = ring.mul, ring.one
 
     # Teichmuller lift of the residue of x: iterate q-th powers to the fixpoint.
-    w = [0, 1]
+    w = ring.x
     for _ in range(N + 1):
-        w2 = ppowmod(w, q, m0, m)
+        w2 = power(w, q, mul, one)
         if w2 == w:
             break
         w = w2
-    # minimal polynomial = prod over Frobenius conjugates w^(p^j)
-    conj = []
-    c = w
-    for _ in range(d):
-        conj.append(c)
-        c = ppowmod(c, p, m0, m)
-    poly = [[1]]  # polynomial in T with coefficients in the ring
-    for cj in conj:
-        new = [[] for _ in range(len(poly) + 1)]
+    # minimal polynomial = prod over Frobenius conjugates w^(p^j), as a
+    # polynomial in T (low degree first) with coefficients in the ring
+    zero = (0,) * d
+    poly = [one]
+    conj = w
+    for j in range(d):
+        if j:
+            conj = power(conj, p, mul, one)
+        prod = [zero] + poly  # T * poly
         for i, coef in enumerate(poly):
-            new[i + 1] = padd(new[i + 1], coef, m)
-            new[i] = psub(new[i], rmul(coef, cj), m)
-        poly = new
-    out = []
-    for coef in poly:
-        if len(coef) > 1:
-            raise RuntimeError("Teichmuller modulus has a non-scalar coefficient")
-        out.append(coef[0] if coef else 0)
-    return out
-
+            prod[i] = tuple([(a - b) % m for a, b in zip(prod[i], mul(coef, conj))])
+        poly = prod
+    if any(any(coef[1:]) for coef in poly):
+        raise RuntimeError("Teichmuller modulus has a non-scalar coefficient")
+    return [coef[0] for coef in poly]

@@ -20,6 +20,7 @@ independent reference route of the tests and the names the benchmark's
 traced run wraps.  The residue field also serves Teichmuller sampling.
 """
 
+import operator
 from itertools import product
 
 from . import fppoly
@@ -36,15 +37,8 @@ class ResidueField:
         if self.d < 1:
             raise ValueError("modulus must have positive degree")
         self._gen_rows = None  # window table of gen(), built on first gen_pow
-        # packed products: a slot holds at most d*(p-1)^2 before the
-        # reduction adds at most (d-1)*(p-1)^2, so it never carries
-        self._ring = fppoly.PackedQuotient(
-            self.mu, p, ((2 * self.d - 1) * (p - 1) ** 2).bit_length())
-
-    def _mul(self, a, b):
-        """Coefficient tuple of a * b for reduced a, b."""
-        ring = self._ring
-        return ring.reduce(ring.pack(a) * ring.pack(b))
+        self._ring = fppoly.PackedQuotient(self.mu, p)
+        self._mul = self._ring.mul  # coefficient tuple of a * b for reduced a, b
 
     def __eq__(self, other):
         return isinstance(other, ResidueField) and (self.p, self.mu) == (other.p, other.mu)
@@ -163,7 +157,7 @@ class FqElem:
         if not self:
             raise ZeroDivisionError("zero in residue field")
         one = self.field.one()
-        inv = fppoly.power(self, self.field.order - 2, one)
+        inv = fppoly.power(self, self.field.order - 2, operator.mul, one)
         if inv * self != one:
             raise ArithmeticError("modulus is not irreducible")
         return inv
@@ -171,7 +165,7 @@ class FqElem:
     def __pow__(self, n):
         if self:  # a unit: x**(q-1) = 1
             n %= self.field.order - 1
-        return fppoly.power(self, n, self.field.one())
+        return fppoly.power(self, n, operator.mul, self.field.one())
 
     def frob(self, n=1):
         """Frobenius x -> x^(p^n)."""

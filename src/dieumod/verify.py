@@ -18,7 +18,6 @@ from .wittring import CoeffTower
 from . import invariants as inv
 from . import strata
 from . import families as fam
-from . import hecke as hk
 
 CRITERIA = {}
 SUITES = {}
@@ -315,6 +314,7 @@ def criterion_spaced_density(check, seed, scale):
            "equations hold, p+1 lines through the origin, and the "
            "extra variety points sit on t1 = t2 = 0")
 def criterion_hecke(check, seed, scale):
+    from . import hecke as hk  # numpy loads with the probe only
     counts = {}
     for p in (3, 5):
         rep = hk.probe_report(p, 1, full_grassmannian=(p == 3))

@@ -30,9 +30,11 @@ Products follow the structure of the operands:
   entries once as above, sums the two big-int products of each output
   entry while still packed, and folds and reduces that sum once: 4e
   reductions and no entrywise RamElem products or sums.
-* sigma^n is the identity on constants and for n = 0 mod d; it returns its
-  argument unchanged there.  A ramified sum or difference keeps each
-  coefficient whose other summand is zero.
+* sigma^n is the substitution x -> x^(p^n): one linear combination of the
+  packed rows x^(j p^n), which the tower computes once per n, from one
+  power and d-2 products.  It is the identity on constants and for
+  n = 0 mod d; it returns its argument unchanged there.  A ramified sum or
+  difference keeps each coefficient whose other summand is zero.
 
 Slot width: before `_reduce` a slot holds at most 2*(p+1)*e*d*(p^N-1)^2
 (the folded sum of two dense ramified products in a matrix entry; a single
@@ -49,6 +51,15 @@ from . import fppoly
 from .modp import ResidueField, FqElem, PiPoly
 
 INF = math.inf
+
+# Size guard of CoeffTower: set-up time grows with d = f*ext and with the
+# bit length of p^N, element size with e.  The caps sit far above every
+# tower the package, its tests and its benchmark build (e <= 4, d <= 16,
+# p^N < 2^194).  The slowest tower within the caps, (2, 32, 1, 1, 1023),
+# builds in about 8 s on a 2-vCPU x86-64 host.
+MAX_E = 64
+MAX_D = 32
+MAX_PN_BITS = 1024
 
 
 class PrecisionError(ArithmeticError):
@@ -88,6 +99,12 @@ class CoeffTower:
                 "precision-policy",
                 f"e*N = {e * N} < e*f + 2 = {e * f + 2}; raise N",
             )
+        if e > MAX_E or f * ext > MAX_D or N * math.log2(p) >= MAX_PN_BITS:
+            raise DomainError(
+                "size-guard",
+                f"tower too large: needs e <= {MAX_E}, f*ext <= {MAX_D} "
+                f"and p^N < 2^{MAX_PN_BITS}",
+            )
         self.p, self.f, self.e, self.ext, self.N = p, f, e, ext, N
         self.d = f * ext
         self.q = p ** self.d
@@ -106,8 +123,6 @@ class CoeffTower:
             # the residue of T must generate F_q^*: gen_pow, random_unit and
             # the pairing-scalar construction all rely on it
             raise DomainError("bad-modulus", "modulus is not primitive mod p")
-        if fppoly.ppowmod([0, 1], self.q - 1, modulus, self.pN) != [1]:
-            raise DomainError("bad-modulus", "T is not a (q-1)-th root of unity mod modulus")
         self.modulus = tuple(modulus)
         self._key = (p, f, e, ext, N, self.modulus)
         self.residue_field = ResidueField(p, mu)
@@ -117,6 +132,8 @@ class CoeffTower:
         # basis maps sigma^n(x^j) = x^(j p^n)
         bits = ((2 * (p + 1) * e + 1) * self.d * (self.pN - 1) ** 2).bit_length()
         self._ring = ring = fppoly.PackedQuotient(modulus, self.pN, bits)
+        if fppoly.power(ring.x, self.q - 1, ring.mul, ring.one) != ring.one:
+            raise DomainError("bad-modulus", "T is not a (q-1)-th root of unity mod modulus")
         self._pack, self._split, self._reduce = ring.pack, ring.split, ring.reduce
         self._stride = (2 * self.d - 1) * bits  # bits per pi-degree
         self._sigma_maps = {}
@@ -177,15 +194,13 @@ class CoeffTower:
             for i in (0, 1))
 
     def _sigma_map(self, n):
-        """Packed images sigma^n(x^j) = x^(j p^n) of the basis, j < d."""
+        """Packed images sigma^n(x^j) = x^(j p^n) of the basis, j < d: the
+        rows of the substitution x -> x^(p^n)."""
         n %= self.d
         if n not in self._sigma_maps:
-            rows = [self._pack([1])]
-            pn = self.p ** n
-            for j in range(1, self.d):
-                img = fppoly.ppowmod([0, 1], j * pn, list(self.modulus), self.pN)
-                rows.append(self._pack(img))
-            self._sigma_maps[n] = rows
+            ring = self._ring
+            self._sigma_maps[n] = ring.power_rows(
+                fppoly.power(ring.x, self.p ** n, ring.mul, ring.one))
         return self._sigma_maps[n]
 
     def __eq__(self, other):
@@ -251,7 +266,7 @@ class CoeffTower:
 
     def witt_gen(self):
         """The residue of T mod the modulus (a constant when d = 1)."""
-        return self.witt(fppoly.pmod([0, 1], self.modulus, self.pN))
+        return WittElem(self, self._ring.x)
 
     def teichmuller(self, a):
         """The unique multiplicative lift of a residue-field element.
@@ -384,13 +399,14 @@ class WittElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return fppoly.power(self, n, self.tower.witt_one())
+        return fppoly.power(self, n, operator.mul, self.tower.witt_one())
 
     def sigma(self, n=1):
         """Witt Frobenius sigma^n; sigma(T) = T^p, identity on Z/p^N."""
         t = self.tower
         if not n % t.d or not any(self.coeffs[1:]):
             return self
+        # the kernel's `substitute`, inlined: sigma is on the hot paths
         rows = t._sigma_map(n)
         acc = 0
         for j, c in enumerate(self.coeffs):
@@ -554,7 +570,7 @@ class RamElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return fppoly.power(self, n, self.tower.one())
+        return fppoly.power(self, n, operator.mul, self.tower.one())
 
     def sigma(self, n=1):
         """sigma^n coefficientwise; sigma(pi) = pi since pi^e = p."""
@@ -563,7 +579,14 @@ class RamElem:
         return RamElem(self.tower, [c.sigma(n) for c in self.coeffs], self.prec)
 
     def ord_pi(self):
-        """Exact valuation, INF for a certified zero, PrecisionError otherwise."""
+        """Valuation of the element when it is below its precision.
+
+        INF means zero in O/pi^(eN) at full precision, O = W(F_{p^d})[pi]:
+        the element is divisible by pi^(eN), which does not make it a
+        certified zero of O.  A caller that reads INF as zero relies on eN
+        exceeding every valuation it needs.  Below full precision, a
+        representative that vanishes to its precision raises
+        PrecisionError."""
         v = self._repr_ord()
         if v < self.prec:
             return v

@@ -13,6 +13,7 @@ import io
 import json
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dieumod.cli import main
@@ -131,3 +132,20 @@ def test_mutated_module_keeps_the_exit_contract(data):
         text = json.dumps(_mutate(doc, path, action, data.draw(JSON_VALUES)))
     method = data.draw(st.sampled_from(["fast", "oracle"]))
     assert_contract(["invariants", "--module", "-", "--method", method], text)
+
+
+@pytest.mark.parametrize("key, value", [("N", 10 ** 6), ("e", 10 ** 4), ("ext", 10 ** 3)])
+def test_huge_tower_is_refused_before_set_up(key, value):
+    # a module JSON whose tower would compute p ** N or pad e coefficients
+    # without bound: the size guard answers first, with a JSON error object
+    doc = copy.deepcopy(MODULES[0])
+    doc["tower"][key] = value
+    out = io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["invariants", "--module", "-"])
+    finally:
+        sys.stdin = saved
+    assert code == 1
+    assert json.loads(out.getvalue())["error"]["code"] == "size-guard"

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +11,25 @@ from dieumod.hecke import (
     SmallField, HeckeSetting, enumerate_stable_planes, compare_variety,
     chart_equations_hold, parametrized_chart_set, probe_report,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_numpy_loads_with_hecke_only():
+    # the library, the CLI and verify import without numpy; the Hecke names
+    # still resolve on the package (through its module __getattr__, which
+    # must not recurse) and load it
+    code = ("import sys, dieumod, dieumod.cli, dieumod.verify\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded at import'\n"
+            "assert callable(dieumod.probe_report)\n"
+            "assert callable(dieumod.hecke.enumerate_stable_planes)\n"
+            "assert getattr(dieumod, 'hecke') is sys.modules['dieumod.hecke']\n"
+            "assert 'numpy' in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSmallField:
