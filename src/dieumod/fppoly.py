@@ -14,15 +14,18 @@ Set-up runs on the same kernel.  The Rabin irreducibility test, the
 primitivity test and the Teichmuller modulus take their powers with
 `power` in a `PackedQuotient`; the Frobenius h -> h^p of F_p[x]/(f) is
 F_p-linear, so the Rabin test applies it as the substitution x -> x^p
-(`PackedQuotient.power_rows` and `substitute`), as the tower's sigma maps
-do.  `smallest_primitive` is memoized by (p, d), since every tower of the
-same residue degree needs it.
+with `PackedQuotient.power_rows` and `substitute`, which also serve the
+tower's sigma maps.  `smallest_primitive` is memoized by (p, d), since
+every tower of the same residue degree needs it, and `prime_factors` by
+its argument, since the primitivity test of every candidate factors the
+same p^d - 1.
 
 The list helpers (`trim`, `pdivmod`, `pmod`, `pgcd`; plain lists, zero is
 []) serve only the gcd of the Rabin test, reducing an over-long
 coefficient list, and the kernel's table of x^(d+k).
 """
 
+import math
 from functools import cache
 
 W = 4  # window width in bits of the fixed-base power tables
@@ -194,7 +197,7 @@ def is_prime(n):
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q
-    # deterministic Miller-Rabin for the word-size inputs we ever see
+    # Miller-Rabin with the first 12 prime bases: deterministic below 3 * 10^23
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -212,18 +215,39 @@ def is_prime(n):
     return True
 
 
-def factorize(n):
-    """Prime factorization by trial division (inputs stay modest)."""
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _rho_divisor(n):
+    """A proper divisor of an odd composite n, by Pollard's rho."""
+    for c in range(1, n):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
+
+
+@cache
+def prime_factors(n):
+    """The distinct prime factors of n >= 1, ascending: trial division
+    below 1000, then Pollard's rho on what is left: about 10^5 expected
+    steps for n < 2^64, the range `wittring.CoeffTower` admits for p^d."""
+    out = set()
+    for r in range(2, 1000):
+        while n % r == 0:
+            out.add(r)
+            n //= r
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out.add(m)
+        else:
+            g = _rho_divisor(m)
+            rest += [g, m // g]
+    return tuple(sorted(out))
 
 
 def is_irreducible(f, p):
@@ -240,7 +264,7 @@ def is_irreducible(f, p):
         h.append(ring.substitute(frob, h[-1]))
     if h[d] != x:
         return False
-    for r in factorize(d):
+    for r in prime_factors(d):
         diff = trim([(a - b) % p for a, b in zip(h[d // r], x)])
         if len(pgcd(diff, f, p)) > 1:
             return False
@@ -256,7 +280,7 @@ def is_primitive(f, p):
         return False
     ring = PackedQuotient(f, p)
     return all(power(ring.x, order // r, ring.mul, ring.one) != ring.one
-               for r in factorize(order))
+               for r in prime_factors(order))
 
 
 @cache

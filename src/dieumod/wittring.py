@@ -52,13 +52,18 @@ from .modp import ResidueField, FqElem, PiPoly
 
 INF = math.inf
 
-# Size guard of CoeffTower: set-up time grows with d = f*ext and with the
-# bit length of p^N, element size with e.  The caps sit far above every
-# tower the package, its tests and its benchmark build (e <= 4, d <= 16,
-# p^N < 2^194).  The slowest tower within the caps, (2, 32, 1, 1, 1023),
-# builds in about 8 s on a 2-vCPU x86-64 host.
+# Size guard of CoeffTower: set-up time grows with p (for d >= 2 the
+# modulus search passes the p - 1 candidates x^d + c, none of them
+# primitive since x^d lies in F_p), with d = f*ext, with the bit length of
+# q = p^d (the primitivity test factors q - 1) and with that of p^N;
+# element size grows with e.  The caps sit far above every tower the
+# package, its tests and its benchmark build (p <= 11, e <= 4, d <= 16,
+# q < 2^45, p^N < 2^194).  The slowest tower within the caps,
+# (3, 32, 1, 1, 646), builds in about 10 s on a 2-vCPU x86-64 host.
+MAX_P_BITS = 10
 MAX_E = 64
 MAX_D = 32
+MAX_Q_BITS = 64
 MAX_PN_BITS = 1024
 
 
@@ -88,6 +93,13 @@ class CoeffTower:
     """Immutable description of the working rings; all element ops live here."""
 
     def __init__(self, p, f, e, ext=1, N=None, modulus=None):
+        too_large = DomainError(
+            "size-guard",
+            f"tower too large: needs p < 2^{MAX_P_BITS}, e <= {MAX_E}, "
+            f"f*ext <= {MAX_D}, p^(f*ext) < 2^{MAX_Q_BITS} and p^N < 2^{MAX_PN_BITS}",
+        )
+        if p.bit_length() > MAX_P_BITS:  # before the primality test
+            raise too_large
         if not fppoly.is_prime(p):
             raise DomainError("not-prime", f"p = {p} is not prime")
         if f < 1 or e < 1 or ext < 1:
@@ -99,12 +111,9 @@ class CoeffTower:
                 "precision-policy",
                 f"e*N = {e * N} < e*f + 2 = {e * f + 2}; raise N",
             )
-        if e > MAX_E or f * ext > MAX_D or N * math.log2(p) >= MAX_PN_BITS:
-            raise DomainError(
-                "size-guard",
-                f"tower too large: needs e <= {MAX_E}, f*ext <= {MAX_D} "
-                f"and p^N < 2^{MAX_PN_BITS}",
-            )
+        if (e > MAX_E or f * ext > MAX_D or (p ** (f * ext)).bit_length() > MAX_Q_BITS
+                or N * math.log2(p) >= MAX_PN_BITS):
+            raise too_large
         self.p, self.f, self.e, self.ext, self.N = p, f, e, ext, N
         self.d = f * ext
         self.q = p ** self.d
@@ -406,13 +415,7 @@ class WittElem:
         t = self.tower
         if not n % t.d or not any(self.coeffs[1:]):
             return self
-        # the kernel's `substitute`, inlined: sigma is on the hot paths
-        rows = t._sigma_map(n)
-        acc = 0
-        for j, c in enumerate(self.coeffs):
-            if c:
-                acc += c * rows[j]
-        return WittElem(t, t._split(acc))
+        return WittElem(t, t._ring.substitute(t._sigma_map(n), self.coeffs))
 
     def ord_p(self):
         """min coefficient valuation (that of their gcd); N for the zero

@@ -134,10 +134,14 @@ def test_mutated_module_keeps_the_exit_contract(data):
     assert_contract(["invariants", "--module", "-", "--method", method], text)
 
 
-@pytest.mark.parametrize("key, value", [("N", 10 ** 6), ("e", 10 ** 4), ("ext", 10 ** 3)])
+@pytest.mark.parametrize("key, value", [("N", 10 ** 6), ("e", 10 ** 4), ("ext", 10 ** 3),
+                                        ("p", 604462909807314587353439), ("p", 2 ** 9689 - 1),
+                                        ("p", 1031)])
 def test_huge_tower_is_refused_before_set_up(key, value):
-    # a module JSON whose tower would compute p ** N or pad e coefficients
-    # without bound: the size guard answers first, with a JSON error object
+    # a module JSON whose tower would compute p ** N, pad e coefficients,
+    # test a huge p for primality, factor p^d - 1 (p an 80-bit safe prime)
+    # or search p candidate moduli without bound: the size guard answers
+    # first, with a JSON error object
     doc = copy.deepcopy(MODULES[0])
     doc["tower"][key] = value
     out = io.StringIO()
@@ -149,3 +153,4 @@ def test_huge_tower_is_refused_before_set_up(key, value):
         sys.stdin = saved
     assert code == 1
     assert json.loads(out.getvalue())["error"]["code"] == "size-guard"
+

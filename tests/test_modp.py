@@ -145,6 +145,34 @@ def test_window_pow_matches_builtin_pow(rng):
             assert fppoly.window_pow(rows, k, mul, 1) == pow(3, k, M)
 
 
+def test_prime_factors_matches_trial_division(rng):
+    def by_trial_division(n):
+        out, r = set(), 2
+        while r * r <= n:
+            while n % r == 0:
+                out.add(r)
+                n //= r
+            r += 1
+        return tuple(sorted(out | ({n} if n > 1 else set())))
+
+    for n in [1, 2, 997, 999_983 ** 2, 2 ** 32 - 1] + [rng.randrange(2, 10 ** 7) for _ in range(200)]:
+        assert fppoly.prime_factors(n) == by_trial_division(n)
+    # cofactors past the trial division: two 31- and 32-bit primes, a
+    # square and a cube, and the largest q - 1 below the tower caps
+    big = (2 ** 31 - 1) * 4294967291
+    assert fppoly.prime_factors(big) == (2 ** 31 - 1, 4294967291)
+    assert fppoly.prime_factors(1_000_003 ** 2 * 4294967291) == (1_000_003, 4294967291)
+    assert fppoly.prime_factors(65_537 ** 3) == (65_537,)
+    for n in (3 ** 32 - 1, 1021 ** 6 - 1, 2 ** 64 - 59 - 1):
+        factors = fppoly.prime_factors(n)
+        assert all(fppoly.is_prime(r) for r in factors)
+        m = n
+        for r in factors:
+            while m % r == 0:
+                m //= r
+        assert m == 1
+
+
 @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (3, 2), (2, 8), (5, 4), (3, 8), (2, 16)])
 def test_gen_pow_matches_repeated_squaring(p, d, rng):
     F = ResidueField(p, fppoly.smallest_primitive(p, d))

@@ -70,7 +70,8 @@ class TestTowerConstruction:
 
     @pytest.mark.parametrize("args", [(2, 1, 65, 1, 2), (2, 33, 1, 1, 35), (2, 16, 1, 3, 18),
                                       (2, 1, 1, 1, 1024), (3, 1, 1, 1, 647),
-                                      (2 ** 1279 - 1, 1, 1, 1, 3)])
+                                      (2 ** 1279 - 1, 1, 1, 1, 3), (1031, 1, 1, 1, 3),
+                                      (5, 28, 1, 1, 30), (3, 21, 1, 2, 23)])
     def test_size_guard(self, args):
         # refused before p**N, the modulus search or any set-up
         with pytest.raises(DomainError, match="too large") as info:
@@ -78,11 +79,14 @@ class TestTowerConstruction:
         assert info.value.code == "size-guard"
 
     def test_size_guard_admits_the_caps(self):
-        # e = 64, p^N = 2^1023 and 3^646 < 2^1024 (f*ext = 32 builds too, in
-        # about a second, so it is not built here)
+        # e = 64, p^N = 2^1023 and 3^646 < 2^1024, p = 1021 < 2^10 and
+        # 19^15 < 2^64 (f*ext = 32 builds too, in about a second, so it is
+        # not built here)
         assert CoeffTower(2, 1, 64, 1, 2).e == 64
         assert CoeffTower(2, 1, 1, 1, 1023).pN.bit_length() == 1024
         assert CoeffTower(3, 1, 1, 1, 646).N == 646
+        assert CoeffTower(1021, 2, 1, 1).p == 1021
+        assert CoeffTower(19, 15, 1, 1).q.bit_length() == 64
 
     def test_serialization_roundtrip(self):
         t = tower(3, 2, 2)
