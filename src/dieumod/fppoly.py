@@ -10,51 +10,23 @@ powers (the residue-field generator and its Teichmuller lift) with one
 product per nonzero base-2^W digit of the exponent; all three take the
 ring's multiplication from their arguments so every layer shares them.
 
-Set-up runs on the same kernel.  The Rabin irreducibility test, the
-primitivity test and the Teichmuller modulus take their powers with
-`power` in a `PackedQuotient`; the Frobenius h -> h^p of F_p[x]/(f) is
-F_p-linear, so the Rabin test applies it as the substitution x -> x^p
-with `PackedQuotient.power_rows` and `substitute`, which also serve the
-tower's sigma maps.  `smallest_primitive` is memoized by (p, d), since
-every tower of the same residue degree needs it, and `prime_factors` by
-its argument, since the primitivity test of every candidate factors the
-same p^d - 1.
-
-The list helpers (`trim`, `pdivmod`, `pmod`, `pgcd`; plain lists, zero is
-[]) serve only the gcd of the Rabin test, reducing an over-long
-coefficient list, and the kernel's table of x^(d+k).
+Set-up runs on the same kernel.  `is_primitive` is the one test of a
+modulus: a monic f with f(0) != 0 is primitive iff x has order p^d - 1
+mod f, and that order alone proves f irreducible (Lidl-Niederreiter,
+Finite Fields, Thm 3.16), so no gcd or irreducibility test is needed.  The
+Frobenius h -> h^p of F_p[x]/(f) is F_p-linear, so the test applies it as
+the substitution x -> x^p with `PackedQuotient.power_rows` and
+`substitute`, which also serve the tower's sigma maps; its other powers,
+and those of the Teichmuller modulus, go through `power`.
+`smallest_primitive` is memoized by (p, d), since every tower of the same
+residue degree needs it, and `prime_factors` by its argument, since the
+primitivity test of every candidate factors the same p^d - 1.
 """
 
 import math
 from functools import cache
 
 W = 4  # window width in bits of the fixed-base power tables
-
-
-def trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def pdivmod(a, b, m):
-    """Divide by a polynomial with unit leading coefficient."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    binv = pow(b[-1], -1, m)
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * binv % m
-        if c:
-            q[i] = c
-            for j, cb in enumerate(b):
-                a[i + j] = (a[i + j] - c * cb) % m
-    return trim(q), trim(a)
-
-
-def pmod(a, b, m):
-    return pdivmod(a, b, m)[1]
 
 
 class PackedQuotient:
@@ -73,14 +45,15 @@ class PackedQuotient:
         self.m, self.bits = m, bits
         self._mask = (1 << bits) - 1
         self._lowmask = (1 << d * bits) - 1
-        self._xpow = []  # packed x^(d+k) mod (modulus, m), 0 <= k < d-1
-        r = pmod([0] * d + [1], modulus, m)
+        # x^d = -(m_0 + ... + m_{d-1} x^(d-1)); each x^(d+k+1) is the
+        # previous power shifted once, its top slot folded back by that rule
+        low = [-c % m for c in modulus[:d]]
+        self._xpow, r = [], low  # packed x^(d+k) mod (modulus, m), 0 <= k < d-1
         for _ in range(d - 1):
             self._xpow.append(self.pack(r))
-            r = pmod([0] + r, modulus, m)
+            r = [(a + r[-1] * b) % m for a, b in zip([0] + r[:-1], low)]
         self.one = (1,) + (0,) * (d - 1)
-        x = pmod([0, 1], modulus, m)
-        self.x = tuple(x) + (0,) * (d - len(x))
+        self.x = (0, 1) + (0,) * (d - 2) if d > 1 else tuple(low)
 
     def pack(self, coeffs):
         acc = 0
@@ -180,17 +153,6 @@ def power(x, n, mul, one):
     return result
 
 
-def pgcd(a, b, p):
-    """Monic gcd over the field F_p."""
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
 def is_prime(n):
     if n < 2:
         return False
@@ -250,37 +212,24 @@ def prime_factors(n):
     return tuple(sorted(out))
 
 
-def is_irreducible(f, p):
-    """Rabin test for a monic polynomial over F_p: x^(p^d) = x mod f, and
-    x^(p^(d/r)) - x is prime to f for every prime r | d."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-    ring = PackedQuotient(f, p)
-    x = ring.x
-    frob = ring.power_rows(power(x, p, ring.mul, ring.one))  # h -> h^p
-    h = [x]  # h[k] = x^(p^k)
-    for _ in range(d):
-        h.append(ring.substitute(frob, h[-1]))
-    if h[d] != x:
-        return False
-    for r in prime_factors(d):
-        diff = trim([(a - b) % p for a, b in zip(h[d // r], x)])
-        if len(pgcd(diff, f, p)) > 1:
-            return False
-    return True
-
-
 def is_primitive(f, p):
-    """True when the residue of x mod f generates F_{p^d}^* (f monic
-    irreducible)."""
+    """True when the monic f of degree d >= 1 over F_p is primitive: the
+    residue of x generates F_{p^d}^*.  f(0) != 0 makes x a unit; then
+    x^(p^d) = x (d Frobenius steps) and x^((p^d-1)/r) != 1 for every prime
+    r | p^d - 1 give x the order p^d - 1, so F_p[x]/(f) has p^d - 1 units
+    and is a field: the test also proves f irreducible (Thm 3.16)."""
     d = len(f) - 1
-    order = p ** d - 1
-    if not f[0]:
+    if d < 1 or not f[0]:
         return False
     ring = PackedQuotient(f, p)
-    return all(power(ring.x, order // r, ring.mul, ring.one) != ring.one
-               for r in prime_factors(order))
+    x, mul, one = ring.x, ring.mul, ring.one
+    frob = ring.power_rows(power(x, p, mul, one))  # h -> h^p
+    h = x
+    for _ in range(d):
+        h = ring.substitute(frob, h)
+    order = p ** d - 1
+    return h == x and all(power(x, order // r, mul, one) != one
+                          for r in prime_factors(order))
 
 
 @cache
@@ -292,14 +241,8 @@ def smallest_primitive(p, d):
     coefficients, which makes the choice reproducible across runs.
     """
     for n in range(p ** d):
-        coeffs = []
-        t = n
-        for _ in range(d):
-            coeffs.append(t % p)
-            t //= p
-        f = coeffs + [1]
-        # f[0] = 0 leaves x | f, never primitive: skip the Rabin test
-        if f[0] and is_irreducible(f, p) and is_primitive(f, p):
+        f = [n // p ** j % p for j in range(d)] + [1]
+        if is_primitive(f, p):
             return tuple(f)
     raise RuntimeError("no primitive polynomial found (impossible for prime p)")
 
@@ -314,8 +257,6 @@ def teichmuller_modulus(mu, p, N):
     d = len(mu) - 1
     q = p ** d
     m = p ** N
-    if N == 1:
-        return [c % p for c in mu]
     # mu is itself a monic lift: Z/p^N[x]/(mu) is the unramified ring
     ring = PackedQuotient(mu, m)
     mul, one = ring.mul, ring.one

@@ -143,9 +143,17 @@ class HeckeSetting:
         assert int(self.pair(e[0], e[3])) == 1 and int(self.pair(e[2], e[1])) == 1
 
 
-def _check_size(q, chart_only, size_cap):
-    """Raise size-guard when the search over F_q has more than size_cap candidates."""
-    if chart_only and q ** 4 > size_cap:
+def _check_size(p, s, chart_only, size_cap):
+    """Raise size-guard when the search over F_q, q = p^(2s), has more than
+    size_cap candidates, and bad-shape (`_field_order`) for a bad p or s.
+    q^4 >= 2^low with low = 8s(bits(p) - 1): from 2^64 points on, that bound
+    decides, before p is tested for primality or q is formed.  The
+    Grassmannian contains the chart."""
+    low = 8 * s * (p.bit_length() - 1)
+    if low >= max(64, size_cap.bit_length()):
+        raise DomainError("size-guard", f"chart has at least 2^{low} points > cap")
+    q = _field_order(p, s)
+    if q ** 4 > size_cap:
         raise DomainError("size-guard", f"chart has {q ** 4} points > cap")
     total = (q ** 2 + 1) * (q ** 2 + q + 1)
     if not chart_only and total > size_cap:
@@ -199,8 +207,10 @@ def enumerate_stable_planes(S, chart_only=True, size_cap=10 ** 7):
     definitions and reported by their reduced row echelon form.  With
     chart_only the search runs over the chart, the cell with pivots
     (x1, x2); otherwise over all six Schubert cells of the Grassmannian,
-    the chart first."""
-    _check_size(S.q, chart_only, size_cap)
+    the chart first.  size_cap=None skips the size check, which
+    `probe_report` makes before it builds S."""
+    if size_cap is not None:
+        _check_size(S.p, S.s, chart_only, size_cap)
     cells = [(0, 1)] if chart_only else combinations(range(4), 2)
     return [pl for j1, j2 in cells for pl in _cell_planes(S, j1, j2)]
 
@@ -288,15 +298,12 @@ def compare_variety(S, planes):
 
 
 def probe_report(p, s=1, full_grassmannian=False, size_cap=10 ** 7):
-    """One-call report used by the command line front end.  The size cap is
-    checked before the q x q field tables are allocated."""
-    q = _field_order(p, s)
-    _check_size(q, True, size_cap)
-    if full_grassmannian:
-        _check_size(q, False, size_cap)
+    """One-call report used by the command line front end.  The size is
+    checked once, before the q x q field tables are allocated."""
+    _check_size(p, s, not full_grassmannian, size_cap)
     S = HeckeSetting(p, s)
     planes = enumerate_stable_planes(S, chart_only=not full_grassmannian,
-                                     size_cap=size_cap)
+                                     size_cap=None)
     report = compare_variety(S, planes)  # reads the chart planes only
     if full_grassmannian:
         outside = [pl.rref for pl in planes if pl.chart is None]

@@ -141,10 +141,11 @@ def _entry_order(M, i):
     return m
 
 
-def _lie_type(M):
-    """Slot i reads V: slot j -> i, j = i+1, whose matrix is
-    sigma^-1(p adj(A[j]) / pi^v_j) up to a unit: its entries have minimum
-    valuation e - v_j + m_j and its determinant 2e - v_j."""
+def lie_type(M):
+    """Elementary divisors of M^i / V M^(i+1), slot by slot.  Slot i reads
+    V: slot j -> i, j = i+1, whose matrix is sigma^-1(p adj(A[j]) / pi^v_j)
+    up to a unit: its entries have minimum valuation e - v_j + m_j and its
+    determinant 2e - v_j."""
     e, f = M.e, M.f
     pairs = []
     for i in range(f):
@@ -194,7 +195,8 @@ def _a_pair(M, i):
     return d1, s - d1
 
 
-def _a_type(M):
+def a_type(M):
+    """Elementary divisors of M^i / (F M^(i-1) + V M^(i+1)), slot by slot."""
     return AType(M.e, tuple(_a_pair(M, i) for i in range(M.f)))
 
 
@@ -209,21 +211,11 @@ def _a_index(L, a):
     return tau, len(tau), reduced
 
 
-def lie_type(M):
-    """Elementary divisors of M^i / V M^(i+1), slot by slot."""
-    return _lie_type(M)
-
-
-def a_type(M):
-    """Elementary divisors of M^i / (F M^(i-1) + V M^(i+1)), slot by slot."""
-    return _a_type(M)
-
-
 def a_index(M):
     """(tau, t, reduced a-number) for a module satisfying the Rapoport
     condition; refuses other modules, where the a-index is not defined."""
-    L = _lie_type(M)
-    return _a_index(L, _a_type(M) if L.is_rapoport else None)
+    L = lie_type(M)
+    return _a_index(L, a_type(M) if L.is_rapoport else None)
 
 
 def newton_point(M, method="fast"):
@@ -300,7 +292,7 @@ def _newton_oracle(M):
 
 def classify(M):
     """Flags {rapoport, dp, ordinary, supersingular, superspecial}."""
-    return _flags(M, _lie_type(M), _a_type(M), newton_point(M))
+    return _flags(M, lie_type(M), a_type(M), newton_point(M))
 
 
 def _flags(M, L, a, np_):
@@ -355,7 +347,7 @@ def dual_invariants(L, a):
 def invariant_report(M):
     """Everything at once, as a JSON-ready dict; the mod-p invariants are
     read off determinantal divisors once."""
-    L, a = _lie_type(M), _a_type(M)
+    L, a = lie_type(M), a_type(M)
     flags = newton = None
     if M.det_sum == M.g:
         np_ = newton_point(M)

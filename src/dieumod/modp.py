@@ -7,7 +7,9 @@ a fixed irreducible polynomial of degree d: the format of the field's
 over Z/p^N, so a residue and a Witt vector share one shape and pass between
 the layers unchanged.  Sums are coefficientwise mod p; a product is one
 packed integer product reduced by the kernel; powers go through
-`fppoly.power`, and the inverse is x**(q-2) by Fermat.
+`fppoly.power`, and the inverse is x**(q-2) by Fermat.  A coefficient list
+longer than d is reduced by Horner's rule with the kernel's product, so the
+layer needs no polynomial division.
 
 k[pi]/(pi^e) is a chain ring, so a matrix over it has a Smith form
 diag(pi^v1, pi^v2, ...) and the exponents are found by valuation-minimal
@@ -55,9 +57,13 @@ class ResidueField:
         if isinstance(coeffs, int):
             coeffs = [coeffs]
         c = [x % self.p for x in coeffs]
-        if len(c) > self.d:
-            c = fppoly.pmod(c, list(self.mu), self.p)
-        return FqElem(self, tuple(c + [0] * (self.d - len(c))), log)
+        c += [0] * (self.d - len(c))
+        # a list longer than d: Horner in x from its top d coefficients
+        acc, x = c[-self.d:], self._ring.x
+        for a in reversed(c[:-self.d]):
+            acc = list(self._mul(acc, x))
+            acc[0] = (acc[0] + a) % self.p
+        return FqElem(self, tuple(acc), log)
 
     def zero(self):
         return FqElem(self, (0,) * self.d)

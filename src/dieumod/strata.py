@@ -116,6 +116,9 @@ class ATypePoset:
     def __init__(self, e, f, cap=10 ** 6):
         if e < 1 or f < 1:
             raise DomainError("bad-shape", "e, f must be >= 1")
+        low = f * ((e + 1).bit_length() - 1)  # (e+1)^f >= 2^low decides from 2^64 on
+        if low >= max(64, cap.bit_length()):
+            raise DomainError("size-guard", f"poset has at least 2^{low} elements > cap {cap}")
         if (e + 1) ** f > cap:
             raise DomainError("size-guard",
                               f"poset has {(e + 1) ** f} elements > cap {cap}")

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from .wittring import CoeffTower
+from .wittring import CoeffTower, min_N
 from . import invariants as inv
 from . import strata
 from . import families as fam
@@ -26,8 +26,7 @@ SUITES = {}
 @functools.cache
 def tower(p, f, e, ext=1, slack=0):
     """Shared tower with enough precision for `slack`-fold iterated twisted powers."""
-    g = e * f
-    return CoeffTower(p, f, e, ext, max(-(-(g + 2) // e), -(-(slack * g + 2) // e)))
+    return CoeffTower(p, f, e, ext, min_N(e * f, e, slack))
 
 
 def criterion(cid, suite, name, description):

@@ -3,8 +3,12 @@
     F_{p^d}  ->  W_N(F_{p^d})  ->  W_N(F_{p^d})[pi]/(pi^e - p),   d = f * ext.
 
 W_N(F_{p^d}) is realized as Z/p^N [T]/(m(T)) where m(T) is the unique monic
-lift of a primitive irreducible polynomial dividing T^(p^d - 1) - 1, so T is
-a Teichmuller element and the Witt Frobenius is simply T -> T^p.
+lift of a primitive polynomial dividing T^(p^d - 1) - 1, so T is a
+Teichmuller element and the Witt Frobenius is simply T -> T^p.  A given
+modulus is checked by `fppoly.is_primitive` mod p, which certifies
+irreducibility too, and by T^(q-1) = 1 mod p^N.  `min_N` is the one
+precision policy: the default N of a tower, and the N that verify's towers
+need for iterated twisted powers.
 
 Ramified elements carry a certified precision `prec` (number of exact
 pi-adic digits, at most e*N).  Ring operations never lose precision;
@@ -84,6 +88,13 @@ class DomainError(ValueError):
         self.info = info
 
 
+def min_N(g, e, slack=0):
+    """The smallest Witt length N with e*N >= max(1, slack)*g + 2: the
+    precision policy of a tower with g = e*f, and the precision that
+    `slack`-fold iterated twisted powers need."""
+    return -(-(max(1, slack) * g + 2) // e)
+
+
 def is_int_list(xs):
     """True for a list of integers, as read from JSON (booleans excluded)."""
     return isinstance(xs, list) and all(type(x) is int for x in xs)
@@ -105,7 +116,7 @@ class CoeffTower:
         if f < 1 or e < 1 or ext < 1:
             raise DomainError("bad-shape", "f, e, ext must all be >= 1")
         if N is None:
-            N = (e * f + 2 + e - 1) // e  # smallest N meeting the policy
+            N = min_N(e * f, e)
         if e * N < e * f + 2:
             raise DomainError(
                 "precision-policy",
@@ -126,11 +137,10 @@ class CoeffTower:
         if len(modulus) != self.d + 1 or modulus[-1] != 1:
             raise DomainError("bad-modulus", "modulus must be monic of degree f*ext")
         mu = [c % p for c in modulus]
-        if not fppoly.is_irreducible(mu, p):
-            raise DomainError("bad-modulus", "modulus is not irreducible mod p")
         if not fppoly.is_primitive(mu, p):
-            # the residue of T must generate F_q^*: gen_pow, random_unit and
-            # the pairing-scalar construction all rely on it
+            # the residue of T must generate F_q^* (which also makes mu
+            # irreducible): gen_pow, random_unit and the pairing-scalar
+            # construction all rely on it
             raise DomainError("bad-modulus", "modulus is not primitive mod p")
         self.modulus = tuple(modulus)
         self._key = (p, f, e, ext, N, self.modulus)

@@ -12,6 +12,7 @@ import copy
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,3 +155,21 @@ def test_huge_tower_is_refused_before_set_up(key, value):
     assert code == 1
     assert json.loads(out.getvalue())["error"]["code"] == "size-guard"
 
+
+
+@pytest.mark.parametrize("argv", [("hecke", "--p", "3", "--s", "2000"),
+                                  ("hecke", "--p", "3", "--s", "4000000"),
+                                  ("hecke", "--p", str(10 ** 4000 + 1)),
+                                  ("poset", "--e", "1", "--f", "20000")],
+                         ids=["hecke-s2000", "hecke-s4e6", "hecke-long-p", "poset-f20000"])
+def test_huge_search_is_refused_at_once(argv):
+    # a search count too long to write in decimal (q^4 = 3^16000, 2^20000
+    # poset elements), or one that would test a 4001-digit p for primality
+    # or form q = 3^8000000 first: the size guard answers from bit lengths
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert json.loads(out.getvalue())["error"]["code"] == "size-guard"

@@ -10,31 +10,7 @@ import pytest
 from dieumod import fppoly
 from dieumod.modp import ResidueField, PiPoly, smith_exponents
 from dieumod.wittring import CoeffTower
-
-
-def pmul(a, b, m):
-    """Schoolbook product of coefficient lists over Z/m (zero is [])."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return fppoly.trim([c % m for c in out])
-
-
-def ppowmod(a, n, b, m):
-    """a**n mod (b, m) by square and multiply on coefficient lists, with
-    long division: the reference for the packed kernel's products."""
-    result = [1]
-    a = fppoly.pmod(a, b, m)
-    while n:
-        if n & 1:
-            result = fppoly.pmod(pmul(result, a, m), b, m)
-        a = fppoly.pmod(pmul(a, a, m), b, m)
-        n >>= 1
-    return result
+from polyref import pmod, pmul, ppowmod, trim
 
 
 def _all_pipoly(field, e):
@@ -211,10 +187,10 @@ def test_packed_product_matches_long_division(p, rng):
             top = [m - 1] * d
             pairs = [([], []), ([], top), (top, []), (top, top), ([1], top)]
             for _ in range(40):
-                pairs.append(tuple(fppoly.trim([rng.randrange(m) for _ in range(d)])
+                pairs.append(tuple(trim([rng.randrange(m) for _ in range(d)])
                                    for _ in range(2)))
             for a, b in pairs:
-                expected = fppoly.pmod(pmul(a, b, m), modulus, m)
+                expected = pmod(pmul(a, b, m), modulus, m)
                 padded = tuple(expected + [0] * (d - len(expected)))
                 assert ring.reduce(ring.pack(a) * ring.pack(b)) == padded, (m, d, a, b)
                 if m == p:
@@ -245,7 +221,7 @@ def test_every_element_is_a_d_tuple(p, d, rng):
     for name, z in made.items():
         assert len(z.coeffs) == d and all(0 <= c < p for c in z.coeffs), (name, z)
     long = [rng.randrange(p) for _ in range(2 * d + 3)]
-    assert F.elem(long) == F.elem(fppoly.pmod(long, list(F.mu), p))
+    assert F.elem(long) == F.elem(pmod(long, list(F.mu), p))
 
 
 def test_inverse_of_a_zero_divisor_is_refused():

@@ -8,9 +8,16 @@ file holds:
 * `teichmuller_modulus` of each of those with p^d <= 11^9, at N in
   {1, 2, 9};
 * the irreducible and the primitive monic polynomials of a few small
-  degrees, as indices n = sum(c_j * p^j) over the lower coefficients;
+  degrees, as indices n = sum(c_j * p^j) over the lower coefficients: the
+  irreducible ones by the Rabin test of `polyref` (list arithmetic, no
+  packed kernel), the primitive ones by `is_primitive` over every candidate;
 * the modulus and the sigma^n images of the basis x^j (every n < d) of a
   few towers, the criterion-8 tower CoeffTower(3, 4, 2, 4, 5) among them.
+
+Before the golden data are recomputed, each golden `smallest_primitive`
+must pass `is_primitive` and every candidate of a smaller index must fail
+it, so a broken primitivity test or `power` fails at once instead of
+sending `smallest_primitive` on a search through up to p^d candidates.
 
 Regenerate the golden file (only when the output is meant to change) with
 
@@ -21,6 +28,7 @@ import json
 from pathlib import Path
 
 from dieumod import CoeffTower, fppoly
+from polyref import is_irreducible
 
 GOLDEN = Path(__file__).parent / "data" / "tower_moduli_golden.json"
 
@@ -51,10 +59,9 @@ def record():
     tests = {}
     for p, d in ALL_MONIC:
         polys = [monic(p, d, n) for n in range(p ** d)]
-        irreducible = [n for n, f in enumerate(polys) if fppoly.is_irreducible(f, p)]
         tests[f"{p},{d}"] = {
-            "irreducible": irreducible,
-            "primitive": [n for n in irreducible if fppoly.is_primitive(polys[n], p)]}
+            "irreducible": [n for n, f in enumerate(polys) if is_irreducible(f, p)],
+            "primitive": [n for n, f in enumerate(polys) if fppoly.is_primitive(f, p)]}
     towers = []
     for p, f, e, ext, N in TOWERS:
         t = CoeffTower(p, f, e, ext, N)
@@ -66,8 +73,19 @@ def record():
             "all_monic": tests, "towers": towers}
 
 
+def index(p, f):
+    return sum(c * p ** j for j, c in enumerate(f[:-1]))
+
+
 def test_tower_set_up_is_unchanged():
     golden = json.loads(GOLDEN.read_text())
+    smallest = {tuple(map(int, k.split(","))): f
+                for k, f in golden["smallest_primitive"].items()}
+    for (p, d), f in smallest.items():
+        assert fppoly.is_primitive(f, p), ("golden modulus rejected", p, d)
+    for (p, d), f in smallest.items():
+        for n in range(index(p, f)):
+            assert not fppoly.is_primitive(monic(p, d, n), p), ("smaller accepted", p, d, n)
     fresh = json.loads(json.dumps(record()))
     for key in ("smallest_primitive", "teichmuller_modulus", "all_monic"):
         assert fresh[key].keys() == golden[key].keys(), key
