@@ -172,10 +172,7 @@ def build_parser():
     sp = add_parser("hecke", help="stable-plane enumeration report")
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--chart-only", dest="full_grassmannian",
-                    action="store_false", default=False)
-    sp.add_argument("--full-grassmannian", dest="full_grassmannian",
-                    action="store_true")
+    sp.add_argument("--full-grassmannian", action="store_true")
     sp.add_argument("--size-cap", type=int, default=10 ** 7)
     sp.set_defaults(func=cmd_hecke)
 

@@ -16,7 +16,9 @@ equations and the displayed coordinate variety
     k[t1, t2, t3] / (t1^(p+1) - t2^(p+1), t1^2 + t2 t3).
 
 Field arithmetic is table-driven (q <= a few hundred) and numpy-vectorized,
-so the p = 5 chart (q^4 = 390625 candidates) takes well under a minute.
+with every table and candidate array in the smallest unsigned type that
+holds q - 1, so the p = 5 chart (q^4 = 390625 candidates) takes well under a
+minute.
 """
 
 from dataclasses import dataclass
@@ -26,16 +28,19 @@ import numpy as np
 
 from . import fppoly
 from .modp import ResidueField
-from .wittring import DomainError
+from .wittring import DomainError, count_text
 
 
 class SmallField:
     """F_q with integer-encoded elements (base-p digit vectors) and full
-    numpy operation tables."""
+    numpy operation tables, all in the smallest unsigned type that holds
+    q - 1 (uint8 up to q = 256).  Exponent arithmetic on logs runs in int64
+    before it indexes, since LOG * n overflows that type."""
 
     def __init__(self, p, r):
         self.p, self.r = p, r
         self.q = q = p ** r
+        self.dtype = dt = np.min_scalar_type(q - 1)
         mu = fppoly.smallest_primitive(p, r)
         self.mu = mu
         enc = np.arange(q, dtype=np.int64)
@@ -45,30 +50,30 @@ class SmallField:
         for i in range(r):
             add += ((digits[i][:, None] + digits[i][None, :]) % p) * p ** i
             neg += ((-digits[i]) % p) * p ** i
-        self.ADD = add
-        self.NEG = neg
+        self.ADD = add.astype(dt)
+        self.NEG = neg.astype(dt)
         # exp/log through the primitive generator T of F_p[T]/(mu)
         F = ResidueField(p, mu)
         exp = np.array([sum(c * p ** i for i, c in enumerate(F.gen_pow(k).coeffs))
-                        for k in range(q - 1)], dtype=np.int64)
+                        for k in range(q - 1)], dtype=dt)
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
-        self.EXP, self.LOG = exp, log
-        mul = np.zeros((q, q), dtype=np.int64)
-        idx = (log[1:, None] + log[None, 1:]) % (q - 1)
-        mul[1:, 1:] = exp[idx]
+        self.EXP, self.LOG = exp, log.astype(dt)
+        mul = np.zeros((q, q), dtype=dt)
+        mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
         self.MUL = mul
         self.FROB = self._power_table(p)
         self.FROBINV = self._power_table(p ** (r - 1))
 
     def _power_table(self, n):
-        out = np.zeros(self.q, dtype=np.int64)
-        out[self.EXP] = self.EXP[(self.LOG[self.EXP] * n) % (self.q - 1)]
+        """x -> x**n as a table; EXP[k] ** n = EXP[k n]."""
+        out = np.zeros(self.q, dtype=self.dtype)
+        out[self.EXP] = self.EXP[np.arange(self.q - 1) * (n % (self.q - 1)) % (self.q - 1)]
         return out
 
     def power(self, x, n):
         """x**n for one encoded element x."""
-        return self.EXP[(self.LOG[x] * n) % (self.q - 1)] if int(x) else np.int64(0)
+        return self.EXP[int(self.LOG[x]) * n % (self.q - 1)] if int(x) else self.dtype.type(0)
 
     def add(self, a, b):
         return self.ADD[a, b]
@@ -80,7 +85,7 @@ class SmallField:
         return self.MUL[a, b]
 
     def elements(self):
-        return np.arange(self.q, dtype=np.int64)
+        return np.arange(self.q, dtype=self.dtype)
 
 
 @dataclass(frozen=True)
@@ -154,10 +159,11 @@ def _check_size(p, s, chart_only, size_cap):
         raise DomainError("size-guard", f"chart has at least 2^{low} points > cap")
     q = _field_order(p, s)
     if q ** 4 > size_cap:
-        raise DomainError("size-guard", f"chart has {q ** 4} points > cap")
+        raise DomainError("size-guard", f"chart has {count_text(q ** 4)} points > cap")
     total = (q ** 2 + 1) * (q ** 2 + q + 1)
     if not chart_only and total > size_cap:
-        raise DomainError("size-guard", f"Grassmannian has {total} planes > cap")
+        raise DomainError("size-guard",
+                          f"Grassmannian has {count_text(total)} planes > cap")
 
 
 def _cell_planes(S, j1, j2):
@@ -173,9 +179,9 @@ def _cell_planes(S, j1, j2):
     grids = [g.reshape(-1) for g in
              np.meshgrid(*[K.elements()] * (len(free1) + len(free2)), indexing="ij")]
     count = grids[0].size if grids else 1
-    r1 = [np.zeros(count, dtype=np.int64)] * 4
+    r1 = [np.zeros(count, dtype=K.dtype)] * 4
     r2 = list(r1)
-    r1[j1] = r2[j2] = np.ones(count, dtype=np.int64)
+    r1[j1] = r2[j2] = np.ones(count, dtype=K.dtype)
     for c, g in zip(free1, grids):
         r1[c] = g
     for c, g in zip(free2, grids[len(free1):]):
@@ -207,10 +213,8 @@ def enumerate_stable_planes(S, chart_only=True, size_cap=10 ** 7):
     definitions and reported by their reduced row echelon form.  With
     chart_only the search runs over the chart, the cell with pivots
     (x1, x2); otherwise over all six Schubert cells of the Grassmannian,
-    the chart first.  size_cap=None skips the size check, which
-    `probe_report` makes before it builds S."""
-    if size_cap is not None:
-        _check_size(S.p, S.s, chart_only, size_cap)
+    the chart first."""
+    _check_size(S.p, S.s, chart_only, size_cap)
     cells = [(0, 1)] if chart_only else combinations(range(4), 2)
     return [pl for j1, j2 in cells for pl in _cell_planes(S, j1, j2)]
 
@@ -303,7 +307,7 @@ def probe_report(p, s=1, full_grassmannian=False, size_cap=10 ** 7):
     _check_size(p, s, not full_grassmannian, size_cap)
     S = HeckeSetting(p, s)
     planes = enumerate_stable_planes(S, chart_only=not full_grassmannian,
-                                     size_cap=None)
+                                     size_cap=size_cap)
     report = compare_variety(S, planes)  # reads the chart planes only
     if full_grassmannian:
         outside = [pl.rref for pl in planes if pl.chart is None]

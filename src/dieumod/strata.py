@@ -5,14 +5,17 @@ with 0 <= a^i <= e and on Lie types ({e^i_1, e^i_2})_i: the poset A(e, f),
 spaced types, the spaced bound lambda, stratum dimensions, deformation
 dimensions, the polarization degree exponent, the superspecial tables, the
 Newton-stratum codimension, and a randomized symbolic check of the
-banded-determinant identity used for the tangent-space computation.
+banded-determinant identity used for the tangent-space computation, run
+exactly over Z with the square-zero directions packed into one integer.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
-from .wittring import DomainError
+from .wittring import DomainError, count_text
 from .invariants import NewtonPoint, admissible_indices
 
 
@@ -121,7 +124,7 @@ class ATypePoset:
             raise DomainError("size-guard", f"poset has at least 2^{low} elements > cap {cap}")
         if (e + 1) ** f > cap:
             raise DomainError("size-guard",
-                              f"poset has {(e + 1) ** f} elements > cap {cap}")
+                              f"poset has {count_text((e + 1) ** f)} elements > cap {cap}")
         self.e, self.f = e, f
         self.elements = sorted(product(range(e + 1), repeat=f))
         self.records = {a: stratum_record(e, f, a) for a in self.elements}
@@ -263,32 +266,33 @@ def superspecial_types(e, f):
 # -- symbolic check of the banded determinant identity ----------------------
 
 class SqZero:
-    """F_p extended by nilpotents with all pairwise products zero:
-    elements a + sum v_k eps_k, eps_j eps_k = 0."""
+    """Z[eps_k] / (eps_j eps_k): a + sum_k v_k eps_k, the nilpotent part
+    packed into one integer v = sum_k v_k 2^(w k) of signed w-bit slots.
+    Every operation is linear in v and never reads a slot; while each
+    |v_k| < 2^(w-1), `==` on v is `==` on the coefficient vectors."""
 
-    __slots__ = ("p", "a", "v")
+    __slots__ = ("a", "v")
 
-    def __init__(self, p, a, v):
-        self.p, self.a, self.v = p, a % p, tuple(x % p for x in v)
+    def __init__(self, a, v=0):
+        self.a, self.v = a, v
 
     def __add__(self, o):
-        return SqZero(self.p, self.a + o.a, [x + y for x, y in zip(self.v, o.v)])
+        return SqZero(self.a + o.a, self.v + o.v)
 
     def __sub__(self, o):
-        return SqZero(self.p, self.a - o.a, [x - y for x, y in zip(self.v, o.v)])
+        return SqZero(self.a - o.a, self.v - o.v)
 
     def __neg__(self):
-        return SqZero(self.p, -self.a, [-x for x in self.v])
+        return SqZero(-self.a, -self.v)
 
     def __mul__(self, o):
-        return SqZero(self.p, self.a * o.a,
-                      [self.a * y + o.a * x for x, y in zip(self.v, o.v)])
+        return SqZero(self.a * o.a, self.a * o.v + o.a * self.v)
 
     def __eq__(self, o):
         return self.a == o.a and self.v == o.v
 
     def __repr__(self):
-        return f"SqZero({self.a}, {list(self.v)})"
+        return f"SqZero({self.a}, {self.v:#x})"
 
 
 def _bottom_minors(rows, k):
@@ -326,86 +330,69 @@ def _det(rows):
     return _bottom_minors(rows, len(rows))[(1 << len(rows)) - 1]
 
 
-def _banded_matrix(y, n, p, m):
+def _banded_matrix(y, n):
     """Lower-triangular band: entry (i, j) = Y_(i-j+1) for i >= j."""
-    zero = SqZero(p, 0, [0] * m)
-    rows = []
-    for i in range(n):
-        rows.append([SqZero(p, y[i - j], [0] * m) if i >= j else zero
-                     for j in range(n)])
-    return rows
+    return [[SqZero(y[i - j] if i >= j else 0) for j in range(n)] for i in range(n)]
 
 
-def _first_row_cofactors(rows, p, m):
+def _first_row_cofactors(rows):
     """[U_{1,k} for k < n]: (-1)^k times the minor of rows 2..n without
     column k, all read from one table of bottom minors."""
     n = len(rows)
     if n == 1:
-        return [SqZero(p, 1, [0] * m)]  # the empty determinant is 1
+        return [SqZero(1)]  # the empty determinant is 1
     minors = _bottom_minors(rows, n - 1)
     full = (1 << n) - 1
     return [-minors[full ^ 1 << k] if k % 2 else minors[full ^ 1 << k]
             for k in range(n)]
 
 
-def verify_det_identity(n, m1=None, m2=None, trials=20, rng=None):
+def verify_det_identity(n, m1=None, trials=20, rng=None):
     """Randomized exact check of det(U + N) = Y_1^n + sum_k Tr_{k-1}(N) U_{1,k}.
 
-    U is the lower-triangular band of the indeterminates Y (evaluated at
-    random scalars of F_5) and N has square-zero entries.  With a block split
-    (m1, m2), the left side uses the block-diagonal diag(U_m1, U_m2) + N and
-    only the diagonal blocks of N contribute their partial traces; the
-    cofactors U_{1,k} on the right are always those of the full n x n band
-    (for banded U they satisfy (U_m)_{1,k} Y_1^(n-m) = (U_n)_{1,k}, which is
-    the quantity the blockwise product expansion actually produces).
+    U is the lower-triangular band of the indeterminates Y, evaluated at
+    random integers in [0, 5), and entry (i, j) of N is a random multiple
+    c in [0, 5) of its own square-zero direction eps_(n*i+j).  With a block
+    split (m1, n - m1), the left side uses the block-diagonal
+    diag(U_m1, U_(n-m1)) + N and only the diagonal blocks of N contribute
+    their partial traces; the cofactors U_{1,k} on the right are always
+    those of the full n x n band (for banded U they satisfy
+    (U_m)_{1,k} Y_1^(n-m) = (U_n)_{1,k}, which is the quantity the blockwise
+    product expansion actually produces).
+
+    Both sides are compared exactly over Z, which implies the identity mod
+    any p.  The n^2 directions share one SqZero slot vector of width
+    w = bits(2 n! 4^n) + 1: each coefficient of a stored minor, product or
+    partial sum is a sum of at most n! products of at most n integers in
+    [0, 5), so it is at most n! 4^n < 2^(w-1) in absolute value.
     Returns a report dict; `ok` is True when every trial matched.
     """
-    import random as _random
-    rng = rng or _random.Random(0)
-    p = 5
-    if m1 is not None:
-        m2 = n - m1 if m2 is None else m2
-        if m1 + m2 != n or m1 < 1 or m2 < 1:
-            raise DomainError("bad-shape", "need n = m1 + m2 with positive blocks")
-    m = n * n  # one nilpotent direction per entry of N
+    rng = rng or random.Random(0)
+    if m1 is not None and not 0 < m1 < n:
+        raise DomainError("bad-shape", "need n = m1 + m2 with positive blocks")
+    w = (2 * factorial(n) * 4 ** n).bit_length() + 1
     failures = 0
     for _ in range(trials):
-        y = [rng.randrange(p) for _ in range(n)]
-        band = _banded_matrix(y, n, p, m)
-        if m1 is None:
-            U = band
-        else:
-            U1 = _banded_matrix(y, m1, p, m)
-            U2 = _banded_matrix(y, m2, p, m)
-            zero = SqZero(p, 0, [0] * m)
-            U = [row + [zero] * m2 for row in U1] + \
-                [[zero] * m1 + row for row in U2]
-        # entry (i, j) of N is a random multiple of its own nilpotent eps_(n*i+j)
-        N = [[SqZero(p, 0, [(rng.randrange(p) if k == n * i + j else 0)
-                            for k in range(m)]) for j in range(n)]
+        y = [rng.randrange(5) for _ in range(n)]
+        band = U = _banded_matrix(y, n)
+        if m1 is not None:
+            U = [row + [SqZero(0)] * (n - m1) for row in _banded_matrix(y, m1)] + \
+                [[SqZero(0)] * m1 + row for row in _banded_matrix(y, n - m1)]
+        N = [[SqZero(0, rng.randrange(5) << w * (n * i + j)) for j in range(n)]
              for i in range(n)]
-        UN = [[U[i][j] + N[i][j] for j in range(n)] for i in range(n)]
-        lhs = _det(UN)
-        cofactors = _first_row_cofactors(band, p, m)
-        rhs = SqZero(p, pow(y[0], n, p), [0] * m)
+        lhs = _det([[U[i][j] + N[i][j] for j in range(n)] for i in range(n)])
+        cofactors = _first_row_cofactors(band)
+        diag = [N] if m1 is None else [[r[:m1] for r in N[:m1]], [r[m1:] for r in N[m1:]]]
+        rhs = SqZero(y[0] ** n)
         for k in range(1, n + 1):
-            if m1 is None:
-                tr = _trace_shift(N, k - 1, p, m)
-            else:
-                N11 = [row[:m1] for row in N[:m1]]
-                N22 = [row[m1:] for row in N[m1:]]
-                tr = _trace_shift(N11, k - 1, p, m) + _trace_shift(N22, k - 1, p, m)
-            rhs = rhs + tr * cofactors[k - 1]
+            for block in diag:
+                rhs = rhs + _trace_shift(block, k - 1) * cofactors[k - 1]
         if lhs != rhs:
             failures += 1
-    return {"n": n, "blocks": None if m1 is None else [m1, m2],
+    return {"n": n, "blocks": None if m1 is None else [m1, n - m1],
             "trials": trials, "failures": failures, "ok": failures == 0}
 
 
-def _trace_shift(N, k, p, m):
+def _trace_shift(N, k):
     """Tr_k N = sum of the k-th superdiagonal (zero when k >= size)."""
-    size = len(N)
-    acc = SqZero(p, 0, [0] * m)
-    for i in range(size - k):
-        acc = acc + N[i][i + k]
-    return acc
+    return sum((N[i][i + k] for i in range(len(N) - k)), SqZero(0))

@@ -88,6 +88,12 @@ class DomainError(ValueError):
         self.info = info
 
 
+def count_text(n):
+    """A search or set size for a size-guard message: n in decimal below
+    2^64, else "at least 2^k", which never needs a huge decimal string."""
+    return str(n) if n < 1 << 64 else f"at least 2^{n.bit_length() - 1}"
+
+
 def min_N(g, e, slack=0):
     """The smallest Witt length N with e*N >= max(1, slack)*g + 2: the
     precision policy of a tower with g = e*f, and the precision that

@@ -1,10 +1,11 @@
 """The CLI contract under fuzzing.
 
-Any argv of `construct`, `poset` and `sample-deform` (small ints, empty and
-malformed lists, bad --cjson), and any one-point mutation of a module JSON
-fed to `invariants --method fast|oracle`, must exit 0, or 1 with a JSON
-error object, or 2 through argparse, and raise nothing else.  Towers stay
-tiny (p <= 5, f, e, ext <= 3) so the whole file runs in a few seconds.
+Any argv of `construct`, `poset`, `sample-deform` and `hecke` (small ints,
+empty and malformed lists, bad --cjson), and any one-point mutation of a
+module JSON fed to `invariants --method fast|oracle`, must exit 0, or 1 with
+a JSON error object, or 2 through argparse, and raise nothing else.  Towers
+stay tiny (p <= 5, f, e, ext <= 3), and the Hecke size caps admit only the
+p = 3, s = 1 search, so the whole file runs in a few seconds.
 """
 
 import contextlib
@@ -44,6 +45,15 @@ def flags(command, required, **optional):
     return st.tuples(pairs, JUNK).map(lambda t: t[0] + t[1])
 
 
+HECKE_P = st.sampled_from(["2", "3", "4", "5", "9"])
+
+
+def hecke(required, **optional):
+    """`hecke` argv from `flags`, with or without --full-grassmannian."""
+    return st.tuples(flags("hecke", required, **optional),
+                     st.sampled_from([[], ["--full-grassmannian"]])).map(lambda t: t[0] + t[1])
+
+
 COMMANDS = (
     flags("construct", {"family": st.sampled_from(["ordinary", "slope", "normal",
                                                    "superspecial", "nonrapoport"])},
@@ -53,6 +63,12 @@ COMMANDS = (
             **{"size-cap": st.integers(-1, 100).map(str)})
     | flags("sample-deform", {"tau": LISTS, "target": LISTS}, **TOWER,
             trials=st.integers(-2, 3).map(str))
+    # a cap of at most 10^5 refuses every search but p = 3, s = 1 (q^4 = 6561)
+    | hecke({"size-cap": st.integers(-1, 10 ** 5).map(str)}, p=HECKE_P,
+            s=st.integers(-1, 1).map(str))
+    # a 4000-digit cap only with s >= 1600, where every search is refused
+    | hecke({"size-cap": st.just(str(10 ** 4000)), "s": st.integers(1600, 10 ** 7).map(str)},
+            p=HECKE_P)
 )
 
 
@@ -160,12 +176,20 @@ def test_huge_tower_is_refused_before_set_up(key, value):
 @pytest.mark.parametrize("argv", [("hecke", "--p", "3", "--s", "2000"),
                                   ("hecke", "--p", "3", "--s", "4000000"),
                                   ("hecke", "--p", str(10 ** 4000 + 1)),
-                                  ("poset", "--e", "1", "--f", "20000")],
-                         ids=["hecke-s2000", "hecke-s4e6", "hecke-long-p", "poset-f20000"])
+                                  ("poset", "--e", "1", "--f", "20000"),
+                                  ("hecke", "--p", "3", "--s", "1600",
+                                   "--size-cap", str(10 ** 4000)),
+                                  ("poset", "--e", "2", "--f", "14000",
+                                   "--size-cap", str(10 ** 4250))],
+                         ids=["hecke-s2000", "hecke-s4e6", "hecke-long-p", "poset-f20000",
+                              "hecke-s1600-huge-cap", "poset-f14000-huge-cap"])
 def test_huge_search_is_refused_at_once(argv):
     # a search count too long to write in decimal (q^4 = 3^16000, 2^20000
     # poset elements), or one that would test a 4001-digit p for primality
-    # or form q = 3^8000000 first: the size guard answers from bit lengths
+    # or form q = 3^8000000 first: the size guard answers from bit lengths.
+    # Under a cap of 2^64 or more the bit-length bound need not decide
+    # (q^4 = 3^12800, 3^14000 elements); the message then names a power of
+    # two, not the count in decimal
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):

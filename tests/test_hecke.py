@@ -56,6 +56,51 @@ class TestSmallField:
             assert K.FROB[K.MUL[a, a]] == K.MUL[K.FROB[a], K.FROB[a]]
 
 
+def _int64_tables(K):
+    """K's tables rebuilt in int64 from its modulus mu alone: EXP by
+    repeated multiplication by the generator T of F_p[T]/(mu), the rest from
+    base-p digits and log sums, with no small integer type anywhere."""
+    p, r, q = K.p, K.r, K.q
+    coeffs, exp = [1] + [0] * (r - 1), []
+    for _ in range(q - 1):
+        exp.append(sum(c * p ** i for i, c in enumerate(coeffs)))
+        top, shifted = coeffs[-1], [0] + coeffs[:-1]
+        coeffs = [(shifted[i] - top * K.mu[i]) % p for i in range(r)]
+    exp = np.array(exp, dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    digits = [np.arange(q, dtype=np.int64) // p ** i % p for i in range(r)]
+    mul = np.zeros((q, q), dtype=np.int64)
+    mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+
+    def power(n):
+        out = np.zeros(q, dtype=np.int64)
+        out[exp] = exp[log[exp] * n % (q - 1)]
+        return out
+
+    return {"ADD": sum((d[:, None] + d[None, :]) % p * p ** i for i, d in enumerate(digits)),
+            "NEG": sum(-d % p * p ** i for i, d in enumerate(digits)),
+            "MUL": mul, "EXP": exp, "LOG": log,
+            "FROB": power(p), "FROBINV": power(p ** (r - 1))}
+
+
+@pytest.mark.parametrize("p, r, dtype", [(7, 2, np.uint8), (13, 2, np.uint8),
+                                         (5, 4, np.uint16)])
+def test_small_type_tables_match_int64_reference(p, r, dtype):
+    # at p = 7 the products LOG * n already overflow uint8 (47 * 8); at
+    # p = 13 so do the log sums of MUL (168 + 168)
+    K = SmallField(p, r)
+    ref = _int64_tables(K)
+    for name, table in ref.items():
+        got = getattr(K, name)
+        assert got.dtype == dtype, name
+        assert np.array_equal(got.astype(np.int64), table), name
+    exp, log = ref["EXP"], ref["LOG"]
+    for n in (-1, 2, p + 1, K.q + 5):
+        assert [int(K.power(x, n)) for x in range(K.q)] == \
+            [0] + [int(exp[log[x] * n % (K.q - 1)]) for x in range(1, K.q)]
+
+
 class TestSetting:
     def test_validation(self):
         with pytest.raises(DomainError):

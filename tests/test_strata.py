@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -139,10 +140,47 @@ class TestDetIdentity:
     def test_blocks(self):
         for n in (2, 3, 4):
             for m1 in range(1, n):
-                assert verify_det_identity(n, m1, n - m1, trials=25)["ok"]
+                assert verify_det_identity(n, m1, trials=25)["ok"]
 
     def test_n_one(self):
         assert verify_det_identity(1, trials=20)["ok"]
+
+    @pytest.mark.parametrize("m1", [0, 3, -1])
+    def test_split_needs_two_positive_blocks(self, m1):
+        with pytest.raises(DomainError):
+            verify_det_identity(3, m1)
+
+    def test_packed_entries_decode_to_their_own_slots(self, monkeypatch):
+        # the check packs entry (i, j) of N into slot n*i + j of width
+        # w = bits(2 n! 4^n) + 1; decoded with that width, every matrix it
+        # takes a determinant of holds one direction per entry, and the
+        # determinant's slots are the tuple expansion's, within n! 4^n
+        real, seen = strata._det, []
+
+        def recording_det(rows):
+            seen.append((rows, real(rows)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(strata, "_det", recording_det)
+        for n in range(1, 7):
+            for m1 in (None, *range(1, n)):
+                seen.clear()
+                assert verify_det_identity(n, m1, trials=2)["ok"]
+                m, w = n * n, (2 * factorial(n) * 4 ** n).bit_length() + 1
+                assert len(seen) == 2
+                for rows, det in seen:
+                    tuples = []
+                    for i, row in enumerate(rows):
+                        tuples.append([])
+                        for j, x in enumerate(row):
+                            v = _unpack(x.v, m, w)
+                            assert all(c == 0 for k, c in enumerate(v) if k != n * i + j)
+                            assert 0 <= v[n * i + j] < 5
+                            tuples[-1].append(TupleSqZero(x.a, v))
+                    ref = _leibniz(tuples, TupleSqZero(1, [0] * m), TupleSqZero(0, [0] * m))
+                    got = _unpack(det.v, m, w)
+                    assert (det.a, got) == (ref.a, list(ref.v))
+                    assert max(map(abs, got)) <= factorial(n) * 4 ** n
 
 
 def _leibniz(rows, one, zero):
@@ -158,30 +196,95 @@ def _leibniz(rows, one, zero):
     return acc
 
 
-def _random_sqzero_matrix(n, p, m, rng):
-    return [[SqZero(p, rng.randrange(p), [rng.randrange(p) for _ in range(m)])
+class TupleSqZero:
+    """a + sum_k v_k eps_k over Z with the v_k in a tuple: an unpacked
+    reference for strata.SqZero."""
+
+    def __init__(self, a, v):
+        self.a, self.v = a, tuple(v)
+
+    def __add__(self, o):
+        return TupleSqZero(self.a + o.a, [x + y for x, y in zip(self.v, o.v)])
+
+    def __sub__(self, o):
+        return TupleSqZero(self.a - o.a, [x - y for x, y in zip(self.v, o.v)])
+
+    def __neg__(self):
+        return TupleSqZero(-self.a, [-x for x in self.v])
+
+    def __mul__(self, o):
+        return TupleSqZero(self.a * o.a, [self.a * y + o.a * x for x, y in zip(self.v, o.v)])
+
+
+# slot width of the packed test matrices: with every slot of every entry in
+# [0, 5), a coefficient of an n x n determinant is at most n n! 4^n < 2^39
+W = 40
+
+
+def _pack(coords, w=W):
+    return sum(c << w * k for k, c in enumerate(coords))
+
+
+def _unpack(v, m, w=W):
+    """The m signed slots of a packed nilpotent part, lowest first."""
+    out = []
+    for _ in range(m):
+        low = v & ((1 << w) - 1)
+        if low >> (w - 1):
+            low -= 1 << w
+        out.append(low)
+        v = (v - low) >> w
+    assert v == 0, "packed part wider than m slots"
+    return out
+
+
+def _random_coords(n, m, rng):
+    return [[(rng.randrange(5), [rng.randrange(5) for _ in range(m)])
              for _ in range(n)] for _ in range(n)]
 
 
+def _random_sqzero_matrix(n, m, rng):
+    return [[SqZero(a, _pack(v)) for a, v in row] for row in _random_coords(n, m, rng)]
+
+
 class TestDeterminant:
-    P, M = 5, 3
+    M = 3
 
     def test_det_and_cofactors_match_leibniz(self, rng):
-        one, zero = SqZero(self.P, 1, [0] * self.M), SqZero(self.P, 0, [0] * self.M)
+        one, zero = SqZero(1), SqZero(0)
         for n in range(1, 7):
             for _ in range(2 if n == 6 else 4):
-                rows = _random_sqzero_matrix(n, self.P, self.M, rng)
+                rows = _random_sqzero_matrix(n, self.M, rng)
                 assert strata._det(rows) == _leibniz(rows, one, zero)
-                cofactors = strata._first_row_cofactors(rows, self.P, self.M)
+                cofactors = strata._first_row_cofactors(rows)
                 assert len(cofactors) == n
                 for k in range(n):
                     minor = [r[:k] + r[k + 1:] for r in rows[1:]]
                     expect = _leibniz(minor, one, zero)
                     assert cofactors[k] == (-expect if k % 2 else expect)
 
+    def test_packed_slots_match_a_tuple_leibniz(self, rng):
+        # decode the packed parts slot by slot against the same expansion
+        # over the tuple representation
+        one, zero = TupleSqZero(1, [0] * self.M), TupleSqZero(0, [0] * self.M)
+        for n in range(1, 7):
+            for _ in range(2 if n == 6 else 4):
+                coords = _random_coords(n, self.M, rng)
+                rows = [[SqZero(a, _pack(v)) for a, v in row] for row in coords]
+                tuples = [[TupleSqZero(a, v) for a, v in row] for row in coords]
+                det, ref = strata._det(rows), _leibniz(tuples, one, zero)
+                assert (det.a, _unpack(det.v, self.M)) == (ref.a, list(ref.v))
+                cofactors = strata._first_row_cofactors(rows)
+                for k in range(n):
+                    minor = [r[:k] + r[k + 1:] for r in tuples[1:]]
+                    ref = _leibniz(minor, one, zero)
+                    ref = -ref if k % 2 else ref
+                    got = cofactors[k]
+                    assert (got.a, _unpack(got.v, self.M)) == (ref.a, list(ref.v))
+
     def test_det_products_at_most_n_two_to_n_minus_one(self, rng, monkeypatch):
         n = 6
-        rows = _random_sqzero_matrix(n, self.P, self.M, rng)
+        rows = _random_sqzero_matrix(n, self.M, rng)
         calls = []
         mul = SqZero.__mul__
 
