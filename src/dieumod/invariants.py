@@ -7,8 +7,10 @@ FM and in VM), so their divisors are the Smith exponents over the DVR
 O = W(F_{p^d})[pi], namely (d1, d2 - d1) with d1 the minimum entry
 valuation and d2 the minimum 2x2 minor valuation of the row matrix.  They
 are read off the determinant and entry valuations of the slot matrices
-and, for the a-type, a few minors capped at what they can still change;
-a minor that vanishes to working precision below its cap raises
+and, for the a-type, a few mixed minors capped at what they can still
+change.  A mixed minor is read off its entries' valuations and precisions,
+and formed in the ring only when its two terms tie below precision; a
+minor that vanishes to working precision below its cap raises
 PrecisionError.  The Newton point is an element of
 
     S(g) = {0, 1, ..., floor(g/2)} u {g/2}
@@ -42,13 +44,16 @@ class NewtonPoint:
     index: Fraction
 
     def __post_init__(self):
-        if self.index not in admissible_indices(self.g):
+        # S(g) holds the integers in [0, g/2] and g/2 itself (n/d in lowest terms)
+        n, d = self.index.numerator, self.index.denominator
+        if not (d == 1 and 0 <= 2 * n <= self.g or d == 2 and n == self.g):
             raise DomainError("bad-slope", f"{self.index} is not in S({self.g})")
 
     @property
     def sequence(self):
+        """The 2g slopes in increasing order (lam <= 1/2 <= 1 - lam)."""
         lam = self.index / self.g
-        return tuple(sorted([lam] * self.g + [1 - lam] * self.g))
+        return (lam,) * self.g + (1 - lam,) * self.g
 
     @property
     def is_ordinary(self):
@@ -160,38 +165,60 @@ def _a_pair(M, i):
     minimum entry valuation, s the minimum 2x2 minor valuation capped at
     d1 + e.  Two minors are known (v_i and 2e - v_j); up to sign and the
     offset e - v_j, the four mixed ones are the entries of sigma(A[i]) A[j]
-    (sigma moved onto A[i]'s rows; valuations are sigma-invariant).  Every
-    minor is >= 2 d1, so the scan stops once s reaches that floor."""
+    (sigma moved onto A[i]'s rows).  Every minor is >= 2 d1, so the scan
+    stops once s reaches that floor.
+
+    A mixed minor sigma(x1) y1 + sigma(x2) y2 is read off the valuations r
+    of the stored entries (`_repr_ord`) and their precisions, without ring
+    arithmetic: sigma keeps both, a product's valuation is the sum of its
+    factors' (O is a DVR) and its precision is that of `RamElem.__mul__`,
+    and a sum of two terms of different valuations has the smaller one.
+    Only two terms that tie below precision, and could still lower s, are
+    multiplied out."""
     e, f = M.e, M.f
     j = (i + 1) % f
     off = e - M.det_orders[j]
     d1 = min(e, _entry_order(M, i), off + _entry_order(M, j))
     floor = 2 * d1
     s = min(M.det_orders[i], e + off, d1 + e)
+    if s == floor:
+        return d1, s - d1
     A, B = M.matrices[i], M.matrices[j]
     full = M.tower.pi_precision
-    for row in A:
-        if s == floor:
-            break
-        row = [x.sigma() for x in row]
+    ra = [[x._repr_ord() for x in row] for row in A]
+    rb = [[y._repr_ord() for y in row] for row in B]
+    for r in (0, 1):
         for c in (0, 1):
-            # a product with a certified-zero factor is an exact zero: dropped
-            terms = [x * y for x, y in zip(row, (B[0][c], B[1][c]))
-                     if (x or x.prec < full) and (y or y.prec < full)]
+            # (valuation of the stored product, full if it is zero; precision)
+            # of each term; a product with a certified-zero factor is an
+            # exact zero: dropped
+            terms = []
+            for k in (0, 1):
+                x, y, rx, ry = A[r][k], B[k][c], ra[r][k], rb[k][c]
+                if rx == x.prec == full or ry == y.prec == full:
+                    continue
+                prec = min(rx + y.prec, ry + x.prec, x.prec + y.prec, full)
+                terms.append((rx + ry if rx + ry < prec else full, prec))
             if not terms:
                 continue
-            minor = sum(terms[1:], terms[0])
-            lo = minor.ord_lower()
+            prec = min(q for _, q in terms)
+            lo = min(min(v for v, _ in terms), prec)
             if lo + off >= s:
                 continue
-            if lo >= minor.prec:
+            if len(terms) == 2 and terms[0][0] == terms[1][0] < prec:
+                # a tie below precision: the sum may cancel
+                minor = A[r][0].sigma() * B[0][c] + A[r][1].sigma() * B[1][c]
+                lo = minor.ord_lower()
+                if lo + off >= s:
+                    continue
+            if lo >= prec:
                 raise PrecisionError(
                     f"slot {i}: a mixed minor of the a-type vanishes to working "
                     f"precision below {s}; it is certified only >= {lo + off}; "
                     "raise N", lower_bound=lo + off)
             s = lo + off
             if s == floor:
-                break
+                return d1, s - d1
     return d1, s - d1
 
 
@@ -254,11 +281,10 @@ def _newton_fast(M):
     return NewtonPoint(g, idx)
 
 
-def _ceil_to_slopes(g, x):
-    for s in admissible_indices(g):
-        if s >= x:
-            return s
-    return Fraction(g, 2)
+def _bracket(g, m, n):
+    """Twice the least element of S(g) at or above min(g/2, m/n): an
+    integer, so the bracket builds no Fractions."""
+    return min(2 * -(-m // n), g)
 
 
 def _newton_oracle(M):
@@ -267,27 +293,24 @@ def _newton_oracle(M):
     m_n/n in S(g) is a certified lower bound that converges to the index;
     we accept it once it hits g/2 or freezes over three doublings past n=16."""
     g = M.g
-    half = Fraction(g, 2)
-    history = []
+    history = []  # twice each bracket
     n = 0
     try:
         for n, m_n in M.min_valuation_doublings(_MAX_DOUBLINGS):
-            cand = _ceil_to_slopes(g, min(half, Fraction(m_n, n)))
-            history.append(cand)
-            if cand == half:
-                return NewtonPoint(g, half)
-            if (len(history) >= 3 and n >= 16
-                    and history[-1] == history[-2] == history[-3]):
-                return NewtonPoint(g, cand)
+            t = _bracket(g, m_n, n)
+            history.append(t)
+            if t == g or (len(history) >= 3 and n >= 16
+                          and history[-1] == history[-2] == history[-3]):
+                return NewtonPoint(g, Fraction(t, 2))
     except PrecisionError as exc:
-        n_fail = max(2 * n, 1)
-        bound = _ceil_to_slopes(g, min(half, Fraction(exc.lower_bound, n_fail)))
+        bound = Fraction(_bracket(g, exc.lower_bound, max(2 * n, 1)), 2)
         raise PrecisionError(
             "oracle exhausted working precision before the bracket stabilized; "
             f"certified lower bound s({bound})", lower_bound=bound) from exc
+    bound = Fraction(history[-1], 2)
     raise PrecisionError(
         "oracle bracket did not stabilize within the doubling budget; "
-        f"last bracket s({history[-1]})", lower_bound=history[-1])
+        f"last bracket s({bound})", lower_bound=bound)
 
 
 def classify(M):

@@ -32,6 +32,10 @@ def mat_mul(A, B):
 
 
 def mat_sigma(A, n):
+    """sigma^n entrywise; A itself when sigma^n is the identity, so that
+    `mat_mul` can take its squaring route."""
+    if not n % A[0][0].tower.d:
+        return A
     return tuple(tuple(x.sigma(n) for x in row) for row in A)
 
 

@@ -64,7 +64,8 @@ def spaced_bound_exhaustive(a, cap=10 ** 6):
     for x in a:
         size *= x + 1
     if size > cap:
-        raise DomainError("size-guard", f"down-set has {size} elements > cap {cap}")
+        raise DomainError("size-guard", f"down-set has {count_text(size)} elements "
+                          f"> cap {count_text(cap)}")
     best = 0
     for b in product(*(range(x + 1) for x in a)):
         if is_spaced(b):
@@ -121,10 +122,11 @@ class ATypePoset:
             raise DomainError("bad-shape", "e, f must be >= 1")
         low = f * ((e + 1).bit_length() - 1)  # (e+1)^f >= 2^low decides from 2^64 on
         if low >= max(64, cap.bit_length()):
-            raise DomainError("size-guard", f"poset has at least 2^{low} elements > cap {cap}")
-        if (e + 1) ** f > cap:
             raise DomainError("size-guard",
-                              f"poset has {count_text((e + 1) ** f)} elements > cap {cap}")
+                              f"poset has at least 2^{low} elements > cap {count_text(cap)}")
+        if (e + 1) ** f > cap:
+            raise DomainError("size-guard", f"poset has {count_text((e + 1) ** f)} elements "
+                              f"> cap {count_text(cap)}")
         self.e, self.f = e, f
         self.elements = sorted(product(range(e + 1), repeat=f))
         self.records = {a: stratum_record(e, f, a) for a in self.elements}

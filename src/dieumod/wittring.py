@@ -33,12 +33,15 @@ Products follow the structure of the operands:
 * A product of 2x2 matrices (`CoeffTower.mat_mul`) packs each of the eight
   entries once as above, sums the two big-int products of each output
   entry while still packed, and folds and reduces that sum once: 4e
-  reductions and no entrywise RamElem products or sums.
+  reductions and no entrywise RamElem products or sums.  A square takes
+  five big-int products, a^2 + bc, b(a+d), c(a+d), d^2 + bc, whose sums
+  are the same integers as the eight-product ones.
 * sigma^n is the substitution x -> x^(p^n): one linear combination of the
   packed rows x^(j p^n), which the tower computes once per n, from one
   power and d-2 products.  It is the identity on constants and for
-  n = 0 mod d; it returns its argument unchanged there.  A ramified sum or
-  difference keeps each coefficient whose other summand is zero.
+  n = 0 mod d; it returns its argument unchanged there (a ramified element
+  when it fixes every coefficient, a matrix when n = 0 mod d).  A ramified
+  sum or difference keeps each coefficient whose other summand is zero.
 
 Slot width: before `_reduce` a slot holds at most 2*(p+1)*e*d*(p^N-1)^2
 (the folded sum of two dense ramified products in a matrix entry; a single
@@ -195,12 +198,21 @@ class CoeffTower:
         """Product of 2x2 matrices of RamElems of this tower.
 
         Each entry is packed once; each output entry is the packed sum of
-        its two products, folded and reduced once (4e reductions).  The
+        its two products, folded and reduced once (4e reductions).  A square
+        (`B is A`) takes five big-int products instead of eight, with a + d
+        summed packed; the packed sums, and so the outputs, are the same.  The
         precision is that of the entrywise products and sum: full when its
         four factors are, else the minimum of the product formula of
         `RamElem.__mul__` over its two products."""
         pa = [[self._ram_pack(x.coeffs) for x in row] for row in A]
-        pb = [[self._ram_pack(x.coeffs) for x in row] for row in B]
+        if B is A:  # five products: a^2 + bc, b(a + d), c(a + d), d^2 + bc
+            (a, b), (c, d) = pa
+            bc, t = b * c, a + d
+            packed = ((a * a + bc, b * t), (c * t, d * d + bc))
+        else:
+            pb = [[self._ram_pack(x.coeffs) for x in row] for row in B]
+            packed = [[pa[i][0] * pb[0][j] + pa[i][1] * pb[1][j] for j in (0, 1)]
+                      for i in (0, 1)]
         full = self.pi_precision
         prec = [[full, full], [full, full]]
         if any(x.prec < full for M in (A, B) for row in M for x in row):
@@ -213,9 +225,7 @@ class CoeffTower:
                         prec[i][j] = min(prec[i][j], ra[i][k] + y.prec,
                                          rb[k][j] + x.prec, x.prec + y.prec)
         return tuple(
-            tuple(RamElem(self, self._ram_unpack(pa[i][0] * pb[0][j] + pa[i][1] * pb[1][j]),
-                          prec[i][j])
-                  for j in (0, 1))
+            tuple(RamElem(self, self._ram_unpack(packed[i][j]), prec[i][j]) for j in (0, 1))
             for i in (0, 1))
 
     def _sigma_map(self, n):
@@ -542,12 +552,17 @@ class RamElem:
         return RamElem(self.tower, [-a for a in self.coeffs], self.prec)
 
     def _repr_ord(self):
-        """Valuation of the stored representative (full pi_precision if 0)."""
+        """Valuation of the stored representative (full pi_precision if 0):
+        coefficient j contributes e * ord_p + j >= j, so the scan stops at
+        the first j that cannot beat the best so far."""
+        e = self.tower.e
         best = self.tower.pi_precision
         for j, c in enumerate(self.coeffs):
-            v = c.ord_p()
-            if v < self.tower.N:
-                best = min(best, self.tower.e * v + j)
+            if j >= best:
+                break
+            v = e * c.ord_p() + j
+            if v < best:
+                best = v
         return best
 
     def __mul__(self, other):
@@ -592,10 +607,14 @@ class RamElem:
         return fppoly.power(self, n, operator.mul, self.tower.one())
 
     def sigma(self, n=1):
-        """sigma^n coefficientwise; sigma(pi) = pi since pi^e = p."""
+        """sigma^n coefficientwise; sigma(pi) = pi since pi^e = p.  Returns
+        self when sigma^n fixes every coefficient."""
         if not n % self.tower.d:
             return self
-        return RamElem(self.tower, [c.sigma(n) for c in self.coeffs], self.prec)
+        coeffs = [c.sigma(n) for c in self.coeffs]
+        if all(map(operator.is_, coeffs, self.coeffs)):
+            return self
+        return RamElem(self.tower, coeffs, self.prec)
 
     def ord_pi(self):
         """Valuation of the element when it is below its precision.

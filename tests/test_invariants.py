@@ -1,9 +1,10 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dieumod import (
     DModule, DomainError, PrecisionError, lie_type, a_type, a_index, newton_point, classify,
@@ -15,6 +16,7 @@ from dieumod import invariants as inv
 from dieumod import modp
 from dieumod.modules import mat_mul, mat_sigma
 from dieumod.wittring import RamElem
+import atyperef
 from conftest import tower
 
 
@@ -426,11 +428,13 @@ class TestReadOffReference:
         assert got_b is None or got is None or got_b == got
 
 
-def truncated(M, rng):
-    """M with random entries known only to a random number of pi-adic digits,
-    or None when that presentation no longer validates."""
+def truncated(M, rng, low=False):
+    """M with random entries known only to a random number of pi-adic digits
+    (at most e + 1 if `low`), or None when that presentation no longer
+    validates."""
     t = M.tower
-    mats = [[[RamElem(t, x.coeffs, rng.randrange(1, t.pi_precision + 1))
+    top = t.e + 1 if low else t.pi_precision
+    mats = [[[RamElem(t, x.coeffs, rng.randrange(1, top + 1))
               if rng.random() < .5 else x for x in row] for row in A] for A in M.matrices]
     try:
         return DModule(t, mats, None, M.mode)
@@ -486,3 +490,167 @@ class TestReadOffPrecision:
         if got is not None:
             # certified: the untruncated module is one completion of T
             assert got == read_off_invariants(M)
+
+
+class TestRoundTrips:
+    # property versions of tests/test_modules.py's TestSerialization and
+    # test_double_dual_invariants
+    @settings(max_examples=100, deadline=None)
+    @given(modules())
+    def test_json_round_trip(self, case):
+        M, _ = case
+        # the JSON form carries no precision: only full-precision
+        # presentations come back as themselves
+        assume(all(x.prec == M.tower.pi_precision
+                   for A in M.matrices for row in A for x in row))
+        for data in (M.to_json(), json.loads(M.dumps())):
+            R = DModule.from_json(data)
+            assert R.dumps() == M.dumps()
+            assert answer(invariant_report, R) == answer(invariant_report, M)
+
+    @settings(max_examples=100, deadline=None)
+    @given(modules())
+    def test_double_dual_keeps_invariants(self, case):
+        M, _ = case
+
+        def invariants(X):
+            return (lie_type(X).pairs, a_type(X).pairs,
+                    newton_point(X) if X.det_sum == X.g else None)
+
+        try:
+            want = invariants(M)
+            D = M.dual().dual()
+        except DomainError as exc:
+            # no dual pairing without unit pairing scalars; and a dual det of
+            # valuation 2e - v >= eN is a zero of O/pi^(eN), which
+            # DModule reads as degenerate (see `RamElem.ord_pi`)
+            assert exc.code == "non-unit" or exc.code == "degenerate" and any(
+                2 * M.e - v >= M.tower.pi_precision for v in M.det_orders)
+            return
+        except PrecisionError:
+            return
+        got = answer(invariants, D)
+        assert got is None or got == want
+
+
+# -- the a-type's valuation route against the product route --------------------
+#
+# `atyperef._a_pair` forms every mixed minor in the ring; `invariants._a_pair`
+# reads it off entry valuations and multiplies only on a tie.  Both must give
+# the same pair, or raise PrecisionError with the same bound.
+
+ATYPE_SHAPES = [(p, f, e, ext) for p in (2, 3, 5) for e in (1, 2, 3)
+                for f in (1, 2, 3, 4) for ext in (1, 2) if p ** (f * ext) < 2 ** 20]
+
+
+def _sparse_entry(t, rng):
+    """Zero, a pi-power, or a unit or random element times a pi-power."""
+    k = rng.randrange(t.e + 2)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return t.zero()
+    if kind == 1:
+        return t.pi_pow(k)
+    return (t.random_ram_unit(rng) if kind == 2 else t.random_ram(rng)) * t.pi_pow(k)
+
+
+def sparse_module(t, rng):
+    """A general-mode module, half of whose entries are zeros or pi-powers."""
+    while True:
+        mats = [[[_sparse_entry(t, rng) for _ in range(2)] for _ in range(2)]
+                for _ in range(t.f)]
+        try:
+            return DModule(t, mats, None, "general")
+        except DomainError:
+            continue
+
+
+def slot_answers(route, M):
+    out = []
+    for i in range(M.f):
+        try:
+            out.append(route(M, i))
+        except PrecisionError as exc:
+            out.append(("precision", exc.lower_bound))
+    return out
+
+
+@st.composite
+def atype_modules(draw):
+    """A family, sparse or random module on a small tower, possibly in
+    another basis, possibly dual, possibly with truncated entries."""
+    t = tower(*draw(st.sampled_from(ATYPE_SHAPES)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(KINDS + ("sparse", "sparse")))
+    M = sparse_module(t, rng) if kind == "sparse" else family_module(t, kind, rng)
+    if draw(st.booleans()):
+        M = base_change(M, rng)
+    if draw(st.booleans()):
+        try:
+            M = M.dual()
+        except (DomainError, PrecisionError):
+            pass
+    if draw(st.booleans()):
+        M = truncated(M, rng, low=draw(st.booleans())) or M
+    return M
+
+
+class TestATypeRoutes:
+    @settings(max_examples=400, deadline=None)
+    @given(atype_modules())
+    def test_valuation_route_matches_product_route(self, M):
+        assert slot_answers(inv._a_pair, M) == slot_answers(atyperef._a_pair, M)
+
+    @pytest.mark.parametrize("e", [2, 3])
+    def test_truncated_zero_products(self, e):
+        # A[0] = [[c, 1], [pi^e, z]] with c = z = 0 known to pa and pb digits:
+        # the mixed minor sigma(c) c + pi^e is certified only >= min(e, 2 pa),
+        # the precision of a product of two uncertified zeros
+        t = tower(3, 1, e)
+        zero = t.zero().coeffs
+        seen = set()
+        for pa in range(1, t.pi_precision + 1):
+            for pb in range(1, t.pi_precision + 1):
+                mats = [[[RamElem(t, zero, pa), t.one()],
+                         [t.pi_pow(e), RamElem(t, zero, pb)]]]
+                try:
+                    M = DModule(t, mats, None, "general")
+                except (DomainError, PrecisionError):
+                    continue
+                want = slot_answers(atyperef._a_pair, M)
+                assert slot_answers(inv._a_pair, M) == want
+                seen.add(want[0][0])
+        assert seen == {0, "precision"}
+
+    def test_products_only_on_ties(self, rng, monkeypatch):
+        # the families decide every mixed minor from valuations; normal forms
+        # may multiply, but only the two terms of a tie below precision
+        families, normal_forms = [], []
+        for p, f, e, ext in ((3, 1, 1, 2), (3, 2, 2, 2), (3, 3, 2, 2), (3, 4, 1, 2),
+                             (5, 2, 4, 2), (2, 3, 1, 1), (5, 1, 2, 1)):
+            t = tower(p, f, e, ext)
+            families.append(fam.superspecial(t, variant="rapoport"))
+            families += [fam.superspecial(t, e1, e - e1, "general") for e1 in range(e + 1)]
+            families += [fam.slope_family(t, a) for a in range(t.g // 2 + 1)
+                         if 2 * (a // e) + 1 <= f or (2 * (a // e) == f and a % e == 0)]
+            for n in range(8):
+                tau = tuple(i for i in range(f) if n >> i & 1)
+                normal_forms.append(fam.normal_form(
+                    t, tau, {i: t.random_ram(rng) * t.pi_pow(n % (e + 1)) for i in tau}))
+        sums = []
+        mul = RamElem.__mul__
+
+        def counting(x, y):
+            sums.append((x._repr_ord() + y._repr_ord(), min(x.prec, y.prec)))
+            return mul(x, y)
+
+        monkeypatch.setattr(RamElem, "__mul__", counting)
+        for M in families:
+            a_type(M)
+            assert not sums, M
+        for M in normal_forms:
+            sums.clear()
+            a_type(M)
+            assert len(sums) % 2 == 0
+            for (v1, q1), (v2, q2) in zip(sums[::2], sums[1::2]):
+                assert v1 == v2 < min(q1, q2)

@@ -124,17 +124,20 @@ class TestTwistedPower:
 
     def test_doublings_match_iterates(self, rng):
         # the squaring chain twists C_n by sigma^(f*n), iterate_twisted
-        # twists by sigma^f once per factor; on ext = 2 towers sigma^f is
-        # not the identity, so a wrong exponent on either side shows
+        # twists by sigma^f once per factor; on ext = 2 and 4 towers sigma^f
+        # is not the identity, so a wrong exponent on either side shows.
+        # sigma^(f*n) is the identity for every n at ext = 1, from n = 2 at
+        # ext = 2 and from n = 4 at ext = 4, where the chain squares C_n
         modules = []
-        for f, e in ((1, 2), (2, 1), (2, 2), (3, 1), (3, 2)):
-            t = tower(3, f, e, ext=2, slack=8)
-            modules += [fam.slope_family(t, a) for a in range(t.g // 2 + 1)]
-            for _ in range(3):
-                mask = rng.randrange(1, 2 ** f)
-                tau = tuple(i for i in range(f) if mask >> i & 1)
-                modules.append(fam.normal_form(t, tau, {i: t.random_ram(rng) for i in tau}))
-        modules.append(fam.nonrapoport_module(tower(5, 1, 2, ext=2, slack=8)))
+        for ext in (1, 2, 4):
+            for f, e in ((1, 2), (2, 1), (2, 2), (3, 1), (3, 2)):
+                t = tower(3, f, e, ext=ext, slack=8)
+                modules += [fam.slope_family(t, a) for a in range(t.g // 2 + 1)]
+                for _ in range(3):
+                    mask = rng.randrange(1, 2 ** f)
+                    tau = tuple(i for i in range(f) if mask >> i & 1)
+                    modules.append(fam.normal_form(t, tau, {i: t.random_ram(rng) for i in tau}))
+            modules.append(fam.nonrapoport_module(tower(5, 1, 2, ext=ext, slack=8)))
         for M in modules:  # slack 8 certifies every iterate up to F^(8f)
             want = [(2 ** k, M.iterate_twisted(2 ** k)) for k in range(4)]
             assert list(M.min_valuation_doublings(3)) == want, M
@@ -159,6 +162,49 @@ class TestMatMul:
             monkeypatch.setattr(owner, name, counting)
         mat_mul(A, B)
         assert calls == {"__mul__": 0, "__add__": 0, "_reduce": 4 * e}
+
+    def test_mat_sigma_returns_its_argument_only_for_the_identity(self, rng):
+        t = tower(3, 2, 2, ext=2)
+        A = tuple(tuple(t.random_ram(rng) for _ in range(2)) for _ in range(2))
+        const = ((t.one(), t.pi()), (t.ram(3), t.zero()))
+        for n in range(-t.d, 2 * t.d + 1):
+            S = mat_sigma(A, n)
+            assert (S is A) == (n % t.d == 0)
+            assert S == tuple(tuple(RamElem(t, [c.sigma(n) for c in x.coeffs], x.prec)
+                                    for x in row) for row in A)
+            # sigma fixes constant coefficients: each entry comes back itself
+            assert all(x.sigma(n) is x for row in const for x in row)
+
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_square_matches_product_with_a_copy(self, e, rng, monkeypatch):
+        # mat_mul(A, A) takes the squaring route (four entries packed, not
+        # eight); values and precisions equal those of mat_mul(A, copy of A),
+        # with zero, pi-power and truncated entries
+        t = tower(3, 2, e, ext=2)
+        full = t.pi_precision
+
+        def entry():
+            x = rng.choice([t.zero(), t.pi_pow(rng.randrange(2 * e)), t.random_ram(rng),
+                            t.random_ram_unit(rng) * t.pi_pow(rng.randrange(e + 1))])
+            return RamElem(t, x.coeffs, rng.randrange(1, full + 1)) if rng.random() < .4 else x
+
+        packs = [0]
+        pack = t._ram_pack
+
+        def counting(coeffs):
+            packs[0] += 1
+            return pack(coeffs)
+
+        monkeypatch.setattr(t, "_ram_pack", counting)
+        for _ in range(60):
+            A = tuple(tuple(entry() for _ in range(2)) for _ in range(2))
+            copy = tuple(tuple(RamElem(t, x.coeffs, x.prec) for x in row) for row in A)
+            packs[0] = 0
+            square = mat_mul(A, A)
+            assert packs[0] == 4
+            want = mat_mul(A, copy)
+            assert packs[0] == 12
+            assert square == want  # RamElem equality compares precisions too
 
 
 class TestReduceModP:

@@ -37,6 +37,17 @@ class TestPoset:
         with pytest.raises(DomainError, match="cap"):
             atype_poset(9, 7, cap=10 ** 4)
 
+    @pytest.mark.parametrize("call", [
+        lambda: atype_poset(2, 14000, cap=10 ** 5000),
+        lambda: strata.spaced_bound_exhaustive((1,) * 20000, cap=10 ** 5000),
+    ], ids=["poset", "down-set"])
+    def test_size_guard_with_a_huge_cap(self, call):
+        # a cap of 4300 digits or more is printed as "at least 2^k", not in
+        # decimal, which Python refuses to format
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert exc.value.code == "size-guard" and "cap at least 2^16609" in str(exc.value)
+
     def test_spaced_records(self):
         P = atype_poset(1, 4)
         r = P.records[(1, 0, 1, 0)]
