@@ -17,8 +17,10 @@ equations and the displayed coordinate variety
 
 Field arithmetic is table-driven (q <= a few hundred) and numpy-vectorized,
 with every table and candidate array in the smallest unsigned type that
-holds q - 1, so the p = 5 chart (q^4 = 390625 candidates) takes well under a
-minute.
+holds q - 1.  Within a cell the seven conditions (isotropy, then pi-, F- and
+V-stability of each row) are tested in turn, each only on the candidates
+that passed the ones before it: isotropy keeps one chart candidate in q, and
+the p = 5 chart (q^4 = 390625 candidates) ends with 145 planes.
 """
 
 from dataclasses import dataclass
@@ -172,40 +174,55 @@ def _cell_planes(S, j1, j2):
     Row r1 has a 1 in column j1 and a free entry in each later column other
     than j2; row r2 has a 1 in column j2 and a free entry in each later
     column; every other entry is 0.  The free entries run over F_q in
-    meshgrid ("ij") order, r1's first."""
+    meshgrid ("ij") order, r1's first.
+
+    The seven conditions run in turn, each only on the candidates that
+    passed the ones before it: isotropy <r1, r2> = 0, then membership of
+    pi r, F r and V r in the span, for r = r1, r2.  Isotropy runs on a
+    sparse meshgrid, so each table lookup takes the broadcast shape of the
+    coordinates it reads and only the final sum and its mask have one entry
+    per candidate.  The survivors' rows are then compressed after every
+    test, in ascending candidate order."""
     K = S.field
     free1 = [c for c in range(j1 + 1, 4) if c != j2]
     free2 = list(range(j2 + 1, 4))
-    grids = [g.reshape(-1) for g in
-             np.meshgrid(*[K.elements()] * (len(free1) + len(free2)), indexing="ij")]
-    count = grids[0].size if grids else 1
-    r1 = [np.zeros(count, dtype=K.dtype)] * 4
-    r2 = list(r1)
-    r1[j1] = r2[j2] = np.ones(count, dtype=K.dtype)
-    for c, g in zip(free1, grids):
-        r1[c] = g
-    for c, g in zip(free2, grids[len(free1):]):
-        r2[c] = g
+    n = len(free1) + len(free2)
+
+    def rows(zero, one, grids):
+        r1, r2 = [zero] * 4, [zero] * 4
+        r1[j1] = r2[j2] = one
+        for c, g in zip(free1, grids):
+            r1[c] = g
+        for c, g in zip(free2, grids[len(free1):]):
+            r2[c] = g
+        return r1, r2
+
+    # a candidate's flat index in the full grid is its meshgrid position,
+    # and its free entry on axis k is element (index // q^(n-1-k)) mod q
+    grids = np.meshgrid(*[K.elements()] * n, indexing="ij", sparse=True)
+    r1, r2 = rows(np.zeros((1,) * n, K.dtype), np.ones((1,) * n, K.dtype), grids)
+    idx = np.flatnonzero(np.broadcast_to(S.pair(r1, r2) == 0, (K.q,) * n))
+    grids = [K.elements()[idx // K.q ** (n - 1 - k) % K.q] for k in range(n)]
+    r1, r2 = rows(np.zeros(idx.size, K.dtype), np.ones(idx.size, K.dtype), grids)
     rest = [c for c in range(4) if c not in (j1, j2)]
 
     def member(v):
         # v lies in the span iff v - v[j1] r1 - v[j2] r2 = 0; the pivot
         # coordinates of that difference vanish by construction
         c1, c2 = v[j1], v[j2]
-        ok = np.ones(count, dtype=bool)
+        ok = np.ones(c1.shape, dtype=bool)
         for c in rest:
             ok &= K.sub(v[c], K.add(K.mul(c1, r1[c]), K.mul(c2, r2[c]))) == 0
         return ok
 
-    mask = S.pair(r1, r2) == 0
     for op in (S.pi_map, S.f_map, S.v_map):
-        mask &= member(op(r1)) & member(op(r2))
-    planes = []
-    for i in np.nonzero(mask)[0]:
-        rref = (tuple(int(x[i]) for x in r1), tuple(int(x[i]) for x in r2))
-        chart = rref[0][2:] + rref[1][2:] if (j1, j2) == (0, 1) else None
-        planes.append(StablePlane(rref, chart))
-    return planes
+        for r in (0, 1):
+            keep = np.flatnonzero(member(op((r1, r2)[r])))
+            r1, r2 = [x[keep] for x in r1], [x[keep] for x in r2]
+    chart = (j1, j2) == (0, 1)
+    return [StablePlane((a, b), a[2:] + b[2:] if chart else None)
+            for a, b in zip(zip(*(x.tolist() for x in r1)),
+                            zip(*(x.tolist() for x in r2)))]
 
 
 def enumerate_stable_planes(S, chart_only=True, size_cap=10 ** 7):
@@ -220,7 +237,8 @@ def enumerate_stable_planes(S, chart_only=True, size_cap=10 ** 7):
 
 
 def chart_equations_hold(S, t):
-    """The six closed-form chart equations, checked pointwise."""
+    """The eight closed-form chart equations and the isotropy condition
+    t11 + t22 = 0, checked pointwise at t = (t11, t12, t21, t22)."""
     K = S.field
     p = S.p
     t11, t12, t21, t22 = (np.int64(x) for x in t)

@@ -71,6 +71,29 @@ def _is_json_matrix(A):
         for row in A))
 
 
+def _at_precisions(tower, mats, delta, precs):
+    """The entries of mats and delta as ramified elements at the precisions
+    in `precs`, a "precisions" object of `DModule.to_json`: ints in
+    [0, eN], shaped like the values they belong to."""
+    def is_list(ps, n, item):
+        return isinstance(ps, list) and len(ps) == n and all(map(item, ps))
+
+    def is_prec(x):
+        return type(x) is int and 0 <= x <= tower.pi_precision
+
+    def is_matrix(P):
+        return is_list(P, 2, lambda row: is_list(row, 2, is_prec))
+
+    pm, pd = (precs.get("matrices"), precs.get("delta")) if isinstance(precs, dict) else (None, None)
+    if not (is_list(pm, len(mats), is_matrix) and (
+            pd is None if delta is None else is_list(pd, len(delta), is_prec))):
+        raise DomainError("bad-input", f"precisions must be ints in [0, {tower.pi_precision}] "
+                          "shaped like matrices and delta")
+    mats = [[[tower.ram(x, p) for x, p in zip(row, prow)] for row, prow in zip(A, P)]
+            for A, P in zip(mats, pm)]
+    return mats, None if delta is None else [tower.ram(d, p) for d, p in zip(delta, pd)]
+
+
 class DModule:
     """Validated module presentation; immutable once built."""
 
@@ -91,8 +114,10 @@ class DModule:
         for i, (A, d) in enumerate(zip(self.matrices, dets)):
             v = d.ord_pi()
             if v is INF:
-                raise DomainError("degenerate", f"det A[{i}] vanishes to working precision",
-                                  slot=i)
+                # zero in O/pi^(eN) certifies only valuation >= eN, not a zero of O
+                full = tower.pi_precision
+                raise PrecisionError(f"det A[{i}] is divisible by pi^{full}, the working "
+                                     f"precision", lower_bound=full)
             entries = [x for row in A for x in row]
             ords = [x.ord_lower() for x in entries]
             m = min(ords)  # adj(A) has the entries of A up to sign
@@ -239,12 +264,23 @@ class DModule:
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
-        return {
+        """The module's JSON object.  When some entry is below full precision,
+        "precisions" holds every entry's pi-adic precision, shaped like
+        "matrices" and "delta"; a full-precision module has no such key."""
+        out = {
             "tower": self.tower.to_json(),
             "matrices": [[[x.to_json() for x in row] for row in A] for A in self.matrices],
             "delta": None if self.delta is None else [d.to_json() for d in self.delta],
             "mode": self.mode,
         }
+        full = self.tower.pi_precision
+        if any(x.prec < full for A in self.matrices for row in A for x in row) or any(
+                d.prec < full for d in self.delta or ()):
+            out["precisions"] = {
+                "matrices": [[[x.prec for x in row] for row in A] for A in self.matrices],
+                "delta": None if self.delta is None else [d.prec for d in self.delta],
+            }
+        return out
 
     @classmethod
     def from_json(cls, data):
@@ -257,6 +293,9 @@ class DModule:
                 delta is None or isinstance(delta, list) and all(map(is_json_ram, delta)))):
             raise DomainError("bad-input", "matrices must be a list of 2x2 matrices "
                               "and delta a list, of ramified elements")
+        precs = data.get("precisions")
+        if precs is not None:
+            mats, delta = _at_precisions(tower, mats, delta, precs)
         return cls(tower, mats, delta, data.get("mode", "separable"))
 
     def dumps(self):

@@ -111,12 +111,28 @@ def _short_delta(data):
     return data
 
 
+def _zero_det(data):
+    data["matrices"][0][1][1] = 0
+    return data
+
+
+def _precisions(precs):
+    def mutate(data):
+        data["precisions"] = precs
+        return data
+    return mutate
+
+
 @pytest.mark.parametrize("mutate,code", [
     (_one_by_two_slot, "bad-input"),
     (lambda data: [], "bad-input"),
     (_string_coefficient, "bad-input"),
     (_short_delta, "bad-shape"),
-], ids=["1x2-slot-matrix", "top-level-list", "string-coefficient", "short-delta"])
+    (_zero_det, "precision"),
+    (_precisions({"matrices": [[[4, 3], [3, 3]]], "delta": [3]}), "bad-input"),
+    (_precisions({"matrices": [[[3, 3], [3, 3]]]}), "bad-input"),
+], ids=["1x2-slot-matrix", "top-level-list", "string-coefficient", "short-delta",
+        "zero-det", "precision-above-eN", "no-delta-precisions"])
 def test_malformed_module_shapes(capsys, tmp_path, mutate, code):
     _, out = run_cli(capsys, "construct", "--family", "ordinary", "--p", "3",
                      "--f", "1", "--e", "1")

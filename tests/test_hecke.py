@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from dieumod.hecke import (
     SmallField, HeckeSetting, enumerate_stable_planes, compare_variety,
     chart_equations_hold, parametrized_chart_set, probe_report,
 )
+
+import heckeref
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -193,3 +196,76 @@ class TestEnumeration:
         with pytest.raises(DomainError, match="cap") as exc:
             probe_report(101, full_grassmannian=full)
         assert exc.value.code == "size-guard"
+
+    def test_p7_chart(self):
+        rep = probe_report(7)
+        assert rep["enumerated"] == rep["expected_count"] == 1 + 8 * 48 == 385
+        assert rep["count_matches"] and rep["all_chart_equations_hold"]
+        assert rep["displayed_polynomials_hold"] and rep["parametrization_matches"]
+        assert rep["lines_through_origin"] == rep["expected_lines"] == 8
+        assert rep["variety_point_count"] == 433
+        assert rep["extra_points_on_t1_t2_zero"]
+
+
+# -- the filtered cell search against the full-mask search ---------------------
+#
+# `heckeref._cell_planes` evaluates all seven conditions on every candidate;
+# `hecke._cell_planes` tests each only on the survivors of the ones before.
+# In the true setting no condition removes a candidate that passed the other
+# six, so the wrong settings below are what make each condition count: with
+# them, each of the seven removes a candidate the other six keep in some
+# cell at p = 3.  (V with FROB in place of FROBINV is no wrong setting at
+# s = 1, where both tables are x -> x^p.)
+
+def _wrong_setting(swaps, symmetric=False):
+    """pi, F and V send x_i' to x_i, or to x_(3-i) where `swaps` says so (the
+    true setting swaps for F and V only); optionally a symmetric pairing."""
+
+    class Wrong(HeckeSetting):
+        def _op(self, v, table, swap):
+            zero = np.zeros_like(v[0])
+            a, b = table[v[2]], table[v[3]]
+            return (b, a, zero, zero) if swap else (a, b, zero, zero)
+
+        def pi_map(self, v):
+            return self._op(v, self.field.elements(), swaps[0])
+
+        def f_map(self, v):
+            return self._op(v, self.field.FROB, swaps[1])
+
+        def v_map(self, v):
+            return self._op(v, self.field.FROBINV, swaps[2])
+
+        def pair(self, v, w):
+            if not symmetric:
+                return super().pair(v, w)
+            K = self.field
+            t = K.add(K.mul(v[0], w[3]), K.mul(v[3], w[0]))
+            return K.add(t, K.add(K.mul(v[2], w[1]), K.mul(v[1], w[2])))
+
+    return Wrong
+
+
+CELLS = list(combinations(range(4), 2))
+WRONG = {
+    "pi-swaps": _wrong_setting((True, False, False)),      # isotropy, pi r1, pi r2
+    "v-keeps": _wrong_setting((False, True, False)),       # F r1, F r2, V r2
+    "f-keeps": _wrong_setting((False, False, True)),       # F r2, V r1, V r2
+    "symmetric": _wrong_setting((False, True, True), symmetric=True),  # isotropy, pi r2
+}
+
+
+@pytest.mark.parametrize("setting", [HeckeSetting, *WRONG.values()],
+                         ids=["true", *WRONG])
+def test_filtered_search_matches_full_mask_p3(setting):
+    # every cell, (2, 3) with no free entries included
+    S = setting(3)
+    for j1, j2 in CELLS:
+        assert hecke._cell_planes(S, j1, j2) == heckeref._cell_planes(S, j1, j2)
+
+
+def test_filtered_search_matches_full_mask_p5_chart():
+    S = HeckeSetting(5)
+    planes = hecke._cell_planes(S, 0, 1)
+    assert len(planes) == 145
+    assert planes == heckeref._cell_planes(S, 0, 1)

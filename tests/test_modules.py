@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dieumod import (
-    DModule, DomainError, PrecisionError, lie_type, a_type, newton_point,
+    CoeffTower, DModule, DomainError, PrecisionError, lie_type, a_type, newton_point,
 )
 from dieumod.modules import mat_det, mat_mul, mat_sigma
 from dieumod.wittring import RamElem
@@ -16,6 +16,23 @@ def ordinary_mats(t):
 
 
 class TestValidation:
+    def test_det_zero_to_working_precision_is_a_precision_limit(self):
+        # the dual of the general-mode identity module is 3 I, of det
+        # valuation 2e = 4 = eN at N = 2: a zero of O/pi^(eN), not of O
+        t = tower(3, 1, 2)
+        assert t.pi_precision == 4
+        ident = [[[t.one(), t.zero()], [t.zero(), t.one()]]]
+        with pytest.raises(PrecisionError) as exc:
+            DModule(t, ident, None, "general").dual()
+        assert exc.value.lower_bound == 4
+        with pytest.raises(PrecisionError) as exc:
+            DModule(t, [[[t.one(), t.one()], [t.one(), t.one()]]], None, "general")
+        assert exc.value.lower_bound == 4
+        # one more Witt digit certifies the valuation
+        t3 = CoeffTower(3, 1, 2, N=3)
+        ident = [[[t3.one(), t3.zero()], [t3.zero(), t3.one()]]]
+        assert DModule(t3, ident, None, "general").dual().det_orders == [4]
+
     def test_ordinary_accepts(self):
         t = tower(3, 2, 2)
         M = DModule(t, ordinary_mats(t), [t.one()] * 2)
@@ -295,6 +312,40 @@ class TestSerialization:
         assert M2.matrices == M.matrices
         assert M2.delta == M.delta
         assert M2.mode == M.mode
+
+    def test_truncated_roundtrip_keeps_precisions(self):
+        # an entry known only mod pi leaves the a-type uncertified (as in
+        # test_invariants' test_uncertified_mixed_minor_raises); reloaded at
+        # full precision it would answer
+        t = tower(3, 1, 2)
+        M = fam.normal_form(t, (0,), {0: t.zero()})
+        (x, one), (pe, z) = M.matrices[0]
+        T = DModule(t, [[[RamElem(t, x.coeffs, 1), one], [pe, z]]])
+        data = json.loads(T.dumps())
+        assert data["precisions"] == {"matrices": [[[1, 4], [4, 4]]], "delta": None}
+        R = DModule.from_json(data)
+        assert R.dumps() == T.dumps() and R.matrices == T.matrices
+        with pytest.raises(PrecisionError) as exc:
+            a_type(R)
+        assert exc.value.lower_bound == 1
+        # a full-precision module has no precisions in its JSON
+        assert "precisions" not in M.to_json()
+
+    @pytest.mark.parametrize("precs", [
+        [3], {"matrices": [[[3, 3], [3, 3]]]}, {"matrices": [[[4, 3], [3, 3]]], "delta": [3]},
+        {"matrices": [[[-1, 3], [3, 3]]], "delta": [3]},
+        {"matrices": [[[True, 3], [3, 3]]], "delta": [3]},
+        {"matrices": [[[3, 3]]], "delta": [3]}, {"matrices": [[[3, 3], [3, 3]]], "delta": 3},
+        {"matrices": [[[3, 3], [3, 3]]] * 2, "delta": [3]},
+    ], ids=["list", "no-delta", "above-eN", "negative", "bool", "one-row", "delta-int",
+            "two-slots"])
+    def test_malformed_precisions_rejected(self, precs):
+        data = fam.ordinary_module(tower(3, 1, 1)).to_json()
+        assert data["tower"]["N"] == 3
+        data["precisions"] = precs
+        with pytest.raises(DomainError) as exc:
+            DModule.from_json(data)
+        assert exc.value.code == "bad-input"
 
     def test_malformed_rejected(self):
         t = tower(3, 2, 2)
