@@ -143,7 +143,9 @@ def build_parser():
 
     sp = add_parser("invariants", help="invariant report for a module JSON")
     sp.add_argument("--module", required=True, help="path or - for stdin")
-    sp.add_argument("--method", choices=("fast", "oracle"), default="fast")
+    sp.add_argument("--method", choices=("fast", "oracle"), default="fast",
+                    help="fast: one-slot F^f trace, not a base-change invariant when "
+                         "ext > 1; oracle: a certified lower bound on the index")
     sp.set_defaults(func=cmd_invariants)
 
     sp = add_parser("construct", help="emit the module JSON of a family")

@@ -201,22 +201,20 @@ def deform_specialize(base, target_atype, assignment):
     if set(assignment) != want:
         raise DomainError("key-mismatch",
                           f"assignment keys must be exactly {sorted(want)}")
-    pi = tower.pi()
     mats, signs = [], []
     for i in range(f):
-        Ti = tower.zero()
+        # T_{i,j} pi^j for j < e is T_{i,j} placed at pi-coefficient j
+        coeffs = [0] * e
         for j in range(target[i], e):
-            val = assignment[(i, j)]
-            lift = tower.ram(tower.teichmuller(val))
-            if lift:
-                Ti = Ti + lift * tower.pi_pow(j)
+            coeffs[j] = tower.teichmuller(assignment[(i, j)])
+        Ti = tower.ram(coeffs)
         if i in tau:
             Ti = Ti + entries[i]
             mats.append([[Ti, tower.one()], [tower.pi_pow(e), tower.zero()]])
             signs.append(-1)
         else:
             mats.append([[tower.one(), tower.zero()],
-                         [Ti * tower.pi_pow(e), tower.pi_pow(e)]])
+                         [Ti * tower.p, tower.pi_pow(e)]])  # pi^e = p
             signs.append(1)
     deltas, note = _pairing_scalars(tower, signs)
     module = DModule(tower, mats, deltas, "separable")

@@ -21,6 +21,10 @@ holds q - 1.  Within a cell the seven conditions (isotropy, then pi-, F- and
 V-stability of each row) are tested in turn, each only on the candidates
 that passed the ones before it: isotropy keeps one chart candidate in q, and
 the p = 5 chart (q^4 = 390625 candidates) ends with 145 planes.
+
+The check is one array pass: a point of F_q^3 is its flat index
+(t1 q + t2) q + t3, and the displayed polynomials hold when the projected
+chart points lie inside the variety's.
 """
 
 from dataclasses import dataclass
@@ -64,18 +68,14 @@ class SmallField:
         mul = np.zeros((q, q), dtype=dt)
         mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
         self.MUL = mul
-        self.FROB = self._power_table(p)
-        self.FROBINV = self._power_table(p ** (r - 1))
+        self.FROB = self.power_table(p)
+        self.FROBINV = self.power_table(p ** (r - 1))
 
-    def _power_table(self, n):
-        """x -> x**n as a table; EXP[k] ** n = EXP[k n]."""
+    def power_table(self, n):
+        """x -> x**n as a table (0 -> 0, also for n <= 0); EXP[k] ** n = EXP[k n]."""
         out = np.zeros(self.q, dtype=self.dtype)
         out[self.EXP] = self.EXP[np.arange(self.q - 1) * (n % (self.q - 1)) % (self.q - 1)]
         return out
-
-    def power(self, x, n):
-        """x**n for one encoded element x."""
-        return self.EXP[int(self.LOG[x]) * n % (self.q - 1)] if int(x) else self.dtype.type(0)
 
     def add(self, a, b):
         return self.ADD[a, b]
@@ -238,37 +238,34 @@ def enumerate_stable_planes(S, chart_only=True, size_cap=10 ** 7):
 
 def chart_equations_hold(S, t):
     """The eight closed-form chart equations and the isotropy condition
-    t11 + t22 = 0, checked pointwise at t = (t11, t12, t21, t22)."""
+    t11 + t22 = 0 at t = (t11, t12, t21, t22): four encoded elements, or four
+    arrays of them, checked elementwise."""
     K = S.field
-    p = S.p
-    t11, t12, t21, t22 = (np.int64(x) for x in t)
+    add, mul, fr, p1 = K.ADD, K.MUL, K.FROB, K.power_table(S.p + 1)
+    t11, t12, t21, t22 = t
     eqs = [
-        K.add(K.mul(t11, t11), K.mul(t12, t21)),                 # t11^2 + t12 t21
-        K.mul(t12, K.add(t11, t22)),
-        K.add(K.mul(t22, t22), K.mul(t12, t21)),                 # t22^2 + t12 t21
-        K.mul(t21, K.add(t11, t22)),
-        K.add(K.mul(K.power(t11, p), t21), K.mul(K.power(t12, p), t11)),
-        K.add(K.mul(K.power(t11, p), t22), K.power(t12, p + 1)),
-        K.add(K.power(t21, p + 1), K.mul(K.power(t22, p), t11)),
-        K.add(K.mul(K.power(t21, p), t22), K.mul(K.power(t22, p), t12)),
-        K.add(t11, t22),                                          # isotropy
+        add[mul[t11, t11], mul[t12, t21]],                        # t11^2 + t12 t21
+        mul[t12, add[t11, t22]],
+        add[mul[t22, t22], mul[t12, t21]],                        # t22^2 + t12 t21
+        mul[t21, add[t11, t22]],
+        add[mul[fr[t11], t21], mul[fr[t12], t11]],
+        add[mul[fr[t11], t22], p1[t12]],
+        add[p1[t21], mul[fr[t22], t11]],
+        add[mul[fr[t21], t22], mul[fr[t22], t12]],
+        add[t11, t22],                                            # isotropy
     ]
-    return all(int(v) == 0 for v in eqs)
+    return np.logical_and.reduce([x == 0 for x in eqs])
 
 
 def parametrized_chart_set(S):
     """{(t, a t, -t/a, -t) : t in F_q, a^(p+1) = 1} as a set of tuples."""
     K = S.field
     q, p = S.q, S.p
-    roots = [int(K.EXP[k]) for k in range(0, q - 1, (q - 1) // (p + 1))]
-    out = {(0, 0, 0, 0)}
-    for a in roots:
-        ainv = int(K.power(a, -1))
-        for t in range(1, q):
-            out.add((t, int(K.mul(np.int64(a), np.int64(t))),
-                     int(K.NEG[K.mul(np.int64(ainv), np.int64(t))]),
-                     int(K.NEG[np.int64(t)])))
-    return out
+    a = K.EXP[:q - 1:(q - 1) // (p + 1), None]  # the p + 1 roots, down a column
+    t = K.elements()[None, 1:]
+    cols = np.broadcast_arrays(t, K.MUL[a, t], K.NEG[K.MUL[K.power_table(-1)[a], t]],
+                               K.NEG[t])
+    return {(0, 0, 0, 0)} | set(zip(*(c.ravel().tolist() for c in cols)))
 
 
 def compare_variety(S, planes):
@@ -278,44 +275,38 @@ def compare_variety(S, planes):
     enumeration."""
     K = S.field
     q, p = S.q, S.p
-    chart_pts = [pl.chart for pl in planes if pl.chart is not None]
-    projected = {(t[0], t[1], t[2]) for t in chart_pts}
-    poly_ok = all(
-        int(K.sub(K.power(np.int64(t1), p + 1), K.power(np.int64(t2), p + 1))) == 0
-        and int(K.add(K.power(np.int64(t1), 2), K.mul(np.int64(t2), np.int64(t3)))) == 0
-        for t1, t2, t3 in projected)
+    charts = [pl.chart for pl in planes if pl.chart is not None]
+    pts = np.array(charts, dtype=np.int64).reshape(-1, 4).T
+    projected = np.ravel_multi_index(pts[:3], (q,) * 3)
 
-    e = K.elements()
-    T1, T2, T3 = [a.reshape(-1) for a in np.meshgrid(e, e, e, indexing="ij")]
-    pow_p1 = K._power_table(p + 1)
-    sq = K.MUL[e, e]
-    variety = (K.sub(pow_p1[T1], pow_p1[T2]) == 0) & \
-              (K.add(sq[T1], K.MUL[T2, T3]) == 0)
-    variety_count = int(variety.sum())
-    variety_pts = {(int(T1[i]), int(T2[i]), int(T3[i])) for i in np.nonzero(variety)[0]}
-    extra = sorted(variety_pts - projected)
+    p1 = K.power_table(p + 1)
+    # the first polynomial on all (t1, t2) pairs, the second on its survivors
+    pairs = np.flatnonzero(p1[:, None] == p1[None, :])
+    t1, t2 = pairs // q, pairs % q
+    on = K.ADD[K.MUL[t1, t1][:, None], K.MUL[t2[:, None], K.elements()]] == 0
+    variety = (pairs[:, None] * q + np.arange(q))[on]  # ascending
+    # kind="table": the sort method and setdiff1d call np.unique, which loads numpy.ma
+    extra = variety[~np.isin(variety, projected, kind="table")]
 
-    lines = set()
-    for t in chart_pts:
-        if any(t):
-            if t[0] == 0:
-                lines.add(("degenerate", t))
-                continue
-            inv = K.power(t[0], -1)
-            lines.add(tuple(int(K.mul(np.int64(x), inv)) for x in t))
+    # a line through the origin is its point with t11 = 1; a nonzero point
+    # with t11 = 0 counts on its own
+    nonzero = pts[:, pts.any(axis=0)]
+    scale = np.where(nonzero[0] == 0, 1, K.power_table(-1)[nonzero[0]])
+    key = np.sort(np.ravel_multi_index(K.MUL[scale, nonzero], (q,) * 4))
+    lines = int(np.count_nonzero(np.diff(key, prepend=-1)))  # distinct points
     return {
         "p": p, "q": q,
-        "enumerated": len(chart_pts),
+        "enumerated": len(charts),
         "expected_count": 1 + (p + 1) * (q - 1),
-        "count_matches": len(chart_pts) == 1 + (p + 1) * (q - 1),
-        "all_chart_equations_hold": all(chart_equations_hold(S, t) for t in chart_pts),
-        "displayed_polynomials_hold": poly_ok,
-        "lines_through_origin": len(lines),
+        "count_matches": len(charts) == 1 + (p + 1) * (q - 1),
+        "all_chart_equations_hold": bool(chart_equations_hold(S, pts).all()),
+        "displayed_polynomials_hold": bool(np.isin(projected, variety, kind="table").all()),
+        "lines_through_origin": lines,
         "expected_lines": p + 1,
-        "parametrization_matches": set(chart_pts) == parametrized_chart_set(S),
-        "variety_point_count": variety_count,
-        "extra_variety_points": [list(t) for t in extra],
-        "extra_points_on_t1_t2_zero": all(t[0] == 0 and t[1] == 0 for t in extra),
+        "parametrization_matches": set(charts) == parametrized_chart_set(S),
+        "variety_point_count": variety.size,
+        "extra_variety_points": np.transpose(np.unravel_index(extra, (q,) * 3)).tolist(),
+        "extra_points_on_t1_t2_zero": bool((extra < q).all()),
     }
 
 

@@ -250,9 +250,12 @@ def newton_point(M, method="fast"):
 
     fast:   index = min(g/2, ord_pi(trace of the one-slot F^f matrix));
             a trace that vanishes to working precision certifies g/2 because
-            the precision policy keeps e*N > g/2.
+            the precision policy keeps e*N > g/2.  The trace is not a
+            base-change invariant when ext > 1.
     oracle: bracket m_n / n (minimal entry valuation of the n-fold twisted
             power) onto S(g) under doubling until the bracket stabilizes.
+            Its stop (no change over three doublings past n = 16) gives a
+            certified lower bound on the index, not a certified value.
     """
     if M.det_sum != M.g:
         raise DomainError("det-budget",

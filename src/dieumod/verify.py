@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from .wittring import CoeffTower, min_N
+from .wittring import CoeffTower, DomainError, min_N
 from . import invariants as inv
 from . import strata
 from . import families as fam
@@ -61,6 +61,8 @@ def criterion(cid, suite, name, description):
 
 
 def _scaled(n, scale):
+    if not math.isfinite(n * scale):
+        raise DomainError("bad-input", f"sample count {n} * scale {scale} is not finite")
     return max(1, int(round(n * scale)))
 
 
@@ -150,8 +152,10 @@ def criterion_t2_formula(check, seed, scale):
             u1, u2, l2 = entries[n1].sigma(h), entries[n2], h
         else:
             u1, u2, l2 = entries[n2].sigma(f - h), entries[n1], f - h
-        val = (u1 * u2 + tw.pi_pow(e * l2)).ord_pi()
-        expected = Fraction(g, 2) if val is math.inf else min(Fraction(g, 2), Fraction(val))
+        # the tower has e*N >= g + 2 > g/2 (`min_N`), so a value that vanishes
+        # to working precision has ord_lower() = e*N and min(g/2, .) = g/2
+        val = (u1 * u2 + tw.pi_pow(e * l2)).ord_lower()
+        expected = min(Fraction(g, 2), Fraction(val))
         got = inv.newton_point(M, "fast").index
         check(got == expected,
               f=f, e=e, tau=[n1, n2], got=str(got), expected=str(expected))

@@ -152,10 +152,13 @@ def test_malformed_module_shapes(capsys, tmp_path, mutate, code):
     (("verify", "--suite", "slopes", "--scale", "nan"), "bad-input"),
     (("verify", "--suite", "slopes", "--scale", "0"), "bad-input"),
     (("verify", "--suite", "slopes", "--scale", "-1"), "bad-input"),
+    # finite, but the sample count 500 * scale overflows to inf
+    (("verify", "--suite", "arith", "--scale", "1e308"), "bad-input"),
     (("sample-deform", "--f", "2", "--tau", "0", "--target", "1,0", "--trials", "-5"),
      "bad-shape"),
 ], ids=["short-target", "cjson-list", "cjson-string-coefficient", "scale-inf",
-        "scale-nan", "scale-zero", "scale-negative", "negative-trials"])
+        "scale-nan", "scale-zero", "scale-negative", "scale-overflows-count",
+        "negative-trials"])
 def test_malformed_arguments(capsys, argv, code):
     exit_code, out = run_cli(capsys, *argv)
     assert exit_code == 1

@@ -124,6 +124,25 @@ class TestSuperspecial:
             fam.superspecial(t, 0, 1, "general")
 
 
+def _product_route_mats(base, target, asg):
+    """deform_specialize's slot matrices formed by ring products: T_i as the
+    sum of lift * pi^j over the slot's coordinates, then T_i * pi^e off tau."""
+    t = base.tower
+    e, tau, entries = t.e, base.family["tau"], base.family["entries"]
+    mats = []
+    for i in range(t.f):
+        Ti = t.zero()
+        for j in range(target[i], e):
+            lift = t.ram(t.teichmuller(asg[(i, j)]))
+            if lift:
+                Ti = Ti + lift * t.pi_pow(j)
+        if i in tau:
+            mats.append(((Ti + entries[i], t.one()), (t.pi_pow(e), t.zero())))
+        else:
+            mats.append(((t.one(), t.zero()), (Ti * t.pi_pow(e), t.pi_pow(e))))
+    return tuple(mats)
+
+
 class TestDeform:
     def test_zero_assignment_restores_base(self):
         t = tower(3, 2, 2, ext=2)
@@ -185,6 +204,32 @@ class TestDeform:
         assert out["trials"] == 40
         assert sum(out["slope_histogram"].values()) == 40
         assert out["slope_histogram"].get("1", 0) >= 30  # spaced target, index 1 generic
+
+    @pytest.mark.parametrize("shape, c, target", [
+        ((3, 2, 2, 4), {0: 0}, (1, 0)),
+        ((3, 2, 2, 4), {0: 0, 1: 0}, (0, 1)),
+        ((5, 3, 2, 2), {0: 0, 2: 0}, (1, 0, 2)),
+        ((3, 2, 3, 1), {1: "pi-truncated"}, (0, 1)),
+    ], ids=["ext4-target1", "ext4-all-tau", "p5-three-slots", "truncated-entry"])
+    def test_slot_matrices_match_product_route(self, rng, shape, c, target):
+        # T_i placed coefficientwise and T_i * p must equal the ring products
+        # sum lift * pi^j and T_i * pi^e, entry and precision
+        p, f, e, ext = shape
+        t = tower(p, f, e, ext=ext)
+        c = {i: t.ram([0, 1], prec=3) if x == "pi-truncated" else t.ram(x)
+             for i, x in c.items()}
+        base = fam.normal_form(t, tuple(c), c)
+        F = t.residue_field
+        for trial in range(6):
+            # trial 0 all zero, trial 1 all units, then a mix with zeros
+            asg = {(i, j): F.zero() if trial == 0 or (trial > 1 and rng.random() < 0.3)
+                   else F.random_unit(rng) if trial == 1 else F.random(rng)
+                   for i in range(f) for j in range(target[i], e)}
+            got = fam.deform_specialize(base, target, asg).matrices
+            want = _product_route_mats(base, target, asg)
+            assert got == want
+            assert [[x.prec for row in m for x in row] for m in got] == \
+                [[x.prec for row in m for x in row] for m in want]
 
 
 class TestPiSwapExample:

@@ -100,8 +100,10 @@ def test_small_type_tables_match_int64_reference(p, r, dtype):
         assert np.array_equal(got.astype(np.int64), table), name
     exp, log = ref["EXP"], ref["LOG"]
     for n in (-1, 2, p + 1, K.q + 5):
-        assert [int(K.power(x, n)) for x in range(K.q)] == \
-            [0] + [int(exp[log[x] * n % (K.q - 1)]) for x in range(1, K.q)]
+        table = K.power_table(n)
+        assert table.dtype == dtype
+        assert table.tolist() == [0] + [int(exp[log[x] * n % (K.q - 1)])
+                                        for x in range(1, K.q)]
 
 
 class TestSetting:
@@ -269,3 +271,55 @@ def test_filtered_search_matches_full_mask_p5_chart():
     planes = hecke._cell_planes(S, 0, 1)
     assert len(planes) == 145
     assert planes == heckeref._cell_planes(S, 0, 1)
+
+
+# -- the array chart check against the pointwise one ---------------------------
+#
+# `heckeref` keeps the scalar chart check: one table expression per equation
+# and point, a dense q^3 grid for the variety, Python sets for points and
+# lines.  `hecke` runs the same check on one array of chart points.
+
+@pytest.mark.parametrize("p, full", [(3, False), (3, True), (5, False), (7, False)],
+                         ids=["p3-chart", "p3-grassmannian", "p5-chart", "p7-chart"])
+def test_compare_variety_matches_pointwise_reference(p, full):
+    S = HeckeSetting(p)
+    planes = enumerate_stable_planes(S, chart_only=not full)
+    assert compare_variety(S, planes) == heckeref.compare_variety(S, planes)
+
+
+def _chart_plane(t):
+    t11, t12, t21, t22 = t
+    return hecke.StablePlane(((1, 0, t11, t12), (0, 1, t21, t22)), tuple(t))
+
+
+def test_compare_variety_matches_reference_on_tampered_planes():
+    # three chart planes dropped, and three chart points off the variety
+    # added: two with t11 = 0, each of which counts as its own line, and one
+    # on a new line
+    S = HeckeSetting(3)
+    planes = enumerate_stable_planes(S, chart_only=False)
+    tampered = planes[:1] + planes[4:] + [_chart_plane(t) for t in
+                                           ((0, 1, 0, 0), (0, 2, 0, 0), (1, 0, 0, 0))]
+    true, got = compare_variety(S, planes), compare_variety(S, tampered)
+    assert got == heckeref.compare_variety(S, tampered)
+    changed = {k for k in true if true[k] != got[k]}
+    assert {"extra_variety_points", "displayed_polynomials_hold",
+            "all_chart_equations_hold"} <= changed
+    assert len(got["extra_variety_points"]) == len(true["extra_variety_points"]) + 3
+    assert got["lines_through_origin"] == true["lines_through_origin"] + 3
+    assert not got["displayed_polynomials_hold"] and not got["all_chart_equations_hold"]
+
+
+def test_chart_equations_match_pointwise_reference_on_whole_chart():
+    S = HeckeSetting(3)
+    t = [g.reshape(-1) for g in
+         np.meshgrid(*[S.field.elements()] * 4, indexing="ij")]
+    got = chart_equations_hold(S, t)
+    assert got.shape == (S.q ** 4,) and int(got.sum()) == 33
+    assert got.tolist() == [heckeref.chart_equations_hold(S, x) for x in zip(*t)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_parametrized_set_matches_pointwise_reference(p):
+    S = HeckeSetting(p)
+    assert parametrized_chart_set(S) == heckeref.parametrized_chart_set(S)
