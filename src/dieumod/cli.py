@@ -111,10 +111,12 @@ def cmd_sample_deform(args):
 def cmd_verify(args):
     if not (math.isfinite(args.scale) and args.scale > 0):
         raise DomainError("bad-input", f"--scale must be finite and positive, not {args.scale}")
-    report = vf.run_suite(args.suite, seed=args.seed, scale=args.scale)
-    for check in report["checks"]:
-        status = "pass" if check["passed"] else "FAIL"
-        print(f"[{status}] {check['name']} ({check['cases']} cases)", file=sys.stderr)
+    def status(check, elapsed):
+        word = "pass" if check["passed"] else "FAIL"
+        print(f"[{word}] {check['name']} ({check['cases']} cases, {elapsed:.3f} s)",
+              file=sys.stderr)
+
+    report = vf.run_suite(args.suite, seed=args.seed, scale=args.scale, progress=status)
     _emit(report)
     return 0 if report["passed"] else 1
 

@@ -201,24 +201,23 @@ def deform_specialize(base, target_atype, assignment):
     if set(assignment) != want:
         raise DomainError("key-mismatch",
                           f"assignment keys must be exactly {sorted(want)}")
-    mats, signs = [], []
+    one, zero, pi_e = tower.one(), tower.zero(), tower.pi_pow(e)
+    mats = []
     for i in range(f):
         # T_{i,j} pi^j for j < e is T_{i,j} placed at pi-coefficient j
-        coeffs = [0] * e
+        coeffs = [tower.witt_zero()] * e
         for j in range(target[i], e):
             coeffs[j] = tower.teichmuller(assignment[(i, j)])
         Ti = tower.ram(coeffs)
         if i in tau:
-            Ti = Ti + entries[i]
-            mats.append([[Ti, tower.one()], [tower.pi_pow(e), tower.zero()]])
-            signs.append(-1)
+            mats.append([[Ti + entries[i], one], [pi_e, zero]])
         else:
-            mats.append([[tower.one(), tower.zero()],
-                         [Ti * tower.p, tower.pi_pow(e)]])  # pi^e = p
-            signs.append(1)
-    deltas, note = _pairing_scalars(tower, signs)
-    module = DModule(tower, mats, deltas, "separable")
-    return _attach(module, {"kind": "deform", "tau": tau, "target": target}, note)
+            mats.append([[one, zero], [Ti * tower.p, pi_e]])  # pi^e = p
+    # the slot signs are the base's (-1 on tau, else +1), and so are its
+    # pairing scalars and note; DModule still checks them against the fiber
+    module = DModule(tower, mats, base.delta, "separable")
+    return _attach(module, {"kind": "deform", "tau": tau, "target": target},
+                   base.pairing_note)
 
 
 def nonrapoport_module(tower):
@@ -253,12 +252,13 @@ def sample_deform(tower, tau, target, trials, rng):
         ai = target[i] if target[i] else 1
         c[i] = tower.pi_pow(ai - 1)  # entry c_i * pi has valuation exactly ai
     base = normal_form(tower, tau, c)
+    F = tower.residue_field
     hist = {}
     for _ in range(trials):
         assignment = {}
         for i in range(f):
             for j in range(target[i], e):
-                assignment[(i, j)] = tower.residue_field.random_unit(rng)
+                assignment[(i, j)] = F.random_unit(rng)
         M = deform_specialize(base, target, assignment)
         idx = newton_point(M).index
         hist[idx] = hist.get(idx, 0) + 1

@@ -288,11 +288,10 @@ def compare_variety(S, planes):
     # kind="table": the sort method and setdiff1d call np.unique, which loads numpy.ma
     extra = variety[~np.isin(variety, projected, kind="table")]
 
-    # a line through the origin is its point with t11 = 1; a nonzero point
-    # with t11 = 0 counts on its own
+    # a line through the origin is its point whose first nonzero coordinate is 1
     nonzero = pts[:, pts.any(axis=0)]
-    scale = np.where(nonzero[0] == 0, 1, K.power_table(-1)[nonzero[0]])
-    key = np.sort(np.ravel_multi_index(K.MUL[scale, nonzero], (q,) * 4))
+    lead = nonzero[(nonzero != 0).argmax(axis=0), np.arange(nonzero.shape[1])]
+    key = np.sort(np.ravel_multi_index(K.MUL[K.power_table(-1)[lead], nonzero], (q,) * 4))
     lines = int(np.count_nonzero(np.diff(key, prepend=-1)))  # distinct points
     return {
         "p": p, "q": q,

@@ -19,13 +19,55 @@ The invariants do not use the chain-ring part: `invariants` reads Lie type
 and a-type off valuations over the DVR.  `PiPoly`, `smith_exponents` and
 `mat_rank_over_field` (with `DModule.fbar_matrix` / `vbar_matrix`) are the
 independent reference route of the tests and the names the benchmark's
-traced run wraps.  The residue field also serves Teichmuller sampling.
+traced run wraps.
+
+The residue field also serves Teichmuller sampling, which lifts an element
+through its discrete log k to the generator as T^k (`CoeffTower.teichmuller`).
+`gen_pow` and `random_unit` carry their exponent, and form the coefficients
+only when something reads them.  Any other element finds its log in a table
+of the field, for q <= 2^16: an array("H"), 2 bytes per element, indexed by
+the base-p number sum(c_j p^j) of its coefficients, built once per (p, mu) on
+first use by walking the powers of gen().  Larger fields have no table.
 """
 
 import operator
+from array import array
+from functools import cache
 from itertools import product
 
 from . import fppoly
+
+LOG_TABLE_MAX_ORDER = 1 << 16  # q - 1 logs fit the table's 16-bit entries
+
+
+@cache
+def _log_table(p, mu):
+    """array("H") whose entry at index sum(c_j p^j) is the k < q - 1 with
+    gen()**k = sum(c_j x^j) in F_p[x]/(mu); entry 0 (the zero element) is
+    unused.
+
+    The walk multiplies by x on the index itself: shift one base-p digit up,
+    and fold the digit t that leaves the top back in as x^d = -sum(mu_j x^j),
+    which touches only the digits of the nonzero mu_j.
+    """
+    d = len(mu) - 1
+    q, top = p ** d, p ** (d - 1)
+    folds = [(p ** j, -m % p) for j, m in enumerate(mu[:-1]) if m]
+    table = array("H", bytes(2 * q))
+    idx = 1
+    for k in range(q - 1):
+        table[idx] = k
+        t, idx = divmod(idx, top)
+        idx *= p
+        if t:
+            for w, m in folds:
+                old = idx // w % p
+                idx += ((old + t * m) % p - old) * w
+        if idx == 1:
+            break
+    if k != q - 2 or idx != 1:
+        raise ValueError("x does not generate F_q^*: the modulus is not primitive")
+    return table
 
 
 class ResidueField:
@@ -38,7 +80,8 @@ class ResidueField:
         self.order = p ** self.d
         if self.d < 1:
             raise ValueError("modulus must have positive degree")
-        self._gen_rows = None  # window table of gen(), built on first gen_pow
+        self._gen_rows = None  # window table of gen(), built on the first _gen_pow_coeffs
+        self._logs = None  # _log_table(p, mu), looked up on the first log-less lift
         self._ring = fppoly.PackedQuotient(self.mu, p)
         self._mul = self._ring.mul  # coefficient tuple of a * b for reduced a, b
 
@@ -78,21 +121,43 @@ class ResidueField:
     def gen_pow(self, k):
         """gen()**k, remembering the exponent so Witt lifts stay cheap.
 
-        Read off a fixed-base window table of the generator (built on the
-        first call), one product per nonzero base-16 digit of k.
+        The coefficients are formed when first read (`FqElem.coeffs`), so an
+        element that is only lifted costs no work in F_q.
         """
-        k %= self.order - 1
+        return FqElem(self, None, k % (self.order - 1))
+
+    def _gen_pow_coeffs(self, k):
+        """Coefficients of gen()**k, 0 <= k < q - 1: read off a fixed-base
+        window table of the generator (built on the first call), one product
+        per nonzero base-16 digit of k."""
         one = self.one().coeffs
         if self._gen_rows is None:
             self._gen_rows = fppoly.window_table(
                 self.gen().coeffs, self.order - 1, self._mul, one)
-        return FqElem(self, fppoly.window_pow(self._gen_rows, k, self._mul, one), k)
+        return fppoly.window_pow(self._gen_rows, k, self._mul, one)
+
+    def discrete_log(self, a):
+        """k with gen()**k = a for a nonzero a: its cached `log`, else the
+        field's log table; None when neither exists (q > 2^16)."""
+        if a.log is not None:
+            return a.log
+        if self.order > LOG_TABLE_MAX_ORDER:
+            return None
+        if self._logs is None:
+            self._logs = _log_table(self.p, self.mu)
+        idx = 0
+        for c in reversed(a.coeffs):
+            idx = idx * self.p + c
+        return self._logs[idx]
 
     def random(self, rng):
         return FqElem(self, tuple([rng.randrange(self.p) for _ in range(self.d)]))
 
     def random_unit(self, rng):
-        """Uniform over F_{p^d}^* as a generator power (mu must be primitive)."""
+        """Uniform over F_{p^d}^* as gen()**k from one randrange(q - 1) draw
+        (mu must be primitive).  Only k is kept: the coefficients are formed
+        when first read, and a Teichmuller lift reads k alone, so the lift is
+        one window power in the tower and none in F_q."""
         return self.gen_pow(rng.randrange(self.order - 1))
 
     def elements(self):
@@ -104,17 +169,25 @@ class ResidueField:
 class FqElem:
     """Element of a ResidueField: `coeffs` holds exactly d residues in
     [0, p).  `log` caches a known discrete log of the element with respect
-    to the generator (None when unknown)."""
+    to the generator (None when unknown).  An element made from its log
+    alone (coeffs None) forms its coefficients when they are first read."""
 
-    __slots__ = ("field", "coeffs", "log")
+    __slots__ = ("field", "_coeffs", "log")
 
     def __init__(self, field, coeffs, log=None):
         self.field = field
-        self.coeffs = coeffs
+        self._coeffs = coeffs
         self.log = log
 
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = self.field._gen_pow_coeffs(self.log)
+        return self._coeffs
+
     def __bool__(self):
-        return any(self.coeffs)
+        # an element made from its log is a power of the generator
+        return self._coeffs is None or any(self._coeffs)
 
     def __eq__(self, other):
         return (

@@ -11,6 +11,7 @@ Criteria are registered with the `criterion` decorator.
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -566,14 +567,21 @@ def criterion_arith(check, seed, scale):
 SUITES["all"] = sum((SUITES[s] for s in ("arith", "slopes", "strata", "deform", "hecke")), ())
 
 
-def run_criteria(ids, seed=0, scale=1.0):
-    checks = [CRITERIA[i](seed=seed, scale=scale) for i in ids]
+def run_criteria(ids, seed=0, scale=1.0, progress=None):
+    """Run the criteria `ids` in order; `progress(check, elapsed_s)`, when
+    given, is called as each one finishes, with its report and wall time."""
+    checks = []
+    for i in ids:
+        start = time.perf_counter()
+        checks.append(CRITERIA[i](seed=seed, scale=scale))
+        if progress is not None:
+            progress(checks[-1], time.perf_counter() - start)
     return {"seed": seed, "scale": scale,
             "passed": all(c["passed"] for c in checks),
             "checks": checks}
 
 
-def run_suite(name, seed=0, scale=1.0):
+def run_suite(name, seed=0, scale=1.0, progress=None):
     if name not in SUITES:
         raise KeyError(name)
-    return run_criteria(SUITES[name], seed=seed, scale=scale)
+    return run_criteria(SUITES[name], seed=seed, scale=scale, progress=progress)

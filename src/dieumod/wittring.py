@@ -306,24 +306,33 @@ class CoeffTower:
     def teichmuller(self, a):
         """The unique multiplicative lift of a residue-field element.
 
-        Elements carrying a discrete log (from gen_pow/random_unit) lift as
-        T**log, read off a fixed-base window table of T built on first use.
-        Otherwise iterate y -> sigma^(-1)(y)**p from any lift y of a: if
-        y = w(a) mod p^k then sigma^(-1)(y) = w(a^(1/p)) mod p^k, and its
-        p-th power is w(a) mod p^(k+1), so each step gains one digit.
+        A unit with discrete log k to the generator (its cached `log` from
+        gen_pow/random_unit, else the residue field's log table, which
+        exists for q <= 2^16) lifts as T**k, read off a fixed-base window
+        table of T built on first use: one product per nonzero base-16 digit
+        of k.  Larger fields lift a log-less element by `_lift_by_iteration`.
         """
+        F = self.residue_field
         if isinstance(a, int):
-            a = self.residue_field.elem(a)
-        if not isinstance(a, FqElem) or a.field != self.residue_field:
+            a = F.elem(a)
+        if not isinstance(a, FqElem) or a.field != F:
             raise DomainError("tower-mismatch", "not a residue-field element of this tower")
         if not a:
             return self.witt_zero()
-        if a.log is not None:
-            if self._gen_rows is None:
-                self._gen_rows = fppoly.window_table(
-                    self.witt_gen(), self.q - 1, operator.mul, self.witt_one())
-            return fppoly.window_pow(self._gen_rows, a.log % (self.q - 1),
-                                     operator.mul, self.witt_one())
+        k = F.discrete_log(a)
+        if k is None:
+            return self._lift_by_iteration(a)
+        if self._gen_rows is None:
+            self._gen_rows = fppoly.window_table(
+                self.witt_gen(), self.q - 1, operator.mul, self.witt_one())
+        return fppoly.window_pow(self._gen_rows, k % (self.q - 1),
+                                 operator.mul, self.witt_one())
+
+    def _lift_by_iteration(self, a):
+        """Teichmuller lift of a nonzero residue a without its log: iterate
+        y -> sigma^(-1)(y)**p from any lift y of a.  If y = w(a) mod p^k then
+        sigma^(-1)(y) = w(a^(1/p)) mod p^k, and its p-th power is w(a) mod
+        p^(k+1), so each step gains one digit."""
         y = WittElem(self, a.coeffs)
         for _ in range(self.N + 1):
             y2 = y.sigma(-1) ** self.p

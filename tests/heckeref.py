@@ -127,10 +127,7 @@ def compare_variety(S, planes):
     lines = set()
     for t in chart_pts:
         if any(t):
-            if t[0] == 0:
-                lines.add(("degenerate", t))
-                continue
-            inv = _power(K, t[0], -1)
+            inv = _power(K, next(x for x in t if x), -1)
             lines.add(tuple(int(K.mul(np.int64(x), inv)) for x in t))
     return {
         "p": p, "q": q,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,24 @@ def test_verify_scaled_suite(capsys):
     rep = json.loads(captured.out)
     assert rep["passed"] and rep["checks"][0]["id"] == 9
     assert "pass" in captured.err
+
+
+def test_verify_status_lines_carry_elapsed_seconds(capsys):
+    # one stderr line per criterion, in report order, with its case count and
+    # wall time; stdout is the byte-identical report
+    code = main(["verify", "--suite", "all", "--scale", "0.01", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "verify_all_0.01.json"
+    assert captured.out == golden.read_text()
+    lines = captured.err.splitlines()
+    checks = json.loads(captured.out)["checks"]
+    assert len(lines) == len(checks) == 13
+    for line, check in zip(lines, checks):
+        m = re.fullmatch(r"\[pass\] (.+) \((\d+) cases, (\d+\.\d{3}) s\)", line)
+        assert m, line
+        assert (m[1], int(m[2])) == (check["name"], check["cases"])
+        assert 0 <= float(m[3]) < 60
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -231,6 +231,46 @@ class TestDeform:
             assert [[x.prec for row in m for x in row] for m in got] == \
                 [[x.prec for row in m for x in row] for m in want]
 
+    @pytest.mark.parametrize("shape", [
+        (3, 3, 1, 1), (3, 2, 2, 1), (2, 3, 1, 1), (2, 2, 2, 2), (3, 2, 2, 2),
+        (5, 3, 1, 2), (3, 2, 1, 3),
+    ], ids=["ext1", "ext1-e2", "p2-ext1", "p2-ext2", "ext2", "p5-ext2", "odd-ext3"])
+    def test_fiber_pairing_is_a_fresh_one(self, rng, shape):
+        # for every tau, the fiber's delta and pairing_note, taken from its
+        # base, equal _pairing_scalars of the fiber's own slot signs
+        p, f, e, ext = shape
+        t = tower(p, f, e, ext=ext)
+        F = t.residue_field
+        notes = set()
+        for mask in range(2 ** f):
+            tau = tuple(i for i in range(f) if mask >> i & 1)
+            base = fam.normal_form(t, tau, {i: t.zero() for i in tau})
+            asg = {(i, j): F.random(rng) for i in range(f) for j in range(e)}
+            M = fam.deform_specialize(base, (0,) * f, asg)
+            deltas, note = fam._pairing_scalars(t, [-1 if i in tau else 1 for i in range(f)])
+            assert M.delta == (None if deltas is None else tuple(deltas))
+            assert M.pairing_note == note
+            notes.add(note)
+        # the odd-sign cases: a zeta scalar at even ext and p odd, else a note
+        assert (None in notes, len(notes) > 1) == (True, p == 2 or ext % 2 == 1)
+
+    @pytest.mark.parametrize("shape, tau", [
+        ((3, 2, 2, 2), (0,)), ((3, 2, 2, 2), (0, 1)), ((2, 3, 1, 1), ()), ((5, 3, 1, 2), (1,)),
+    ])
+    def test_fiber_with_tampered_delta_is_refused(self, rng, shape, tau):
+        # the base's scalars reach the fiber through DModule's check: one
+        # negated scalar breaks det(A[1]) delta[1] = p sigma(delta[0])
+        p, f, e, ext = shape
+        t = tower(p, f, e, ext=ext)
+        F = t.residue_field
+        base = fam.normal_form(t, tau, {i: t.zero() for i in tau})
+        assert base.delta is not None
+        base.delta = (base.delta[0], -base.delta[1]) + base.delta[2:]
+        asg = {(i, j): F.random_unit(rng) for i in range(f) for j in range(e)}
+        with pytest.raises(DomainError, match="det\\(A\\)\\*delta") as exc:
+            fam.deform_specialize(base, (0,) * f, asg)
+        assert exc.value.code == "pairing-incompatible"
+
 
 class TestPiSwapExample:
     def test_shape_validation(self):

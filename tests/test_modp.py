@@ -232,3 +232,63 @@ def test_inverse_of_a_zero_divisor_is_refused():
     for c in ([1, 1], [0, 1]):
         with pytest.raises(ArithmeticError, match="modulus is not irreducible"):
             R.elem(c).inverse()
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 5), (3, 1), (3, 6), (5, 4), (7, 3)])
+def test_log_table_inverts_gen_pow(p, d):
+    # every unit of the field, against the window-table power gen()**k,
+    # stored at 2 bytes per element; an equal field shares the table
+    F = ResidueField(p, fppoly.smallest_primitive(p, d))
+    q = F.order
+    for k in range(q - 1):
+        x = F.elem(list(F.gen_pow(k).coeffs))
+        assert x.log is None and F.discrete_log(x) == k
+    assert F._logs.itemsize == 2 and len(F._logs) == q
+    G = ResidueField(p, F.mu)
+    assert G.discrete_log(G.elem([0, 1])) == 1 % (q - 1) and G._logs is F._logs
+
+
+def test_log_table_cap(rng):
+    # q = 2^16 still has a table (logs up to q - 2 fit 16 bits); q = 3^11
+    # has none, so a log-less element has no log there
+    F = ResidueField(2, fppoly.smallest_primitive(2, 16))
+    k = rng.randrange(F.order - 1)
+    assert F.discrete_log(F.elem(list(F.gen_pow(k).coeffs))) == k
+    assert len(F._logs) == 1 << 16
+    G = ResidueField(3, fppoly.smallest_primitive(3, 11))
+    assert G.discrete_log(G.elem([1, 1])) is None and G._logs is None
+    assert G.discrete_log(G.gen_pow(5)) == 5
+
+
+@pytest.mark.parametrize("mu", [[1, 0, 1], [1, 1, 1, 1, 1]],
+                         ids=["reducible", "irreducible-order-5"])
+def test_log_table_refuses_a_nonprimitive_modulus(mu):
+    # x^2 + 1 = (x + 1)^2 and x^4 + x^3 + x^2 + x + 1 over F_2: x has order
+    # 2 and 5, not q - 1
+    R = ResidueField(2, mu)
+    with pytest.raises(ValueError, match="not primitive"):
+        R.discrete_log(R.elem([1, 1]))
+
+
+@pytest.mark.parametrize("p,d", [(2, 4), (3, 8), (3, 16)])
+def test_random_unit_is_one_draw_with_a_lazy_residue(p, d):
+    # one randrange(q - 1) draw, as gen_pow(k) made it, and no coefficients
+    # until they are read; then they are gen()**k by repeated squaring
+    F = ResidueField(p, fppoly.smallest_primitive(p, d))
+    q = F.order
+    calls = []
+
+    class Recording(random.Random):
+        def randrange(self, *args):
+            calls.append(args)
+            return super().randrange(*args)
+
+    rng, twin = Recording(11), random.Random(11)
+    for _ in range(20):
+        calls.clear()
+        u = F.random_unit(rng)
+        k = twin.randrange(q - 1)
+        assert calls == [(q - 1,)] and rng.getstate() == twin.getstate()
+        assert u.log == k and u._coeffs is None and u
+        assert u.coeffs == F.gen_pow(k).coeffs == (F.gen() ** k).coeffs
+        assert u == F.elem(list(u.coeffs)) and hash(u) == hash(F.elem(list(u.coeffs)))

@@ -159,20 +159,48 @@ class TestTeichmuller:
             assert t.teichmuller(x).sigma() == t.teichmuller(x.frob())
 
     def test_genpow_fast_path_matches_iteration(self, rng):
-        # the logged lift (window table of T) against the log-less lift
-        # (Frobenius-root iteration), p in {2, 3, 5}, d = 1 included, N >= 2
+        # the logged lift (window table of T) against the Frobenius-root
+        # iteration, p in {2, 3, 5}, d = 1 included, N >= 2; the log-less
+        # element lifts through the log table, and through the iteration
+        # in the q = 3^11 > 2^16 field, which has no table
         towers = [tower(3, 2, 2, ext=2)] + [
             CoeffTower(p, 1, 2, d, N)
-            for p, d, N in ((2, 1, 5), (2, 4, 3), (3, 1, 4), (3, 3, 2), (5, 1, 2), (5, 2, 4))]
+            for p, d, N in ((2, 1, 5), (2, 4, 3), (3, 1, 4), (3, 3, 2), (5, 1, 2), (5, 2, 4),
+                            (3, 11, 2))]
         for t in towers:
             F = t.residue_field
             for k in [0, 1, t.q - 2] + [rng.randrange(t.q - 1) for _ in range(8)]:
                 viapow = t.teichmuller(F.gen_pow(k))
                 plain = F.elem(list(F.gen_pow(k).coeffs))
                 assert plain.log is None
-                y = t.teichmuller(plain)
-                assert y == viapow
+                y = t._lift_by_iteration(plain)
+                assert y == viapow == t.teichmuller(plain)
                 assert y ** t.q == y and y.residue() == plain
+        assert towers[-1].residue_field._logs is None
+
+    @pytest.mark.parametrize("p,d", [(p, d) for p in (2, 3, 5, 7) for d in range(1, 10)
+                                     if p ** d <= 729] + [(3, 8)])
+    def test_table_lift_matches_iteration(self, p, d, rng):
+        # every element of the fields with q <= 729, and 150 samples at
+        # q = 3^8: the lift through the log table equals the iteration's,
+        # is fixed by x -> x^q and reduces to the element
+        t = CoeffTower(p, 1, 2, d, 3)
+        F = t.residue_field
+        xs = list(F.elements()) if F.order <= 729 else [F.random(rng) for _ in range(150)]
+        for x in xs:
+            y = t.teichmuller(x)
+            if x:
+                assert y == t._lift_by_iteration(x), x
+            assert y ** t.q == y and y.residue() == x, x
+        assert F._logs is not None and F._logs.itemsize == 2 and len(F._logs) == F.order
+
+    def test_lift_of_a_random_unit_reads_no_coefficients(self, rng):
+        t = tower(3, 2, 2, ext=4)
+        F = t.residue_field
+        u = F.random_unit(rng)
+        y = t.teichmuller(u)
+        assert u._coeffs is None  # only the log was read
+        assert y == t.teichmuller(F.elem(list(u.coeffs)))
 
     def test_logged_lift_costs_one_product_per_window_digit(self, monkeypatch):
         t = CoeffTower(3, 1, 2, 16, 2)
