@@ -5,10 +5,11 @@ tuples of exactly d coefficients in [0, m), little-endian: the format of
 `PackedQuotient`, which owns their packed (Kronecker) product in
 (Z/m)[x]/(modulus).  `modp.ResidueField` and `wittring.CoeffTower` each
 build one.  `power` squares and multiplies (a residue-field inverse is
-x**(q-2), by Fermat) and `window_table`/`window_pow` compute fixed-base
-powers (the residue-field generator and its Teichmuller lift) with one
-product per nonzero base-2^W digit of the exponent; all three take the
-ring's multiplication from their arguments so every layer shares them.
+x**(q-2), by Fermat, and a lazy generator power gen()**k is formed by it)
+and `window_table`/`window_pow` compute the fixed-base powers of the
+Teichmuller lift T**k (`CoeffTower.teichmuller`) with one product per
+nonzero base-2^W digit of the exponent; all three take the ring's
+multiplication from their arguments.
 
 Set-up runs on the same kernel.  `is_primitive` is the one test of a
 modulus: a monic f with f(0) != 0 is primitive iff x has order p^d - 1

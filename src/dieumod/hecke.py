@@ -15,12 +15,13 @@ equations and the displayed coordinate variety
 
     k[t1, t2, t3] / (t1^(p+1) - t2^(p+1), t1^2 + t2 t3).
 
-Field arithmetic is table-driven (q <= a few hundred) and numpy-vectorized,
-with every table and candidate array in the smallest unsigned type that
-holds q - 1.  Within a cell the seven conditions (isotropy, then pi-, F- and
-V-stability of each row) are tested in turn, each only on the candidates
-that passed the ones before it: isotropy keeps one chart candidate in q, and
-the p = 5 chart (q^4 = 390625 candidates) ends with 145 planes.
+Field arithmetic is table-driven (q <= 2^16, in practice a few hundred) and
+numpy-vectorized, with every table and candidate array in the smallest
+unsigned type that holds q - 1.  Within a cell the seven conditions
+(isotropy, then pi-, F- and V-stability of each row) are tested in turn,
+each only on the candidates that passed the ones before it: isotropy keeps
+one chart candidate in q, and the p = 5 chart (q^4 = 390625 candidates)
+ends with 145 planes.
 
 The check is one array pass: a point of F_q^3 is its flat index
 (t1 q + t2) q + t3, and the displayed polynomials hold when the projected
@@ -33,22 +34,23 @@ from itertools import combinations
 import numpy as np
 
 from . import fppoly
-from .modp import ResidueField
-from .wittring import DomainError, count_text
+from .modp import LOG_TABLE_MAX_ORDER, log_table
+from .wittring import DomainError
 
 
 class SmallField:
     """F_q with integer-encoded elements (base-p digit vectors) and full
     numpy operation tables, all in the smallest unsigned type that holds
-    q - 1 (uint8 up to q = 256).  Exponent arithmetic on logs runs in int64
-    before it indexes, since LOG * n overflows that type."""
+    q - 1 (uint8 up to q = 256).  LOG is the residue field's
+    `modp.log_table` of the same modulus (whose index is this encoding) and
+    EXP its inverse, so q <= 2^16.  Exponent arithmetic on logs runs in
+    int64 before it indexes, since LOG * n overflows that type."""
 
     def __init__(self, p, r):
         self.p, self.r = p, r
         self.q = q = p ** r
         self.dtype = dt = np.min_scalar_type(q - 1)
-        mu = fppoly.smallest_primitive(p, r)
-        self.mu = mu
+        self.mu = mu = fppoly.smallest_primitive(p, r)
         enc = np.arange(q, dtype=np.int64)
         digits = [(enc // p ** i) % p for i in range(r)]
         add = np.zeros((q, q), dtype=np.int64)
@@ -58,12 +60,11 @@ class SmallField:
             neg += ((-digits[i]) % p) * p ** i
         self.ADD = add.astype(dt)
         self.NEG = neg.astype(dt)
-        # exp/log through the primitive generator T of F_p[T]/(mu)
-        F = ResidueField(p, mu)
-        exp = np.array([sum(c * p ** i for i, c in enumerate(F.gen_pow(k).coeffs))
-                        for k in range(q - 1)], dtype=dt)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
+        # exp/log through the primitive generator T of F_p[T]/(mu); the
+        # casts copy, so the shared table is never written
+        log = np.frombuffer(log_table(p, mu), dtype=np.uint16).astype(np.int64)
+        exp = np.zeros(q - 1, dtype=dt)
+        exp[log[1:]] = np.arange(1, q)
         self.EXP, self.LOG = exp, log.astype(dt)
         mul = np.zeros((q, q), dtype=dt)
         mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
@@ -97,12 +98,21 @@ class StablePlane:
 
 
 def _field_order(p, s):
-    """q = p^(2s), for an odd prime p and s >= 1."""
+    """q = p^(2s), for an odd prime p and s >= 1, refused with size-guard
+    above `LOG_TABLE_MAX_ORDER` = 2^16, where F_q has no log table.
+    q >= 2^low with low = 2s(bits(p) - 1): past 16 that bound decides,
+    before p is tested for primality or q is formed."""
+    low = 2 * s * (p.bit_length() - 1)
+    if low > 16:
+        raise DomainError("size-guard", f"field has at least 2^{low} elements > 2^16")
     if p == 2 or not fppoly.is_prime(p):
         raise DomainError("bad-shape", "p must be an odd prime")
     if s < 1:
         raise DomainError("bad-shape", "s must be >= 1")
-    return p ** (2 * s)
+    q = p ** (2 * s)
+    if q > LOG_TABLE_MAX_ORDER:
+        raise DomainError("size-guard", f"field has {q} elements > 2^16")
+    return q
 
 
 class HeckeSetting:
@@ -152,20 +162,14 @@ class HeckeSetting:
 
 def _check_size(p, s, chart_only, size_cap):
     """Raise size-guard when the search over F_q, q = p^(2s), has more than
-    size_cap candidates, and bad-shape (`_field_order`) for a bad p or s.
-    q^4 >= 2^low with low = 8s(bits(p) - 1): from 2^64 points on, that bound
-    decides, before p is tested for primality or q is formed.  The
-    Grassmannian contains the chart."""
-    low = 8 * s * (p.bit_length() - 1)
-    if low >= max(64, size_cap.bit_length()):
-        raise DomainError("size-guard", f"chart has at least 2^{low} points > cap")
+    size_cap candidates, and the errors of `_field_order` for a bad p or s
+    or a field above 2^16.  The Grassmannian contains the chart."""
     q = _field_order(p, s)
     if q ** 4 > size_cap:
-        raise DomainError("size-guard", f"chart has {count_text(q ** 4)} points > cap")
+        raise DomainError("size-guard", f"chart has {q ** 4} points > cap")
     total = (q ** 2 + 1) * (q ** 2 + q + 1)
     if not chart_only and total > size_cap:
-        raise DomainError("size-guard",
-                          f"Grassmannian has {count_text(total)} planes > cap")
+        raise DomainError("size-guard", f"Grassmannian has {total} planes > cap")
 
 
 def _cell_planes(S, j1, j2):

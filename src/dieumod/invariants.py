@@ -23,7 +23,7 @@ entry valuations of iterated twisted powers (the independent oracle).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .wittring import PrecisionError, DomainError, INF
+from .wittring import PrecisionError, DomainError, INF, product_prec
 
 # doubling budget of the Newton oracle: twisted powers up to the 2^7-fold
 _MAX_DOUBLINGS = 7
@@ -171,7 +171,7 @@ def _a_pair(M, i):
     A mixed minor sigma(x1) y1 + sigma(x2) y2 is read off the valuations r
     of the stored entries (`_repr_ord`) and their precisions, without ring
     arithmetic: sigma keeps both, a product's valuation is the sum of its
-    factors' (O is a DVR) and its precision is that of `RamElem.__mul__`,
+    factors' (O is a DVR) and its precision is `wittring.product_prec`,
     and a sum of two terms of different valuations has the smaller one.
     Only two terms that tie below precision, and could still lower s, are
     multiplied out."""
@@ -197,7 +197,7 @@ def _a_pair(M, i):
                 x, y, rx, ry = A[r][k], B[k][c], ra[r][k], rb[k][c]
                 if rx == x.prec == full or ry == y.prec == full:
                     continue
-                prec = min(rx + y.prec, ry + x.prec, x.prec + y.prec, full)
+                prec = product_prec(rx, x.prec, ry, y.prec, full)
                 terms.append((rx + ry if rx + ry < prec else full, prec))
             if not terms:
                 continue

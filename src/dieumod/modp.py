@@ -24,10 +24,12 @@ traced run wraps.
 The residue field also serves Teichmuller sampling, which lifts an element
 through its discrete log k to the generator as T^k (`CoeffTower.teichmuller`).
 `gen_pow` and `random_unit` carry their exponent, and form the coefficients
-only when something reads them.  Any other element finds its log in a table
-of the field, for q <= 2^16: an array("H"), 2 bytes per element, indexed by
-the base-p number sum(c_j p^j) of its coefficients, built once per (p, mu) on
-first use by walking the powers of gen().  Larger fields have no table.
+(gen()**k by `fppoly.power`) only when something reads them.  Any other
+element finds its log in `log_table(p, mu)`, the one exp/log map of F_q
+(`hecke.SmallField` reads it too), for q <= 2^16: an array("H"), 2 bytes
+per element, indexed by the base-p number sum(c_j p^j) of its coefficients,
+built once per (p, mu) on first use by walking the powers of gen().  Larger
+fields have no table.
 """
 
 import operator
@@ -41,10 +43,10 @@ LOG_TABLE_MAX_ORDER = 1 << 16  # q - 1 logs fit the table's 16-bit entries
 
 
 @cache
-def _log_table(p, mu):
+def log_table(p, mu):
     """array("H") whose entry at index sum(c_j p^j) is the k < q - 1 with
     gen()**k = sum(c_j x^j) in F_p[x]/(mu); entry 0 (the zero element) is
-    unused.
+    unused.  mu is a tuple, reduced mod p, with a primitive x; q <= 2^16.
 
     The walk multiplies by x on the index itself: shift one base-p digit up,
     and fold the digit t that leaves the top back in as x^d = -sum(mu_j x^j),
@@ -80,8 +82,6 @@ class ResidueField:
         self.order = p ** self.d
         if self.d < 1:
             raise ValueError("modulus must have positive degree")
-        self._gen_rows = None  # window table of gen(), built on the first _gen_pow_coeffs
-        self._logs = None  # _log_table(p, mu), looked up on the first log-less lift
         self._ring = fppoly.PackedQuotient(self.mu, p)
         self._mul = self._ring.mul  # coefficient tuple of a * b for reduced a, b
 
@@ -116,7 +116,7 @@ class ResidueField:
 
     def gen(self):
         """The residue of T; a multiplicative generator when mu is primitive."""
-        return self.elem([0, 1], 1 % (self.order - 1))
+        return FqElem(self, self._ring.x, 1 % (self.order - 1))
 
     def gen_pow(self, k):
         """gen()**k, remembering the exponent so Witt lifts stay cheap.
@@ -126,16 +126,6 @@ class ResidueField:
         """
         return FqElem(self, None, k % (self.order - 1))
 
-    def _gen_pow_coeffs(self, k):
-        """Coefficients of gen()**k, 0 <= k < q - 1: read off a fixed-base
-        window table of the generator (built on the first call), one product
-        per nonzero base-16 digit of k."""
-        one = self.one().coeffs
-        if self._gen_rows is None:
-            self._gen_rows = fppoly.window_table(
-                self.gen().coeffs, self.order - 1, self._mul, one)
-        return fppoly.window_pow(self._gen_rows, k, self._mul, one)
-
     def discrete_log(self, a):
         """k with gen()**k = a for a nonzero a: its cached `log`, else the
         field's log table; None when neither exists (q > 2^16)."""
@@ -143,12 +133,10 @@ class ResidueField:
             return a.log
         if self.order > LOG_TABLE_MAX_ORDER:
             return None
-        if self._logs is None:
-            self._logs = _log_table(self.p, self.mu)
         idx = 0
         for c in reversed(a.coeffs):
             idx = idx * self.p + c
-        return self._logs[idx]
+        return log_table(self.p, self.mu)[idx]
 
     def random(self, rng):
         return FqElem(self, tuple([rng.randrange(self.p) for _ in range(self.d)]))
@@ -181,8 +169,9 @@ class FqElem:
 
     @property
     def coeffs(self):
-        if self._coeffs is None:
-            self._coeffs = self.field._gen_pow_coeffs(self.log)
+        if self._coeffs is None:  # gen()**log
+            ring = self.field._ring
+            self._coeffs = fppoly.power(ring.x, self.log, ring.mul, ring.one)
         return self._coeffs
 
     def __bool__(self):

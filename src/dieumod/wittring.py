@@ -104,6 +104,13 @@ def min_N(g, e, slack=0):
     return -(-(max(1, slack) * g + 2) // e)
 
 
+def product_prec(rx, px, ry, py, full):
+    """Certified precision of a product x y of ramified elements, from the
+    valuations r of their stored representatives (`RamElem._repr_ord`) and
+    their precisions: min(r_x + p_y, r_y + p_x, p_x + p_y, eN)."""
+    return min(rx + py, ry + px, px + py, full)
+
+
 def is_int_list(xs):
     """True for a list of integers, as read from JSON (booleans excluded)."""
     return isinstance(xs, list) and all(type(x) is int for x in xs)
@@ -202,8 +209,8 @@ class CoeffTower:
         (`B is A`) takes five big-int products instead of eight, with a + d
         summed packed; the packed sums, and so the outputs, are the same.  The
         precision is that of the entrywise products and sum: full when its
-        four factors are, else the minimum of the product formula of
-        `RamElem.__mul__` over its two products."""
+        four factors are, else the minimum of `product_prec` over its two
+        products."""
         pa = [[self._ram_pack(x.coeffs) for x in row] for row in A]
         if B is A:  # five products: a^2 + bc, b(a + d), c(a + d), d^2 + bc
             (a, b), (c, d) = pa
@@ -218,12 +225,8 @@ class CoeffTower:
         if any(x.prec < full for M in (A, B) for row in M for x in row):
             ra = [[x._repr_ord() for x in row] for row in A]
             rb = [[x._repr_ord() for x in row] for row in B]
-            for i in (0, 1):
-                for j in (0, 1):
-                    for k in (0, 1):
-                        x, y = A[i][k], B[k][j]
-                        prec[i][j] = min(prec[i][j], ra[i][k] + y.prec,
-                                         rb[k][j] + x.prec, x.prec + y.prec)
+            prec = [[min(product_prec(ra[i][k], A[i][k].prec, rb[k][j], B[k][j].prec, full)
+                         for k in (0, 1)) for j in (0, 1)] for i in (0, 1)]
         return tuple(
             tuple(RamElem(self, self._ram_unpack(packed[i][j]), prec[i][j]) for j in (0, 1))
             for i in (0, 1))
@@ -605,8 +608,8 @@ class RamElem:
                         coeffs[j - t.e] = b[i] * c * t.p
         prec = full
         if self.prec < full or other.prec < full:
-            prec = min(self._repr_ord() + other.prec, other._repr_ord() + self.prec,
-                       self.prec + other.prec, full)
+            prec = product_prec(self._repr_ord(), self.prec, other._repr_ord(),
+                                other.prec, full)
         return RamElem(t, coeffs, prec)
 
     __radd__ = __add__

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from dieumod.cli import main
 from dieumod.families import normal_form, ordinary_module, slope_family
 from dieumod.wittring import CoeffTower
+import dieumod.hecke
 
 INTS = st.integers(-1, 3).map(str)
 LISTS = st.sampled_from(["", "0", "1", "0,1", "1,0", "1,1", "2,2", ",", "0,,1", "a",
@@ -180,16 +181,24 @@ def test_huge_tower_is_refused_before_set_up(key, value):
                                   ("hecke", "--p", "3", "--s", "1600",
                                    "--size-cap", str(10 ** 4000)),
                                   ("poset", "--e", "2", "--f", "14000",
-                                   "--size-cap", str(10 ** 4250))],
+                                   "--size-cap", str(10 ** 4250)),
+                                  ("hecke", "--p", "3", "--s", "6",
+                                   "--size-cap", str(10 ** 23))],
                          ids=["hecke-s2000", "hecke-s4e6", "hecke-long-p", "poset-f20000",
-                              "hecke-s1600-huge-cap", "poset-f14000-huge-cap"])
-def test_huge_search_is_refused_at_once(argv):
+                              "hecke-s1600-huge-cap", "poset-f14000-huge-cap",
+                              "hecke-s6-field-above-2^16"])
+def test_huge_search_is_refused_at_once(argv, monkeypatch):
     # a search count too long to write in decimal (q^4 = 3^16000, 2^20000
     # poset elements), or one that would test a 4001-digit p for primality
     # or form q = 3^8000000 first: the size guard answers from bit lengths.
-    # Under a cap of 2^64 or more the bit-length bound need not decide
-    # (q^4 = 3^12800, 3^14000 elements); the message then names a power of
-    # two, not the count in decimal
+    # Under a cap of 2^64 or more the Hecke field bound q <= 2^16 still
+    # decides from bit lengths (q = 3^3200); the poset count 3^14000 is
+    # then named as a power of two, not in decimal.  A cap of 10^23 admits
+    # the q^4 chart points of q = 3^12, but that field has no log table:
+    # no field table may be built for any of these
+    def no_tables(p, r):
+        raise AssertionError("SmallField built for a refused search")
+    monkeypatch.setattr(dieumod.hecke, "SmallField", no_tables)
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):

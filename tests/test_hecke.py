@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dieumod import DomainError, hecke
+from dieumod import DomainError, hecke, modp
 from dieumod.hecke import (
     SmallField, HeckeSetting, enumerate_stable_planes, compare_variety,
     chart_equations_hold, parametrized_chart_set, probe_report,
@@ -98,6 +98,15 @@ def test_small_type_tables_match_int64_reference(p, r, dtype):
         got = getattr(K, name)
         assert got.dtype == dtype, name
         assert np.array_equal(got.astype(np.int64), table), name
+    # LOG is the residue field's log table, EXP its inverse, and writing
+    # into K's tables leaves the shared table as it was
+    shared = modp.log_table(p, K.mu)
+    before = shared.tobytes()
+    assert K.LOG.astype(np.int64).tolist() == shared.tolist()
+    assert np.array_equal(K.LOG[K.EXP], np.arange(K.q - 1))
+    assert np.array_equal(K.EXP[K.LOG[1:]], np.arange(1, K.q))
+    K.LOG[:] = 0
+    assert shared.tobytes() == before
     exp, log = ref["EXP"], ref["LOG"]
     for n in (-1, 2, p + 1, K.q + 5):
         table = K.power_table(n)
@@ -191,13 +200,23 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("full", [False, True], ids=["chart", "grassmannian"])
     def test_size_guard_before_field_tables(self, monkeypatch, full):
-        # p = 101 gives q = 10201: each q x q table would take about 0.8 GB
+        # p = 101 gives q = 10201: each q x q table would take about 0.8 GB.
+        # A field above 2^16 has no log table and is refused under any cap,
+        # from bit lengths (3^18) or from q itself (3^12, 5^8, 257^2)
         def no_tables(p, r):
             raise AssertionError("SmallField built for a search over the cap")
         monkeypatch.setattr(hecke, "SmallField", no_tables)
         with pytest.raises(DomainError, match="cap") as exc:
             probe_report(101, full_grassmannian=full)
         assert exc.value.code == "size-guard"
+        for p, s in ((3, 6), (3, 9), (5, 4), (257, 1)):
+            for call in (lambda: probe_report(p, s, full, size_cap=10 ** 23),
+                         lambda: HeckeSetting(p, s)):
+                with pytest.raises(DomainError, match="elements > 2\\^16") as exc:
+                    call()
+                assert exc.value.code == "size-guard"
+        # the largest fields below the bound pass it: 3^10 and 251^2
+        assert hecke._field_order(3, 5) == 3 ** 10 and hecke._field_order(251, 1) == 251 ** 2
 
     def test_p7_chart(self):
         rep = probe_report(7)

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from dieumod import fppoly
+from dieumod import fppoly, modp
 from dieumod.modp import ResidueField, PiPoly, smith_exponents
 from dieumod.wittring import CoeffTower
 from polyref import pmod, pmul, ppowmod, trim
@@ -236,27 +236,34 @@ def test_inverse_of_a_zero_divisor_is_refused():
 
 @pytest.mark.parametrize("p,d", [(2, 1), (2, 5), (3, 1), (3, 6), (5, 4), (7, 3)])
 def test_log_table_inverts_gen_pow(p, d):
-    # every unit of the field, against the window-table power gen()**k,
-    # stored at 2 bytes per element; an equal field shares the table
+    # every unit of the field, against the repeated-squaring power gen()**k,
+    # stored at 2 bytes per element; an equal field (its modulus given with
+    # unreduced coefficients) reads the identical table
     F = ResidueField(p, fppoly.smallest_primitive(p, d))
     q = F.order
     for k in range(q - 1):
         x = F.elem(list(F.gen_pow(k).coeffs))
         assert x.log is None and F.discrete_log(x) == k
-    assert F._logs.itemsize == 2 and len(F._logs) == q
-    G = ResidueField(p, F.mu)
-    assert G.discrete_log(G.elem([0, 1])) == 1 % (q - 1) and G._logs is F._logs
+    table = modp.log_table(p, F.mu)
+    assert table.itemsize == 2 and len(table) == q
+    G = ResidueField(p, [c + p for c in F.mu])
+    assert G.discrete_log(G.elem([0, 1])) == 1 % (q - 1)
+    assert modp.log_table(p, G.mu) is table
 
 
-def test_log_table_cap(rng):
+def test_log_table_cap(rng, monkeypatch):
     # q = 2^16 still has a table (logs up to q - 2 fit 16 bits); q = 3^11
-    # has none, so a log-less element has no log there
+    # never asks for one, so a log-less element has no log there
     F = ResidueField(2, fppoly.smallest_primitive(2, 16))
     k = rng.randrange(F.order - 1)
     assert F.discrete_log(F.elem(list(F.gen_pow(k).coeffs))) == k
-    assert len(F._logs) == 1 << 16
+    assert len(modp.log_table(2, F.mu)) == 1 << 16
     G = ResidueField(3, fppoly.smallest_primitive(3, 11))
-    assert G.discrete_log(G.elem([1, 1])) is None and G._logs is None
+
+    def no_table(p, mu):
+        raise AssertionError("log table asked for q > 2^16")
+    monkeypatch.setattr(modp, "log_table", no_table)
+    assert G.discrete_log(G.elem([1, 1])) is None
     assert G.discrete_log(G.gen_pow(5)) == 5
 
 

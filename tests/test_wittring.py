@@ -8,7 +8,7 @@ from dieumod import CoeffTower, DomainError, PrecisionError, INF
 from dieumod.wittring import WittElem, RamElem
 from dieumod.modules import mat_mul
 from dieumod import families as fam
-from dieumod import fppoly
+from dieumod import fppoly, modp
 from conftest import tower
 from polyref import is_irreducible, pdivmod
 
@@ -158,11 +158,15 @@ class TestTeichmuller:
             x = t.residue_field.random(rng)
             assert t.teichmuller(x).sigma() == t.teichmuller(x.frob())
 
-    def test_genpow_fast_path_matches_iteration(self, rng):
+    def test_genpow_fast_path_matches_iteration(self, rng, monkeypatch):
         # the logged lift (window table of T) against the Frobenius-root
         # iteration, p in {2, 3, 5}, d = 1 included, N >= 2; the log-less
         # element lifts through the log table, and through the iteration
-        # in the q = 3^11 > 2^16 field, which has no table
+        # in the q = 3^11 > 2^16 field, which never asks for a table
+        asked = []
+        log_table = modp.log_table
+        monkeypatch.setattr(modp, "log_table",
+                            lambda p, mu: asked.append(p ** (len(mu) - 1)) or log_table(p, mu))
         towers = [tower(3, 2, 2, ext=2)] + [
             CoeffTower(p, 1, 2, d, N)
             for p, d, N in ((2, 1, 5), (2, 4, 3), (3, 1, 4), (3, 3, 2), (5, 1, 2), (5, 2, 4),
@@ -176,14 +180,18 @@ class TestTeichmuller:
                 y = t._lift_by_iteration(plain)
                 assert y == viapow == t.teichmuller(plain)
                 assert y ** t.q == y and y.residue() == plain
-        assert towers[-1].residue_field._logs is None
+        assert asked and max(asked) <= modp.LOG_TABLE_MAX_ORDER
 
     @pytest.mark.parametrize("p,d", [(p, d) for p in (2, 3, 5, 7) for d in range(1, 10)
                                      if p ** d <= 729] + [(3, 8)])
-    def test_table_lift_matches_iteration(self, p, d, rng):
+    def test_table_lift_matches_iteration(self, p, d, rng, monkeypatch):
         # every element of the fields with q <= 729, and 150 samples at
         # q = 3^8: the lift through the log table equals the iteration's,
         # is fixed by x -> x^q and reduces to the element
+        asked = []
+        log_table = modp.log_table
+        monkeypatch.setattr(modp, "log_table",
+                            lambda p, mu: asked.append(mu) or log_table(p, mu))
         t = CoeffTower(p, 1, 2, d, 3)
         F = t.residue_field
         xs = list(F.elements()) if F.order <= 729 else [F.random(rng) for _ in range(150)]
@@ -192,7 +200,8 @@ class TestTeichmuller:
             if x:
                 assert y == t._lift_by_iteration(x), x
             assert y ** t.q == y and y.residue() == x, x
-        assert F._logs is not None and F._logs.itemsize == 2 and len(F._logs) == F.order
+        table = log_table(p, F.mu)
+        assert set(asked) == {F.mu} and table.itemsize == 2 and len(table) == F.order
 
     def test_lift_of_a_random_unit_reads_no_coefficients(self, rng):
         t = tower(3, 2, 2, ext=4)
@@ -565,6 +574,23 @@ class TestMatMulKernel:
         A, B = (tuple(tuple(mat_entry(data.draw, t) for _ in range(2)) for _ in range(2))
                 for _ in range(2))
         assert mat_mul(A, B) == entrywise_mat_mul(A, B)
+
+    # (valuation, precision) of x and of y, None for a representative 0,
+    # and the certified precision of x y worked by hand, e N = 8: two
+    # uncertain zeros give p_x + p_y, a known valuation r_x gives r_x + p_y
+    @pytest.mark.parametrize("x, y, prec", [((None, 2), (None, 3), 5),
+                                            ((1, 3), (None, 2), 3),
+                                            ((0, 8), (None, 2), 2),
+                                            ((1, 3), (2, 4), 5),
+                                            ((3, 5), (3, 5), 8),
+                                            ((1, 8), (1, 8), 8)])
+    def test_product_precision_by_hand(self, x, y, prec):
+        t = CoeffTower(3, 1, 2, 1, 4)
+        x, y = (RamElem(t, (t.pi_pow(v) if v is not None else t.zero()).coeffs, q)
+                for v, q in (x, y))
+        z = t.zero()
+        assert (x * y).prec == (y * x).prec == prec
+        assert mat_mul(((x, z), (z, x)), ((y, z), (z, y)))[0][0].prec == prec
 
     # every coefficient p^N - 1: on the p = 3 and p = 5 towers the sum of
     # two folded products fills a slot past the width a single product
