@@ -11,7 +11,7 @@ module is emitted without a pairing otherwise, flagged on `pairing_note`.
 import warnings
 from functools import cache
 
-from .wittring import DomainError
+from .wittring import DomainError, WittElem
 from .modules import DModule
 
 
@@ -181,7 +181,9 @@ def deform_specialize(base, target_atype, assignment):
 
     The deformation coordinates are (i, j) with target[i] <= j < e, flattened
     as k = e*i + j; values are residue-field elements, lifted to Teichmuller
-    scalars T_{i,j}.  Slot matrices become [[T_i, 1], [pi^e, 0]] on tau and
+    scalars T_{i,j}, or Witt elements of the tower, taken as T_{i,j}
+    themselves (so fibers that share coordinates can share their lifts).
+    Slot matrices become [[T_i, 1], [pi^e, 0]] on tau and
     [[1, 0], [T_i pi^e, pi^e]] elsewhere, with T_i the window sum
     (plus the base coefficient on tau).
     """
@@ -207,7 +209,8 @@ def deform_specialize(base, target_atype, assignment):
         # T_{i,j} pi^j for j < e is T_{i,j} placed at pi-coefficient j
         coeffs = [tower.witt_zero()] * e
         for j in range(target[i], e):
-            coeffs[j] = tower.teichmuller(assignment[(i, j)])
+            a = assignment[(i, j)]
+            coeffs[j] = tower.witt(a) if isinstance(a, WittElem) else tower.teichmuller(a)
         Ti = tower.ram(coeffs)
         if i in tau:
             mats.append([[Ti + entries[i], one], [pi_e, zero]])

@@ -160,11 +160,10 @@ class HeckeSetting:
         assert int(self.pair(e[0], e[3])) == 1 and int(self.pair(e[2], e[1])) == 1
 
 
-def _check_size(p, s, chart_only, size_cap):
-    """Raise size-guard when the search over F_q, q = p^(2s), has more than
-    size_cap candidates, and the errors of `_field_order` for a bad p or s
-    or a field above 2^16.  The Grassmannian contains the chart."""
-    q = _field_order(p, s)
+def _check_size(q, chart_only, size_cap):
+    """Raise size-guard when the search over F_q has more than size_cap
+    candidates; q comes from `_field_order`, which has checked p and s.
+    The Grassmannian contains the chart."""
     if q ** 4 > size_cap:
         raise DomainError("size-guard", f"chart has {q ** 4} points > cap")
     total = (q ** 2 + 1) * (q ** 2 + q + 1)
@@ -235,7 +234,7 @@ def enumerate_stable_planes(S, chart_only=True, size_cap=10 ** 7):
     chart_only the search runs over the chart, the cell with pivots
     (x1, x2); otherwise over all six Schubert cells of the Grassmannian,
     the chart first."""
-    _check_size(S.p, S.s, chart_only, size_cap)
+    _check_size(S.q, chart_only, size_cap)
     cells = [(0, 1)] if chart_only else combinations(range(4), 2)
     return [pl for j1, j2 in cells for pl in _cell_planes(S, j1, j2)]
 
@@ -314,9 +313,10 @@ def compare_variety(S, planes):
 
 
 def probe_report(p, s=1, full_grassmannian=False, size_cap=10 ** 7):
-    """One-call report used by the command line front end.  The size is
-    checked once, before the q x q field tables are allocated."""
-    _check_size(p, s, not full_grassmannian, size_cap)
+    """One-call report used by the command line front end.  p and s are
+    checked, and then the size, before the q x q field tables are
+    allocated; the search checks the size again from the built setting."""
+    _check_size(_field_order(p, s), not full_grassmannian, size_cap)
     S = HeckeSetting(p, s)
     planes = enumerate_stable_planes(S, chart_only=not full_grassmannian,
                                      size_cap=size_cap)

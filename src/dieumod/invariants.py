@@ -22,6 +22,7 @@ entry valuations of iterated twisted powers (the independent oracle).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .wittring import PrecisionError, DomainError, INF, product_prec
 
@@ -268,8 +269,16 @@ def newton_point(M, method="fast"):
 
 
 def _newton_fast(M):
-    B = M.twisted_power(0)
-    tr = B[0][0] + B[1][1]
+    """The trace of the one-slot F^f matrix is formed alone: at f = 1 it is
+    A[0]_00 + A[0]_11, else the packed chain stops before its last link and
+    `mat_trace` forms only that link's trace."""
+    if M.f == 1:
+        (a, _), (_, d) = M.matrices[0]
+        tr = a + d
+    else:
+        t = M.tower
+        *head, last = M.twisted_factors(0)
+        tr = t.mat_trace(reduce(t.mat_product, head), last)
     g = M.g
     half = Fraction(g, 2)
     try:

@@ -17,6 +17,9 @@ alternating form; compatibility with F and V forces
 """
 
 import json
+import operator
+from functools import reduce
+
 from .wittring import CoeffTower, PrecisionError, DomainError, INF, is_int_list
 
 
@@ -176,48 +179,63 @@ class DModule:
                 f"mode={self.mode}, det_orders={self.det_orders})")
 
     # -- F^f and its iterates ------------------------------------------------
+    #
+    # The chains run on `wittring.PackedMatrix`: each slot matrix is packed
+    # once per call, sigma acts on the reduced coefficient tuples only where
+    # it is not the identity, every link is one `CoeffTower.mat_product`, and
+    # only `twisted_power` builds RamElems, for its return value.
+
+    def twisted_factors(self, base_slot=0):
+        """The factors of F^f on slot `base_slot`, packed and in order:
+        sigma^(f-k)(A[b+k]) for k = 1..f."""
+        t, f = self.tower, self.f
+        return [t.packed(self.matrices[(base_slot + k) % f]).sigma(f - k)
+                for k in range(1, f + 1)]
+
+    def _packed_power(self, base_slot):
+        return reduce(self.tower.mat_product, self.twisted_factors(base_slot))
 
     def twisted_power(self, base_slot=0):
         """Matrix of F^f on slot `base_slot`:
         A[b+1]^(sigma^(f-1)) * A[b+2]^(sigma^(f-2)) * ... * A[b+f]."""
-        f = self.f
-        B = None
-        for k in range(1, f + 1):
-            Ak = mat_sigma(self.matrices[(base_slot + k) % f], f - k)
-            B = Ak if B is None else mat_mul(B, Ak)
-        return B
+        return self.tower.ram_matrix(self._packed_power(base_slot))
 
     def iterate_twisted(self, n, base_slot=0):
-        """Minimal entry valuation of the matrix of F^(f*n) on `base_slot`.
-
-        Raises PrecisionError (with the certified lower bound attached) when
-        every entry vanishes to working precision.
-        """
+        """Minimal entry valuation of the matrix of F^(f*n) on `base_slot`,
+        C_n = sigma^f(C_(n-1)) * C_1, under the rule of `_min_entry_ord`."""
         if n < 1:
             raise DomainError("bad-shape", "n must be >= 1")
-        B = self.twisted_power(base_slot)
+        B = self._packed_power(base_slot)
         C = B
         for _ in range(n - 1):
-            C = mat_mul(mat_sigma(C, self.f), B)
+            C = self.tower.mat_product(C.sigma(self.f), B)
         return self._min_entry_ord(C, n)
 
     def _min_entry_ord(self, C, n):
-        vals = [x.ord_lower() for row in C for x in row]
-        m = min(vals)
-        if all(not x for row in C for x in row):
+        """m_n = min over the entries of the PackedMatrix C of min(ord,
+        prec).  A zero entry at full precision is zero in O/pi^(eN), not in
+        O: it counts at its certified bound eN, so m_n stays a certified
+        lower bound.  A step whose four entries all vanish to their
+        precisions (ord >= prec) certifies nothing more and raises
+        PrecisionError with the bound attached."""
+        precs = C.precs or (self.tower.pi_precision,) * 4
+        m = min(map(min, C.ords, precs))
+        if all(map(operator.ge, C.ords, precs)):
             raise PrecisionError(
                 f"all entries of the {n}-fold twisted power vanish to working "
                 f"precision; raise N or accept the bound", lower_bound=m)
         return m
 
     def min_valuation_doublings(self, max_doublings, base_slot=0):
-        """Yield (n, m_n) for n = 1, 2, 4, ... by repeated squaring of the
-        twisted power; stops with PrecisionError like iterate_twisted."""
-        C = self.twisted_power(base_slot)
+        """Yield (n, m_n) for n = 1, 2, 4, ... by C_2n = sigma^(f n)(C_n) * C_n,
+        from the twisted power C_1, under the rule of `_min_entry_ord`; a
+        square where sigma^(f n) is the identity."""
+        t = self.tower
+        C = self._packed_power(base_slot)
         n = 1
         yield n, self._min_entry_ord(C, n)
         for _ in range(max_doublings):
-            C = mat_mul(mat_sigma(C, self.f * n), C)
+            C = t.mat_product(C.sigma(self.f * n), C)
             n *= 2
             yield n, self._min_entry_ord(C, n)
 

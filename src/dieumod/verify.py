@@ -277,13 +277,14 @@ def criterion_nonordinary_locus(check, seed, scale):
                     asg = {(i, j): (F.random_unit(rng) if j == 0 and i in tau
                                     else F.random(rng))
                            for i in range(f) for j in range(e)}
-                    M = fam.deform_specialize(base, (0,) * f, asg)
+                    # both fibers are built from one set of Teichmuller lifts
+                    lifts = {k: tw.teichmuller(a) for k, a in asg.items()}
+                    M = fam.deform_specialize(base, (0,) * f, lifts)
                     check(inv.newton_point(M, "fast").is_ordinary,
                           e=e, f=f, tau=list(tau), kind="should be ordinary")
                     i0 = rng.choice(tau)
-                    asg2 = dict(asg)
-                    asg2[(i0, 0)] = F.zero()
-                    M2 = fam.deform_specialize(base, (0,) * f, asg2)
+                    M2 = fam.deform_specialize(base, (0,) * f,
+                                               {**lifts, (i0, 0): tw.witt_zero()})
                     check(not inv.newton_point(M2, "fast").is_ordinary,
                           e=e, f=f, tau=list(tau), kind="should not be ordinary")
 

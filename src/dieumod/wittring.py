@@ -30,12 +30,18 @@ Products follow the structure of the operands:
   taken, pi^(e+k) = p * pi^k is folded on the packed parts and each of the
   e results is reduced once.  Otherwise one operand is a pi-monomial (or
   zero) and each nonzero coefficient of the other is multiplied once.
-* A product of 2x2 matrices (`CoeffTower.mat_mul`) packs each of the eight
-  entries once as above, sums the two big-int products of each output
-  entry while still packed, and folds and reduces that sum once: 4e
-  reductions and no entrywise RamElem products or sums.  A square takes
-  five big-int products, a^2 + bc, b(a+d), c(a+d), d^2 + bc, whose sums
-  are the same integers as the eight-product ones.
+* A product of 2x2 matrices runs on `PackedMatrix`, a matrix kept in the
+  kernel's formats: each entry's e reduced coefficient tuples and, formed
+  once when first read, its bivariate Kronecker integer.  The one 2x2
+  kernel, `CoeffTower.mat_product`, sums the two big-int products of each
+  output entry while still packed and folds and reduces that sum once: 4e
+  reductions and no WittElem or RamElem.  A square takes five big-int
+  products, a^2 + bc, b(a+d), c(a+d), d^2 + bc, whose sums are the same
+  integers as the eight-product ones.  `mat_trace` sums the four diagonal
+  products of a product packed and reduces them once (e reductions).
+  Chains of products (twisted powers and their doublings, `modules`) stay
+  packed from link to link; `mat_mul` on RamElems is `packed`, then
+  `mat_product`, then `ram_matrix`.
 * sigma^n is the substitution x -> x^(p^n): one linear combination of the
   packed rows x^(j p^n), which the tower computes once per n, from one
   power and d-2 products.  It is the identity on constants and for
@@ -43,12 +49,12 @@ Products follow the structure of the operands:
   when it fixes every coefficient, a matrix when n = 0 mod d).  A ramified
   sum or difference keeps each coefficient whose other summand is zero.
 
-Slot width: before `_reduce` a slot holds at most 2*(p+1)*e*d*(p^N-1)^2
-(the folded sum of two dense ramified products in a matrix entry; a single
-folded product holds half of that, a Witt product or a Frobenius image at
-most d*(p^N-1)^2), and `_reduce` adds at most (d-1)*(p^N-1)^2 to a low slot.
-The tower's slot width is the bit length of (2*(p+1)*e + 1)*d*(p^N-1)^2,
-so no slot carries into the next.
+Slot width: before `_reduce` a slot holds at most 4*(p+1)*e*d*(p^N-1)^2
+(the folded sum of four dense ramified products in a trace; a matrix entry
+sums two, a single folded product holds a quarter of that, a Witt product
+or a Frobenius image at most d*(p^N-1)^2), and `_reduce` adds at most
+(d-1)*(p^N-1)^2 to a low slot.  The tower's slot width is the bit length of
+(4*(p+1)*e + 1)*d*(p^N-1)^2, so no slot carries into the next.
 """
 
 import json
@@ -72,6 +78,12 @@ MAX_E = 64
 MAX_D = 32
 MAX_Q_BITS = 64
 MAX_PN_BITS = 1024
+
+# the big-int products of a 2x2 product P Q, as pairs (i, j) of row-major
+# entry indices of P and Q: the two of each output entry, and the four of
+# its trace
+_ENTRY_PAIRS = (((0, 0), (1, 2)), ((0, 1), (1, 3)), ((2, 0), (3, 2)), ((2, 1), (3, 3)))
+_TRACE_PAIRS = ((0, 0), (1, 2), (2, 1), (3, 3))
 
 
 class PrecisionError(ArithmeticError):
@@ -143,6 +155,7 @@ class CoeffTower:
             raise too_large
         self.p, self.f, self.e, self.ext, self.N = p, f, e, ext, N
         self.d = f * ext
+        self.pi_precision = e * N  # the certified digits of a full-precision element
         self.q = p ** self.d
         self.pN = p ** N
 
@@ -165,7 +178,7 @@ class CoeffTower:
         # the packed kernel over Z/p^N (slot width: see the module
         # docstring), its methods bound for the hot paths, and Frobenius
         # basis maps sigma^n(x^j) = x^(j p^n)
-        bits = ((2 * (p + 1) * e + 1) * self.d * (self.pN - 1) ** 2).bit_length()
+        bits = ((4 * (p + 1) * e + 1) * self.d * (self.pN - 1) ** 2).bit_length()
         self._ring = ring = fppoly.PackedQuotient(modulus, self.pN, bits)
         if fppoly.power(ring.x, self.q - 1, ring.mul, ring.one) != ring.one:
             raise DomainError("bad-modulus", "T is not a (q-1)-th root of unity mod modulus")
@@ -181,55 +194,110 @@ class CoeffTower:
     def _pad(self, coeffs):
         return list(coeffs) + [0] * (self.d - len(coeffs))
 
-    def _ram_pack(self, coeffs):
-        """Bivariate Kronecker integer of e Witt coefficients."""
+    def _ram_pack(self, cs):
+        """Bivariate Kronecker integer of e coefficient tuples."""
         acc = 0
-        for c in reversed(coeffs):
-            acc = (acc << self._stride) | self._pack(c.coeffs)
+        for c in reversed(cs):
+            acc = (acc << self._stride) | self._pack(c)
         return acc
 
-    def _ram_unpack(self, prod):
-        """e Witt coefficients of a packed ramified product (or sum of
-        products): the fold pi^(e+k) = p * pi^k on the packed parts, then
+    def _ram_reduce(self, prod):
+        """e reduced coefficient tuples of a packed ramified product (or sum
+        of products): the fold pi^(e+k) = p * pi^k on the packed parts, then
         one reduction per pi-degree."""
         width = self.e * self._stride
         prod = (prod & ((1 << width) - 1)) + self.p * (prod >> width)
         seg = (1 << self._stride) - 1
         out = []
         for _ in range(self.e):
-            out.append(WittElem(self, self._reduce(prod & seg)))
+            out.append(self._reduce(prod & seg))
             prod >>= self._stride
         return out
 
-    def mat_mul(self, A, B):
-        """Product of 2x2 matrices of RamElems of this tower.
+    def _repr_ord(self, cs):
+        """Valuation of the element with pi-coefficient tuples cs (eN if it
+        is 0): coefficient j contributes e * ord_p(gcd of its tuple) + j >= j,
+        so the scan stops at the first j that cannot beat the best so far."""
+        e, p = self.e, self.p
+        best = self.pi_precision
+        for j, c in enumerate(cs):
+            if j >= best:
+                break
+            g = math.gcd(*c)
+            if g:
+                v = j
+                while g % p == 0:
+                    g //= p
+                    v += e
+                if v < best:
+                    best = v
+        return best
 
-        Each entry is packed once; each output entry is the packed sum of
-        its two products, folded and reduced once (4e reductions).  A square
-        (`B is A`) takes five big-int products instead of eight, with a + d
-        summed packed; the packed sums, and so the outputs, are the same.  The
-        precision is that of the entrywise products and sum: full when its
-        four factors are, else the minimum of `product_prec` over its two
-        products."""
-        pa = [[self._ram_pack(x.coeffs) for x in row] for row in A]
-        if B is A:  # five products: a^2 + bc, b(a + d), c(a + d), d^2 + bc
-            (a, b), (c, d) = pa
-            bc, t = b * c, a + d
-            packed = ((a * a + bc, b * t), (c * t, d * d + bc))
-        else:
-            pb = [[self._ram_pack(x.coeffs) for x in row] for row in B]
-            packed = [[pa[i][0] * pb[0][j] + pa[i][1] * pb[1][j] for j in (0, 1)]
-                      for i in (0, 1)]
+    def packed(self, A):
+        """The 2x2 matrix A of RamElems of this tower as a PackedMatrix."""
+        entries = [x for row in A for x in row]
+        precs = [x.prec for x in entries]
+        return PackedMatrix(self, [[c.coeffs for c in x.coeffs] for x in entries],
+                            None if min(precs) == self.pi_precision else precs)
+
+    def ram_matrix(self, P):
+        """The PackedMatrix P as a 2x2 matrix of RamElems (truncated to their
+        precisions, as every RamElem is)."""
         full = self.pi_precision
-        prec = [[full, full], [full, full]]
-        if any(x.prec < full for M in (A, B) for row in M for x in row):
-            ra = [[x._repr_ord() for x in row] for row in A]
-            rb = [[x._repr_ord() for x in row] for row in B]
-            prec = [[min(product_prec(ra[i][k], A[i][k].prec, rb[k][j], B[k][j].prec, full)
-                         for k in (0, 1)) for j in (0, 1)] for i in (0, 1)]
-        return tuple(
-            tuple(RamElem(self, self._ram_unpack(packed[i][j]), prec[i][j]) for j in (0, 1))
-            for i in (0, 1))
+        precs = P.precs or (full,) * 4
+        entries = [RamElem(self, [WittElem(self, c) for c in cs], q)
+                   for cs, q in zip(P.cs, precs)]
+        return (tuple(entries[:2]), tuple(entries[2:]))
+
+    def _product_precs(self, P, Q, pairs):
+        """The least `product_prec` of P[i] Q[j] over each list of flat
+        index pairs (i, j); None when P and Q are both at full precision."""
+        if not (P.precs or Q.precs):
+            return None
+        full = self.pi_precision
+        pa, pb = P.precs or (full,) * 4, Q.precs or (full,) * 4
+        ra, rb = P.ords, Q.ords
+        precs = [min(product_prec(ra[i], pa[i], rb[j], pb[j], full) for i, j in ij)
+                 for ij in pairs]
+        return None if min(precs) == full else precs
+
+    def mat_product(self, P, Q):
+        """P Q for PackedMatrices of this tower: the 2x2 kernel.
+
+        Each output entry is the packed sum of its two big-int products,
+        folded and reduced once (4e reductions).  A square (`Q is P`) takes
+        five products instead of eight, with a + d summed packed; the packed
+        sums, and so the outputs, are the same.  The precision is that of the
+        entrywise products and sum: full when the four factors of an entry
+        are, else the minimum of `product_prec` over its two products."""
+        a00, a01, a10, a11 = P.ints
+        if Q is P:  # five products: a^2 + bc, b(a + d), c(a + d), d^2 + bc
+            bc, t = a01 * a10, a00 + a11
+            sums = (a00 * a00 + bc, a01 * t, a10 * t, a11 * a11 + bc)
+        else:
+            b00, b01, b10, b11 = Q.ints
+            sums = (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                    a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+        return PackedMatrix(self, [self._ram_reduce(x) for x in sums],
+                            self._product_precs(P, Q, _ENTRY_PAIRS))
+
+    def mat_trace(self, P, Q):
+        """The trace of P Q as a RamElem: its four diagonal big-int products
+        summed packed, folded and reduced once (e reductions).  Its
+        precision is the least `product_prec` of those four products."""
+        a00, a01, a10, a11 = P.ints
+        b00, b01, b10, b11 = Q.ints
+        cs = self._ram_reduce(a00 * b00 + a01 * b10 + a10 * b01 + a11 * b11)
+        precs = self._product_precs(P, Q, (_TRACE_PAIRS,))
+        return RamElem(self, [WittElem(self, c) for c in cs], None if precs is None else precs[0])
+
+    def mat_mul(self, A, B):
+        """Product of 2x2 matrices of RamElems of this tower: `packed`,
+        `mat_product` (five big-int products when `B is A`) and
+        `ram_matrix`.  Entries and precisions equal those of the entrywise
+        products and sums."""
+        P = self.packed(A)
+        return self.ram_matrix(self.mat_product(P, P if B is A else self.packed(B)))
 
     def _sigma_map(self, n):
         """Packed images sigma^n(x^j) = x^(j p^n) of the basis, j < d: the
@@ -254,10 +322,6 @@ class CoeffTower:
     @property
     def g(self):
         return self.e * self.f
-
-    @property
-    def pi_precision(self):
-        return self.e * self.N
 
     def to_json(self):
         return {"p": self.p, "f": self.f, "e": self.e, "ext": self.ext,
@@ -385,6 +449,50 @@ class CoeffTower:
         return self.ram(c)
 
 
+class PackedMatrix:
+    """A 2x2 matrix over the ramified ring in the kernel's formats, for
+    chains of products that build no WittElem or RamElem: `cs` holds each
+    entry's e reduced coefficient tuples, row-major, and `precs` their
+    precisions (None when all are eN).  `ints` (the entries' Kronecker
+    integers) and `ords` (the valuations of their stored representatives,
+    eN for 0, as `RamElem._repr_ord`) are formed on first read.
+
+    Entries are not truncated to their precisions, as RamElems are: a digit
+    at or above an entry's precision changes no certified digit of a
+    product and no min(ord, prec), so no `product_prec`; `ram_matrix`
+    truncates."""
+
+    __slots__ = ("tower", "cs", "precs", "_ints", "_ords")
+
+    def __init__(self, tower, cs, precs=None, ords=None):
+        self.tower, self.cs, self.precs = tower, cs, precs
+        self._ints = None
+        self._ords = ords
+
+    @property
+    def ints(self):
+        if self._ints is None:
+            self._ints = [self.tower._ram_pack(c) for c in self.cs]
+        return self._ints
+
+    @property
+    def ords(self):
+        if self._ords is None:
+            self._ords = [self.tower._repr_ord(c) for c in self.cs]
+        return self._ords
+
+    def sigma(self, n):
+        """sigma^n on every coefficient tuple, which keeps each valuation and
+        precision; self when sigma^n is the identity (n = 0 mod d), so that
+        `mat_product` can take its squaring route."""
+        t = self.tower
+        if not n % t.d:
+            return self
+        rows, sub = t._sigma_map(n), t._ring.substitute
+        cs = [[sub(rows, c) if any(c[1:]) else c for c in x] for x in self.cs]
+        return PackedMatrix(t, cs, self.precs, self._ords)
+
+
 class WittElem:
     """Element of W_N(F_{p^d}), canonical coefficients in [0, p^N)."""
 
@@ -457,16 +565,9 @@ class WittElem:
 
     def ord_p(self):
         """min coefficient valuation (that of their gcd); N for the zero
-        element."""
-        c = math.gcd(*self.coeffs)
-        if not c:
-            return self.tower.N
-        p = self.tower.p
-        v = 0
-        while c % p == 0:
-            c //= p
-            v += 1
-        return v
+        element: the pi-adic valuation of self, over e."""
+        t = self.tower
+        return t._repr_ord((self.coeffs,)) // t.e
 
     def is_unit(self):
         return self.ord_p() == 0
@@ -564,18 +665,8 @@ class RamElem:
         return RamElem(self.tower, [-a for a in self.coeffs], self.prec)
 
     def _repr_ord(self):
-        """Valuation of the stored representative (full pi_precision if 0):
-        coefficient j contributes e * ord_p + j >= j, so the scan stops at
-        the first j that cannot beat the best so far."""
-        e = self.tower.e
-        best = self.tower.pi_precision
-        for j, c in enumerate(self.coeffs):
-            if j >= best:
-                break
-            v = e * c.ord_p() + j
-            if v < best:
-                best = v
-        return best
+        """Valuation of the stored representative (full pi_precision if 0)."""
+        return self.tower._repr_ord([c.coeffs for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, FqElem):
@@ -592,7 +683,8 @@ class RamElem:
         a_nz = [i for i, c in enumerate(a) if c]
         b_nz = [i for i, c in enumerate(b) if c]
         if len(a_nz) > 1 and len(b_nz) > 1:
-            coeffs = t._ram_unpack(t._ram_pack(a) * t._ram_pack(b))
+            coeffs = [WittElem(t, c) for c in t._ram_reduce(
+                t._ram_pack([c.coeffs for c in a]) * t._ram_pack([c.coeffs for c in b]))]
         else:
             if len(a_nz) > len(b_nz):
                 a, b, a_nz, b_nz = b, a, b_nz, a_nz

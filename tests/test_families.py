@@ -160,6 +160,26 @@ class TestDeform:
         with pytest.raises(DomainError, match="keys"):
             fam.deform_specialize(base, (0, 0), {(0, 0): t.residue_field.zero()})
 
+    def test_lifted_coordinates_give_the_same_fiber(self, rng):
+        # a coordinate given as a Witt element is taken as T_{i,j} itself:
+        # the Teichmuller lifts of an assignment give its fiber, and keys,
+        # target and tower are still checked
+        t = tower(3, 2, 2, ext=2)
+        base = fam.normal_form(t, (0,), {0: t.zero()})
+        F = t.residue_field
+        for _ in range(5):
+            asg = {(i, j): F.random(rng) for i in range(2) for j in range(2)}
+            lifts = {k: t.teichmuller(a) for k, a in asg.items()}
+            M = fam.deform_specialize(base, (0, 0), lifts)
+            assert M.matrices == fam.deform_specialize(base, (0, 0), asg).matrices
+        with pytest.raises(DomainError, match="keys"):
+            fam.deform_specialize(base, (0, 0), {(0, 0): t.witt_zero()})
+        with pytest.raises(DomainError, match="exceeds"):
+            fam.deform_specialize(base, (1, 1), {(0, 1): t.witt_zero(), (1, 1): t.witt_zero()})
+        other = tower(3, 2, 2, ext=4)
+        with pytest.raises(DomainError, match="different tower"):
+            fam.deform_specialize(base, (0, 0), {**lifts, (1, 0): other.witt_one()})
+
     def test_target_above_base_rejected(self):
         t = tower(3, 2, 2, ext=2)
         base = fam.normal_form(t, (0,), {0: t.pi()})  # base a-type (2, 0)

@@ -194,9 +194,20 @@ class TestEnumeration:
         assert rep["lines_through_origin"] == 6
         assert rep["variety_point_count"] == 25 + 6 * 24
 
-    def test_size_guard(self):
-        with pytest.raises(DomainError, match="cap"):
-            enumerate_stable_planes(HeckeSetting(5), size_cap=10)
+    def test_size_guard(self, monkeypatch):
+        # the search checks its size against the built setting's q, with no
+        # second check of p and s
+        S = HeckeSetting(5)
+
+        def no_field_check(p, s):
+            raise AssertionError("p and s checked again by the search")
+        monkeypatch.setattr(hecke, "_field_order", no_field_check)
+        with pytest.raises(DomainError, match="cap") as exc:
+            enumerate_stable_planes(S, size_cap=10)
+        assert exc.value.code == "size-guard"
+        with pytest.raises(DomainError, match="Grassmannian") as exc:
+            enumerate_stable_planes(S, chart_only=False, size_cap=S.q ** 4)
+        assert len(enumerate_stable_planes(S, size_cap=S.q ** 4)) == 1 + 6 * 24
 
     @pytest.mark.parametrize("full", [False, True], ids=["chart", "grassmannian"])
     def test_size_guard_before_field_tables(self, monkeypatch, full):

@@ -17,6 +17,7 @@ from dieumod import modp
 from dieumod.modules import mat_mul, mat_sigma
 from dieumod.wittring import RamElem
 import atyperef
+import chainref
 from conftest import tower
 
 
@@ -670,3 +671,61 @@ class TestATypeRoutes:
             assert len(sums) % 2 == 0
             for (v1, q1), (v2, q2) in zip(sums[::2], sums[1::2]):
                 assert v1 == v2 < min(q1, q2)
+
+
+# -- the packed twisted-power chain against the RamElem chain ------------------
+#
+# `chainref` holds the chain as it was before it ran packed: every link an
+# entrywise RamElem product, m_n read with `ord_lower`, the trace B00 + B11.
+# At ext = 3 sigma^(f n) is the identity for no n, so every doubling twists.
+
+CHAIN_SHAPES = [(p, f, e, ext) for p in (2, 3, 5) for e in (1, 2, 3) for f in (1, 2, 3, 4)
+                for ext in (1, 2, 3, 4) if p ** (f * ext) < 2 ** 24]
+
+
+@st.composite
+def chain_modules(draw):
+    """A family, sparse or random module at the policy precision or with
+    room for a few doublings, possibly in another basis, possibly with
+    truncated entries."""
+    t = tower(*draw(st.sampled_from(CHAIN_SHAPES)), slack=draw(st.sampled_from((0, 4))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(KINDS + ("sparse", "sparse")))
+    M = sparse_module(t, rng) if kind == "sparse" else family_module(t, kind, rng)
+    if draw(st.booleans()):
+        M = base_change(M, rng)
+    if draw(st.booleans()):
+        M = truncated(M, rng, low=draw(st.booleans())) or M
+    return M
+
+
+def steps_or_bound(steps):
+    """The (n, m_n) a doubling chain yields, then its PrecisionError bound."""
+    out = []
+    try:
+        for step in steps:
+            out.append(step)
+    except PrecisionError as exc:
+        out.append(("precision", exc.lower_bound))
+    return out
+
+
+def value_or_bound(route, *args):
+    try:
+        return route(*args)
+    except PrecisionError as exc:
+        return ("precision", exc.lower_bound)
+
+
+class TestChainRoutes:
+    @settings(max_examples=300, deadline=None)
+    @given(chain_modules())
+    def test_packed_chain_matches_ramelem_chain(self, M):
+        for b in range(M.f):
+            # RamElem == compares precisions too
+            assert M.twisted_power(b) == chainref.twisted_power(M, b)
+            assert steps_or_bound(M.min_valuation_doublings(3, b)) == \
+                steps_or_bound(chainref.min_valuation_doublings(M, 3, b))
+            assert value_or_bound(M.iterate_twisted, 3, b) == \
+                value_or_bound(chainref.iterate_twisted, M, 3, b)
+        assert value_or_bound(inv._newton_fast, M) == value_or_bound(chainref._newton_fast, M)

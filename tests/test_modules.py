@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -6,7 +7,7 @@ from dieumod import (
     CoeffTower, DModule, DomainError, PrecisionError, lie_type, a_type, newton_point,
 )
 from dieumod.modules import mat_det, mat_mul, mat_sigma
-from dieumod.wittring import RamElem
+from dieumod.wittring import RamElem, WittElem
 from dieumod import families as fam
 from conftest import tower
 
@@ -179,6 +180,44 @@ class TestMatMul:
             monkeypatch.setattr(owner, name, counting)
         mat_mul(A, B)
         assert calls == {"__mul__": 0, "__add__": 0, "_reduce": 4 * e}
+
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_chain_links_stay_packed(self, e, rng, monkeypatch):
+        # a doubling step is one packed product, 4e reductions, and builds
+        # no WittElem or RamElem; the fast Newton point forms f - 2 full
+        # links and only the trace of the last (e reductions), with
+        # truncated entries as well
+        calls = Counter()
+
+        def count(owner, name):
+            orig = getattr(owner, name)
+
+            def counting(*args):
+                calls[getattr(owner, "__name__", "tower") + "." + name] += 1
+                return orig(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        for owner, name in ((WittElem, "__init__"), (RamElem, "__init__"),
+                            (CoeffTower, "mat_trace")):
+            count(owner, name)
+        for f in (2, 3):
+            t = tower(3, f, e, ext=2, slack=8)
+            M = fam.normal_form(t, (0,), {0: t.random_ram(rng)})
+            T = DModule(t, [[[RamElem(t, x.coeffs, t.pi_precision - 1) for x in row]
+                             for row in A] for A in M.matrices], M.delta)
+            count(t, "_reduce")
+            for X in (M, T):
+                steps = X.min_valuation_doublings(3)
+                next(steps)
+                for _ in range(3):
+                    calls.clear()
+                    next(steps)
+                    assert calls == {"tower._reduce": 4 * e}
+                calls.clear()
+                newton_point(X, "fast")
+                assert calls["CoeffTower.mat_trace"] == 1
+                assert calls["tower._reduce"] == 4 * e * (f - 2) + e
 
     def test_mat_sigma_returns_its_argument_only_for_the_identity(self, rng):
         t = tower(3, 2, 2, ext=2)

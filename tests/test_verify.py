@@ -56,3 +56,26 @@ def test_tower_is_shared():
 def test_verify_all_output_is_byte_identical(capsys):
     assert main(["verify", "--suite", "all", "--scale", "0.01", "--seed", "0"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
+
+
+def test_nonordinary_locus_lifts_each_coordinate_once(monkeypatch):
+    # criterion 7 builds its two fibers per case from one set of lifts: one
+    # Teichmuller lift per coordinate of the first fiber, none for the second
+    from dieumod import CoeffTower, families
+
+    sizes, lifts = [], []
+    specialize, teichmuller = families.deform_specialize, CoeffTower.teichmuller
+
+    def counting_specialize(base, target, asg):
+        sizes.append(len(asg))
+        return specialize(base, target, asg)
+
+    def counting_teichmuller(tower, a):
+        lifts.append(a)
+        return teichmuller(tower, a)
+
+    monkeypatch.setattr(families, "deform_specialize", counting_specialize)
+    monkeypatch.setattr(CoeffTower, "teichmuller", counting_teichmuller)
+    report = verify.CRITERIA[7](seed=0, scale=0.02)
+    assert report["passed"]
+    assert sizes[::2] == sizes[1::2] and len(lifts) == sum(sizes[::2]) > 0

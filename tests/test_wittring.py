@@ -11,6 +11,7 @@ from dieumod import families as fam
 from dieumod import fppoly, modp
 from conftest import tower
 from polyref import is_irreducible, pdivmod
+from chainref import mat_mul as entrywise_mat_mul
 
 
 class TestTowerConstruction:
@@ -530,15 +531,14 @@ class TestReferenceArithmetic:
 
 
 # -- the packed 2x2 kernel against the entrywise product -----------------------
+#
+# `entrywise_mat_mul` is `chainref.mat_mul`, the reference of the chains.
 
 
-def entrywise_mat_mul(A, B):
-    """The entrywise product `mat_mul` replaced: four RamElem sums of
-    products, each with the precision rules of `*` and `+`."""
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
+def entrywise_trace(A, B):
+    E = entrywise_mat_mul(A, B)
+    return E[0][0] + E[1][1]
+
 
 
 @cache
@@ -574,6 +574,7 @@ class TestMatMulKernel:
         A, B = (tuple(tuple(mat_entry(data.draw, t) for _ in range(2)) for _ in range(2))
                 for _ in range(2))
         assert mat_mul(A, B) == entrywise_mat_mul(A, B)
+        assert t.mat_trace(t.packed(A), t.packed(B)) == entrywise_trace(A, B)
 
     # (valuation, precision) of x and of y, None for a representative 0,
     # and the certified precision of x y worked by hand, e N = 8: two
@@ -594,7 +595,8 @@ class TestMatMulKernel:
 
     # every coefficient p^N - 1: on the p = 3 and p = 5 towers the sum of
     # two folded products fills a slot past the width a single product
-    # needs, so a slot width sized for one product would carry
+    # needs, and the trace's four past the width of two, so a slot width
+    # sized for fewer products would carry
     @pytest.mark.parametrize("p,e,d,N", [(2, 4, 16, 6), (3, 4, 16, 5), (3, 4, 1, 5),
                                          (5, 3, 8, 4), (5, 4, 16, 2), (5, 4, 2, 5)])
     def test_every_slot_at_its_bound(self, p, e, d, N):
@@ -602,3 +604,5 @@ class TestMatMulKernel:
         x = t.ram([t.witt([t.pN - 1] * d) for _ in range(e)])
         A = ((x, x), (x, x))
         assert mat_mul(A, A) == entrywise_mat_mul(A, A)
+        P = t.packed(A)
+        assert t.mat_trace(P, P) == entrywise_trace(A, A)
