@@ -63,6 +63,8 @@ def cmd_construct(args):
             avals = _ints(args.avals or "")
             if len(avals) != len(tau):
                 raise DomainError("usage", "--avals must list one value per tau slot")
+            if len(set(tau)) != len(tau):
+                raise DomainError("usage", "--tau must not repeat a slot when --avals is given")
             c = {i: tower.pi_pow(a - 1) if a else tower.one()
                  for i, a in zip(tau, avals)}
         M = fam.normal_form(tower, tau, c)

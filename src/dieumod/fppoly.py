@@ -11,6 +11,15 @@ Teichmuller lift T**k (`CoeffTower.teichmuller`) with one product per
 nonzero base-2^W digit of the exponent; all three take the ring's
 multiplication from their arguments.
 
+The kernel does no per-slot work on slots that hold nothing, and each
+shortcut returns what the slot loop would: a constant, zero included, is
+its own packed integer (slot 0 holds it, the others 0); `reduce` returns
+the shared `zero` for a zero product, and folds nothing when the d-1 high
+slots are empty (every fold term would be 0 * x^(d+k)); `split` of an
+integer below 2^bits is (acc mod m, 0, ..., 0), since every higher slot of
+it is 0.  Most values of the ramified families are sparse (0, 1, -p, pi^r),
+so most calls take one of these.
+
 Set-up runs on the same kernel.  `is_primitive` is the one test of a
 modulus: a monic f with f(0) != 0 is primitive iff x has order p^d - 1
 mod f, and that order alone proves f irreducible (Lidl-Niederreiter,
@@ -36,8 +45,10 @@ class PackedQuotient:
     No slot may carry into the next.  The default width fits one product
     of reduced elements (a slot holds at most d*(m-1)^2 and `reduce` adds
     at most (d-1)*(m-1)^2 to a low slot) and a `substitute`; a caller that
-    sums products before reducing passes a wider `bits`.  `one` and `x` are
-    the coefficient tuples of 1 and of the residue of x."""
+    sums products before reducing passes a wider `bits`.  `zero`, `one` and
+    `x` are the coefficient tuples of 0, 1 and the residue of x.  `pack`,
+    `split` and `reduce` skip the slots of zero and constant values (module
+    docstring); `pack` takes lists as well as tuples."""
 
     def __init__(self, modulus, m, bits=None):
         self.d = d = len(modulus) - 1
@@ -45,6 +56,7 @@ class PackedQuotient:
             bits = ((2 * d - 1) * (m - 1) ** 2).bit_length()
         self.m, self.bits = m, bits
         self._mask = (1 << bits) - 1
+        self._lowbits = d * bits
         self._lowmask = (1 << d * bits) - 1
         # x^d = -(m_0 + ... + m_{d-1} x^(d-1)); each x^(d+k+1) is the
         # previous power shifted once, its top slot folded back by that rule
@@ -53,10 +65,16 @@ class PackedQuotient:
         for _ in range(d - 1):
             self._xpow.append(self.pack(r))
             r = [(a + r[-1] * b) % m for a, b in zip([0] + r[:-1], low)]
-        self.one = (1,) + (0,) * (d - 1)
+        self._tail = (0,) * (d - 1)
+        self.zero = (0,) + self._tail
+        self.one = (1,) + self._tail
         self.x = (0, 1) + (0,) * (d - 2) if d > 1 else tuple(low)
 
     def pack(self, coeffs):
+        """Packed integer of a coefficient sequence (tuple or list) of at
+        most d entries; a constant, zero included, is its own packed form."""
+        if not any(coeffs[1:]):
+            return coeffs[0] if coeffs else 0
         acc = 0
         for c in reversed(coeffs):
             acc = (acc << self.bits) | c
@@ -64,8 +82,10 @@ class PackedQuotient:
 
     def split(self, acc):
         """Coefficient tuple of the d low slots of a packed integer, each
-        reduced mod m."""
+        reduced mod m; one below 2^bits fills slot 0 alone."""
         m, bits, mask = self.m, self.bits, self._mask
+        if acc <= mask:
+            return (acc % m,) + self._tail
         out = []
         for _ in range(self.d):
             out.append((acc & mask) % m)
@@ -74,15 +94,20 @@ class PackedQuotient:
 
     def reduce(self, conv):
         """Coefficient tuple mod (modulus, m) of a packed product of 2d-1
-        slots."""
+        slots: `zero` for 0, and no fold when the d-1 high slots are
+        empty."""
+        if not conv:
+            return self.zero
+        high = conv >> self._lowbits
+        if not high:
+            return self.split(conv)
         m, bits, mask = self.m, self.bits, self._mask
         acc = conv & self._lowmask
-        conv >>= self.d * bits
         for row in self._xpow:
-            c = (conv & mask) % m
+            c = (high & mask) % m
             if c:
                 acc += c * row
-            conv >>= bits
+            high >>= bits
         return self.split(acc)
 
     def mul(self, a, b):

@@ -170,8 +170,9 @@ def _a_pair(M, i):
     stops once s reaches that floor.
 
     A mixed minor sigma(x1) y1 + sigma(x2) y2 is read off the valuations r
-    of the stored entries (`_repr_ord`) and their precisions, without ring
-    arithmetic: sigma keeps both, a product's valuation is the sum of its
+    of the stored entries and their precisions, without ring arithmetic;
+    r is `M.repr_orders`, which `DModule.__init__` computed once per entry
+    (`RamElem._repr_ord`) during validation: sigma keeps both, a product's valuation is the sum of its
     factors' (O is a DVR) and its precision is `wittring.product_prec`,
     and a sum of two terms of different valuations has the smaller one.
     Only two terms that tie below precision, and could still lower s, are
@@ -186,8 +187,7 @@ def _a_pair(M, i):
         return d1, s - d1
     A, B = M.matrices[i], M.matrices[j]
     full = M.tower.pi_precision
-    ra = [[x._repr_ord() for x in row] for row in A]
-    rb = [[y._repr_ord() for y in row] for row in B]
+    ra, rb = M.repr_orders[i], M.repr_orders[j]
     for r in (0, 1):
         for c in (0, 1):
             # (valuation of the stored product, full if it is zero; precision)
@@ -195,7 +195,7 @@ def _a_pair(M, i):
             # exact zero: dropped
             terms = []
             for k in (0, 1):
-                x, y, rx, ry = A[r][k], B[k][c], ra[r][k], rb[k][c]
+                x, y, rx, ry = A[r][k], B[k][c], ra[2 * r + k], rb[2 * k + c]
                 if rx == x.prec == full or ry == y.prec == full:
                     continue
                 prec = product_prec(rx, x.prec, ry, y.prec, full)

@@ -98,7 +98,13 @@ def _at_precisions(tower, mats, delta, precs):
 
 
 class DModule:
-    """Validated module presentation; immutable once built."""
+    """Validated module presentation; immutable once built.
+
+    Validation reads each entry's valuation once, as `RamElem._repr_ord`
+    (eN for a zero representative), and keeps it: `repr_orders[i]` holds
+    those of A[i], row-major, for the a-type; `entry_orders[i]` is their
+    certified minimum (None when no entry attaining it is certified) and
+    `det_orders[i]` the valuation of det A[i]."""
 
     def __init__(self, tower, matrices, delta=None, mode="separable"):
         self.tower = tower
@@ -113,6 +119,7 @@ class DModule:
         self.mode = mode
         self.det_orders = []
         self.entry_orders = []
+        self.repr_orders = []
         dets = [mat_det(A) for A in self.matrices]
         for i, (A, d) in enumerate(zip(self.matrices, dets)):
             v = d.ord_pi()
@@ -122,7 +129,8 @@ class DModule:
                 raise PrecisionError(f"det A[{i}] is divisible by pi^{full}, the working "
                                      f"precision", lower_bound=full)
             entries = [x for row in A for x in row]
-            ords = [x.ord_lower() for x in entries]
+            reprs = tuple([x._repr_ord() for x in entries])
+            ords = [min(r, x.prec) for r, x in zip(reprs, entries)]  # ord_lower
             m = min(ords)  # adj(A) has the entries of A up to sign
             if m + tower.e < v:
                 # ord_lower is a certified lower bound, so a failure with an
@@ -134,6 +142,7 @@ class DModule:
                     f"(min adjugate valuation {m}, det valuation {v})",
                     slot=i)
             self.det_orders.append(v)
+            self.repr_orders.append(reprs)
             # m is exact once an entry attaining it is certified, which always
             # holds when the entries share one precision (2m <= v < prec)
             self.entry_orders.append(

@@ -20,15 +20,18 @@ Products follow the structure of the operands:
 * A Witt product is one Kronecker product in the packed format owned by
   the tower's `fppoly.PackedQuotient` over Z/p^N: each operand is packed
   into one integer of d slots, and the 2d-1 slots of the product are
-  reduced by the kernel (mod p^N, then x^(d+k) from a table).  The tower
+  reduced by the kernel (mod p^N, then x^(d+k) from a table).  The kernel
+  skips the slots that hold nothing: a constant packs as itself, a zero
+  product reduces to the shared zero tuple, and a product with empty high
+  slots is split without the fold (`fppoly` module docstring).  The tower
   binds the kernel's `pack`, `split` and `reduce` as `_pack`, `_split` and
   `_reduce`.  An int, or a constant Witt element (coefficients 1.. all
   zero), scales coefficientwise instead.
 * A ramified product of two operands that both have at least two nonzero
   pi-coefficients is dense: each operand is packed as one bivariate
   Kronecker integer, 2d-1 slots per pi-degree, one big-int product is
-  taken, pi^(e+k) = p * pi^k is folded on the packed parts and each of the
-  e results is reduced once.  Otherwise one operand is a pi-monomial (or
+  taken, pi^(e+k) = p * pi^k is folded on the packed parts (only when the
+  product has a pi-degree >= e) and each of the e results is reduced once.  Otherwise one operand is a pi-monomial (or
   zero) and each nonzero coefficient of the other is multiplied once.
 * A product of 2x2 matrices runs on `PackedMatrix`, a matrix kept in the
   kernel's formats: each entry's e reduced coefficient tuples and, formed
@@ -203,10 +206,12 @@ class CoeffTower:
 
     def _ram_reduce(self, prod):
         """e reduced coefficient tuples of a packed ramified product (or sum
-        of products): the fold pi^(e+k) = p * pi^k on the packed parts, then
-        one reduction per pi-degree."""
+        of products): the fold pi^(e+k) = p * pi^k on the packed parts when
+        some pi-degree is >= e, then one reduction per pi-degree."""
         width = self.e * self._stride
-        prod = (prod & ((1 << width) - 1)) + self.p * (prod >> width)
+        high = prod >> width
+        if high:
+            prod = (prod & ((1 << width) - 1)) + self.p * high
         seg = (1 << self._stride) - 1
         out = []
         for _ in range(self.e):

@@ -157,9 +157,14 @@ def test_malformed_module_shapes(capsys, tmp_path, mutate, code):
     (("verify", "--suite", "arith", "--scale", "1e308"), "bad-input"),
     (("sample-deform", "--f", "2", "--tau", "0", "--target", "1,0", "--trials", "-5"),
      "bad-shape"),
+    # a repeated slot would keep only its last a-value
+    (("construct", "--family", "normal", "--p", "3", "--f", "2", "--e", "2",
+      "--tau", "0,0", "--avals", "1,2"), "usage"),
+    (("construct", "--family", "normal", "--p", "3", "--f", "2", "--e", "2",
+      "--tau", "0,0", "--avals", "2,1"), "usage"),
 ], ids=["short-target", "cjson-list", "cjson-string-coefficient", "scale-inf",
         "scale-nan", "scale-zero", "scale-negative", "scale-overflows-count",
-        "negative-trials"])
+        "negative-trials", "repeated-tau", "repeated-tau-swapped"])
 def test_malformed_arguments(capsys, argv, code):
     exit_code, out = run_cli(capsys, *argv)
     assert exit_code == 1

@@ -673,6 +673,58 @@ class TestATypeRoutes:
                 assert v1 == v2 < min(q1, q2)
 
 
+class TestStoredValuations:
+    """`DModule.__init__` keeps each entry's `_repr_ord` in `repr_orders`,
+    and the a-type reads it there."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(modules())
+    def test_match_the_entries(self, case):
+        M, rng = case
+        presentations = [M, base_change(M, rng), truncated(M, rng),
+                         truncated(M, rng, low=True, delta=True)]
+        try:
+            presentations.append(M.dual())
+        except (DomainError, PrecisionError):
+            pass  # non-unit pairing scalars
+        presentations += [DModule.from_json(json.loads(X.dumps()))
+                          for X in presentations if X is not None]
+        for X in presentations:
+            if X is None:
+                continue
+            assert len(X.repr_orders) == X.f
+            for A, reprs in zip(X.matrices, X.repr_orders):
+                assert reprs == tuple(x._repr_ord() for row in A for x in row)
+
+    def test_reports_read_no_entry_valuation(self, rng, monkeypatch):
+        # a_type and invariant_report take no valuation of an entry; a
+        # family's a-type takes none at all (the Newton trace and the
+        # minors of ties are new elements, not entries)
+        modules = []
+        for p, f, e, ext in ((3, 1, 1, 2), (3, 2, 2, 2), (3, 3, 2, 2), (3, 4, 1, 2),
+                             (5, 2, 4, 2), (2, 3, 1, 1), (5, 1, 2, 1)):
+            t = tower(p, f, e, ext)
+            for kind in KINDS:
+                M = family_module(t, kind, rng)
+                modules += [(kind, M), ("base-changed", base_change(M, rng))]
+        seen = []
+        repr_ord = RamElem._repr_ord
+
+        def counting(x):
+            seen.append(x)
+            return repr_ord(x)
+
+        monkeypatch.setattr(RamElem, "_repr_ord", counting)
+        for kind, M in modules:
+            entries = {id(x) for A in M.matrices for row in A for x in row}
+            seen.clear()
+            answer(a_type, M)
+            if kind in ("slope", "superspecial", "superspecial-general"):
+                assert not seen, M
+            answer(invariant_report, M)
+            assert not [x for x in seen if id(x) in entries], M
+
+
 # -- the packed twisted-power chain against the RamElem chain ------------------
 #
 # `chainref` holds the chain as it was before it ran packed: every link an
