@@ -31,8 +31,9 @@ Products follow the structure of the operands:
   pi-coefficients is dense: each operand is packed as one bivariate
   Kronecker integer, 2d-1 slots per pi-degree, one big-int product is
   taken, pi^(e+k) = p * pi^k is folded on the packed parts (only when the
-  product has a pi-degree >= e) and each of the e results is reduced once.  Otherwise one operand is a pi-monomial (or
-  zero) and each nonzero coefficient of the other is multiplied once.
+  product has a pi-degree >= e) and each of the e results is reduced
+  once.  Otherwise one operand is a pi-monomial (or zero) and each nonzero
+  coefficient of the other is multiplied once.
 * A product of 2x2 matrices runs on `PackedMatrix`, a matrix kept in the
   kernel's formats: each entry's e reduced coefficient tuples and, formed
   once when first read, its bivariate Kronecker integer.  The one 2x2
