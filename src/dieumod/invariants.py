@@ -170,13 +170,13 @@ def _a_pair(M, i):
     stops once s reaches that floor.
 
     A mixed minor sigma(x1) y1 + sigma(x2) y2 is read off the valuations r
-    of the stored entries and their precisions, without ring arithmetic;
+    of the stored entries and their precisions, without ring arithmetic:
+    sigma keeps both, a product's valuation is the sum of its factors' (O
+    is a DVR) and its precision is `wittring.product_prec`, and a sum of
+    two terms of different valuations has the smaller one.  Only two terms
+    that tie below precision, and could still lower s, are multiplied out.
     r is `M.repr_orders`, which `DModule.__init__` computed once per entry
-    (`RamElem._repr_ord`) during validation: sigma keeps both, a product's valuation is the sum of its
-    factors' (O is a DVR) and its precision is `wittring.product_prec`,
-    and a sum of two terms of different valuations has the smaller one.
-    Only two terms that tie below precision, and could still lower s, are
-    multiplied out."""
+    (`RamElem._repr_ord`) during validation."""
     e, f = M.e, M.f
     j = (i + 1) % f
     off = e - M.det_orders[j]
