@@ -63,6 +63,10 @@ def cmd_construct(args):
             avals = _ints(args.avals or "")
             if len(avals) != len(tau):
                 raise DomainError("usage", "--avals must list one value per tau slot")
+            for i in tau:  # the map below is keyed by the slots as given
+                if not 0 <= i < tower.f:
+                    raise DomainError("usage", f"--tau slot {i} is out of range 0..{tower.f - 1} "
+                                      "when --avals is given")
             if len(set(tau)) != len(tau):
                 raise DomainError("usage", "--tau must not repeat a slot when --avals is given")
             c = {i: tower.pi_pow(a - 1) if a else tower.one()

@@ -331,6 +331,21 @@ def classify(M):
 
 
 def _flags(M, L, a, np_):
+    """The flags of `classify`, after two theorems that tie the a-number
+    to the Newton point: a-number 0 iff ordinary (Oort; Goren-Oort), and
+    a-number g (superspecial) implies supersingular (Oort).  A report that
+    breaks either contradicts its own invariants, so it is refused with
+    DomainError("inconsistent") rather than printed."""
+    if (a.a_number == 0) != np_.is_ordinary:
+        raise DomainError("inconsistent",
+                          f"a-number {a.a_number} with Newton point {np_!r}: "
+                          "a-number 0 iff ordinary fails",
+                          a_number=a.a_number, newton=np_.to_json())
+    if a.a_number == M.g and not np_.is_supersingular:
+        raise DomainError("inconsistent",
+                          f"a-number g = {M.g} with Newton point {np_!r}: "
+                          "superspecial implies supersingular fails",
+                          a_number=a.a_number, newton=np_.to_json())
     return {
         "rapoport": L.is_rapoport,
         "dp": L.is_dp,

@@ -20,7 +20,7 @@ import json
 import operator
 from functools import reduce
 
-from .wittring import CoeffTower, PrecisionError, DomainError, INF, is_int_list
+from .wittring import CoeffTower, PrecisionError, DomainError, is_int_list, product_prec
 
 
 def mat(tower, rows):
@@ -47,7 +47,10 @@ def mat_adj(A):
 
 
 def mat_det(A):
-    return A[0][0] * A[1][1] - A[0][1] * A[1][0]
+    """det A for a 2x2 matrix of RamElems, by the packed kernel
+    `CoeffTower.det`: value and precision equal those of ad - bc."""
+    t = A[0][0].tower
+    return t.ram(*t.det(t.packed(A)))
 
 
 def mat_transpose(A):
@@ -100,11 +103,18 @@ def _at_precisions(tower, mats, delta, precs):
 class DModule:
     """Validated module presentation; immutable once built.
 
-    Validation reads each entry's valuation once, as `RamElem._repr_ord`
-    (eN for a zero representative), and keeps it: `repr_orders[i]` holds
-    those of A[i], row-major, for the a-type; `entry_orders[i]` is their
-    certified minimum (None when no entry attaining it is certified) and
-    `det_orders[i]` the valuation of det A[i]."""
+    `matrices` (RamElems) are the input and JSON form.  Validation packs
+    each slot matrix once, `packed_matrices[i]` (a `wittring.PackedMatrix`),
+    and reads everything off that form: det A[i] by `CoeffTower.det`, the
+    pairing identity on its tuples (`_pairing_holds`) and each entry's
+    valuation (`RamElem._repr_ord`, eN for a zero representative).  It
+    keeps what it read: `repr_orders[i]` is the packed form's `ords`, the
+    valuations of A[i]'s entries row-major, for the a-type; `entry_orders[i]`
+    is their certified minimum (None when no entry attaining it is
+    certified) and `det_orders[i]` the valuation of det A[i].  The packed
+    forms are kept eagerly, not formed on first use, because validation
+    already forms them and every twisted-power chain starts from them
+    (`twisted_factors`)."""
 
     def __init__(self, tower, matrices, delta=None, mode="separable"):
         self.tower = tower
@@ -117,36 +127,41 @@ class DModule:
         if mode not in ("separable", "general"):
             raise DomainError("bad-shape", "mode must be 'separable' or 'general'")
         self.mode = mode
+        full, e = tower.pi_precision, tower.e
+        self.packed_matrices = tuple(tower.packed(A) for A in self.matrices)
+        self.repr_orders = [P.ords for P in self.packed_matrices]
         self.det_orders = []
         self.entry_orders = []
-        self.repr_orders = []
-        dets = [mat_det(A) for A in self.matrices]
-        for i, (A, d) in enumerate(zip(self.matrices, dets)):
-            v = d.ord_pi()
-            if v is INF:
-                # zero in O/pi^(eN) certifies only valuation >= eN, not a zero of O
-                full = tower.pi_precision
-                raise PrecisionError(f"det A[{i}] is divisible by pi^{full}, the working "
-                                     f"precision", lower_bound=full)
-            entries = [x for row in A for x in row]
-            reprs = tuple([x._repr_ord() for x in entries])
-            ords = [min(r, x.prec) for r, x in zip(reprs, entries)]  # ord_lower
+        dets = []
+        for i, (A, P) in enumerate(zip(self.matrices, self.packed_matrices)):
+            det, prec = tower.det(P)
+            v = tower._repr_ord(det)
+            if v >= prec:  # RamElem.ord_pi's rule
+                if prec == full:
+                    # zero in O/pi^(eN) certifies only valuation >= eN, not a zero of O
+                    raise PrecisionError(f"det A[{i}] is divisible by pi^{full}, the working "
+                                         f"precision", lower_bound=full)
+                raise PrecisionError(
+                    f"valuation >= {prec} but element only certified to pi^{prec}",
+                    lower_bound=prec)
+            precs = P.precs or (full,) * 4
+            ords = [min(r, q) for r, q in zip(P.ords, precs)]  # ord_lower
             m = min(ords)  # adj(A) has the entries of A up to sign
-            if m + tower.e < v:
+            if m + e < v:
                 # ord_lower is a certified lower bound, so a failure with an
                 # uncertified entry is a precision problem, not a bad module
-                min(x.ord_pi() for x in entries)
+                min(x.ord_pi() for row in A for x in row)
                 raise DomainError(
                     "v-nonintegral",
                     f"slot {i}: p*A^(-1) is not integral "
                     f"(min adjugate valuation {m}, det valuation {v})",
                     slot=i)
             self.det_orders.append(v)
-            self.repr_orders.append(reprs)
+            dets.append((det, prec))
             # m is exact once an entry attaining it is certified, which always
             # holds when the entries share one precision (2m <= v < prec)
             self.entry_orders.append(
-                m if any(o == m < x.prec for o, x in zip(ords, entries)) else None)
+                m if any(o == m < q for o, q in zip(ords, precs)) else None)
         self.det_sum = sum(self.det_orders)
         g = tower.g
         if mode == "separable" and self.det_sum != g:
@@ -159,17 +174,37 @@ class DModule:
                 "det-budget",
                 f"sum of det valuations {self.det_sum} exceeds 2g = {2 * g}")
         if self.delta is not None:
-            p = tower.p
-            for i, d in enumerate(dets):
+            for i, (det, prec) in enumerate(dets):
                 if not self.delta[i]:
                     raise DomainError("degenerate-pairing",
                                       f"pairing scalar at slot {i} vanishes", slot=i)
-                lhs = d * self.delta[i]
-                rhs = self.delta[(i - 1) % tower.f].sigma() * p
-                if lhs - rhs:
+                if not self._pairing_holds(i, det, prec):
                     raise DomainError(
                         "pairing-incompatible",
                         f"slot {i}: det(A)*delta != p*sigma(delta_prev)", slot=i)
+
+    def _pairing_holds(self, i, det, prec):
+        """det(A[i]) * delta[i] = p * sigma(delta[i-1]) to the certified
+        digits, for det A[i] as (coefficient tuples, precision): both sides
+        on the packed tuples, sigma by the tower's rows, and the difference
+        mod p^N vanishing below the lesser precision (what `bool(lhs - rhs)`
+        of RamElems reads, since truncation keeps every lower digit)."""
+        t = self.tower
+        pN, p = t.pN, t.p
+        d, prev = self.delta[i], self.delta[i - 1]
+        dc = [c.coeffs for c in d.coeffs]
+        lhs = t._ram_reduce(t._ram_pack(det) * t._ram_pack(dc))
+        rows, sub = t._sigma_map(1), t._ring.substitute
+        rhs = []
+        for w in prev.coeffs:
+            c = sub(rows, w.coeffs) if any(w.coeffs[1:]) else w.coeffs
+            rhs.append(tuple([p * b % pN for b in c]) if any(c) else c)
+        if lhs == rhs:
+            return True
+        full = t.pi_precision
+        lhs_prec = product_prec(self.det_orders[i], prec, t._repr_ord(dc), d.prec, full)
+        diff = [[(a - b) % pN for a, b in zip(x, y)] for x, y in zip(lhs, rhs)]
+        return t._repr_ord(diff) >= min(lhs_prec, prev.prec + t.e, full)
 
     @property
     def f(self):
@@ -189,16 +224,17 @@ class DModule:
 
     # -- F^f and its iterates ------------------------------------------------
     #
-    # The chains run on `wittring.PackedMatrix`: each slot matrix is packed
-    # once per call, sigma acts on the reduced coefficient tuples only where
-    # it is not the identity, every link is one `CoeffTower.mat_product`, and
-    # only `twisted_power` builds RamElems, for its return value.
+    # The chains run on `wittring.PackedMatrix`: they start from the slot
+    # matrices packed at validation, sigma acts on the reduced coefficient
+    # tuples only where it is not the identity, every link is one
+    # `CoeffTower.mat_product`, and only `twisted_power` builds RamElems, for
+    # its return value.
 
     def twisted_factors(self, base_slot=0):
         """The factors of F^f on slot `base_slot`, packed and in order:
-        sigma^(f-k)(A[b+k]) for k = 1..f."""
-        t, f = self.tower, self.f
-        return [t.packed(self.matrices[(base_slot + k) % f]).sigma(f - k)
+        sigma^(f-k)(A[b+k]) for k = 1..f, from `packed_matrices`."""
+        f = self.f
+        return [self.packed_matrices[(base_slot + k) % f].sigma(f - k)
                 for k in range(1, f + 1)]
 
     def _packed_power(self, base_slot):
@@ -258,7 +294,8 @@ class DModule:
 
     def _p_inverse(self, i):
         """p * A[i]^(-1), exactly; the unit division costs det-valuation digits."""
-        _, u = mat_det(self.matrices[i]).unit_part()
+        t = self.tower
+        _, u = t.ram(*t.det(self.packed_matrices[i])).unit_part()
         return mat_scale(self._p_adjugate(i), u.inverse())
 
     def vbar_matrix(self, i):

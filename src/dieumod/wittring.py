@@ -24,9 +24,10 @@ Products follow the structure of the operands:
   skips the slots that hold nothing: a constant packs as itself, a zero
   product reduces to the shared zero tuple, and a product with empty high
   slots is split without the fold (`fppoly` module docstring).  The tower
-  binds the kernel's `pack`, `split` and `reduce` as `_pack`, `_split` and
-  `_reduce`.  An int, or a constant Witt element (coefficients 1.. all
-  zero), scales coefficientwise instead.
+  binds the kernel's `pack` and `reduce` as `_pack` and `_reduce`.  An int,
+  or a constant Witt element (coefficients 1.. all zero), scales
+  coefficientwise instead.  `witt` returns the tower's one WittElem of 0
+  and of 1 for those values.
 * A ramified product of two operands that both have at least two nonzero
   pi-coefficients is dense: each operand is packed as one bivariate
   Kronecker integer, 2d-1 slots per pi-degree, one big-int product is
@@ -41,11 +42,22 @@ Products follow the structure of the operands:
   output entry while still packed and folds and reduces that sum once: 4e
   reductions and no WittElem or RamElem.  A square takes five big-int
   products, a^2 + bc, b(a+d), c(a+d), d^2 + bc, whose sums are the same
-  integers as the eight-product ones.  `mat_trace` sums the four diagonal
-  products of a product packed and reduces them once (e reductions).
-  Chains of products (twisted powers and their doublings, `modules`) stay
-  packed from link to link; `mat_mul` on RamElems is `packed`, then
-  `mat_product`, then `ram_matrix`.
+  integers as the eight-product ones.  `pair_sum` is the one signed-pairs
+  kernel: it sums the big-int products P[i] Q[j] of given index pairs, a
+  minus sign multiplying by the packed negation of Q[j] (x -> -x mod p^N,
+  so no slot goes negative), and folds and reduces the sum once (e
+  reductions).  `mat_trace` (the four diagonal products of P Q) and `det`
+  (ad - bc) are calls to it.  Chains of products (twisted powers and their
+  doublings, `modules`) stay packed from link to link; `mat_mul` on
+  RamElems is `packed`, then `mat_product`, then `ram_matrix`.
+* `DModule` validation runs on the same formats: each slot matrix is
+  packed once, its determinant is `det`, and the pairing identity
+  det(A_i) delta_i = p sigma(delta_(i-1)) is compared on the reduced
+  tuples (`modules`).
+* A Teichmuller lift T**k is one window power on packed integers of the
+  tower's ring: the window table of T holds packed ints, each product is
+  pack(reduce(a b)), and the lift is one split of the power, with no
+  WittElem per product.
 * sigma^n is the substitution x -> x^(p^n): one linear combination of the
   packed rows x^(j p^n), which the tower computes once per n, from one
   power and d-2 products.  It is the identity on constants and for
@@ -55,10 +67,12 @@ Products follow the structure of the operands:
 
 Slot width: before `_reduce` a slot holds at most 4*(p+1)*e*d*(p^N-1)^2
 (the folded sum of four dense ramified products in a trace; a matrix entry
-sums two, a single folded product holds a quarter of that, a Witt product
-or a Frobenius image at most d*(p^N-1)^2), and `_reduce` adds at most
-(d-1)*(p^N-1)^2 to a low slot.  The tower's slot width is the bit length of
-(4*(p+1)*e + 1)*d*(p^N-1)^2, so no slot carries into the next.
+or a determinant sums two, a single folded product holds a quarter of that,
+a Witt product or a Frobenius image at most d*(p^N-1)^2; a negated factor
+is reduced, so its slots lie in [0, p^N) like any other), and `_reduce`
+adds at most (d-1)*(p^N-1)^2 to a low slot.  The tower's slot width is the
+bit length of (4*(p+1)*e + 1)*d*(p^N-1)^2, so no slot carries into the
+next.
 """
 
 import json
@@ -85,9 +99,10 @@ MAX_PN_BITS = 1024
 
 # the big-int products of a 2x2 product P Q, as pairs (i, j) of row-major
 # entry indices of P and Q: the two of each output entry, and the four of
-# its trace
+# its trace; and the two of the determinant ad - bc of P (with Q = P)
 _ENTRY_PAIRS = (((0, 0), (1, 2)), ((0, 1), (1, 3)), ((2, 0), (3, 2)), ((2, 1), (3, 3)))
 _TRACE_PAIRS = ((0, 0), (1, 2), (2, 1), (3, 3))
+_DET_PAIRS = ((0, 3), (1, 2))
 
 
 class PrecisionError(ArithmeticError):
@@ -186,12 +201,13 @@ class CoeffTower:
         self._ring = ring = fppoly.PackedQuotient(modulus, self.pN, bits)
         if fppoly.power(ring.x, self.q - 1, ring.mul, ring.one) != ring.one:
             raise DomainError("bad-modulus", "T is not a (q-1)-th root of unity mod modulus")
-        self._pack, self._split, self._reduce = ring.pack, ring.split, ring.reduce
+        self._pack, self._reduce = ring.pack, ring.reduce
         self._stride = (2 * self.d - 1) * bits  # bits per pi-degree
         self._sigma_maps = {}
         self._gen_rows = None  # window table of T, built on the first logged lift
-        self._zero_w = None
-        self._one_w = None
+        # the one WittElem of 0 and of 1, which `witt` returns for them
+        self._zero_w = WittElem(self, ring.zero)
+        self._one_w = WittElem(self, ring.one)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -242,8 +258,8 @@ class CoeffTower:
     def packed(self, A):
         """The 2x2 matrix A of RamElems of this tower as a PackedMatrix."""
         entries = [x for row in A for x in row]
-        precs = [x.prec for x in entries]
-        return PackedMatrix(self, [[c.coeffs for c in x.coeffs] for x in entries],
+        precs = tuple([x.prec for x in entries])
+        return PackedMatrix(self, tuple([tuple([c.coeffs for c in x.coeffs]) for x in entries]),
                             None if min(precs) == self.pi_precision else precs)
 
     def ram_matrix(self, P):
@@ -263,8 +279,8 @@ class CoeffTower:
         full = self.pi_precision
         pa, pb = P.precs or (full,) * 4, Q.precs or (full,) * 4
         ra, rb = P.ords, Q.ords
-        precs = [min(product_prec(ra[i], pa[i], rb[j], pb[j], full) for i, j in ij)
-                 for ij in pairs]
+        precs = tuple([min(product_prec(ra[i], pa[i], rb[j], pb[j], full) for i, j in ij)
+                       for ij in pairs])
         return None if min(precs) == full else precs
 
     def mat_product(self, P, Q):
@@ -284,18 +300,39 @@ class CoeffTower:
             b00, b01, b10, b11 = Q.ints
             sums = (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
                     a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
-        return PackedMatrix(self, [self._ram_reduce(x) for x in sums],
+        return PackedMatrix(self, tuple([self._ram_reduce(x) for x in sums]),
                             self._product_precs(P, Q, _ENTRY_PAIRS))
 
+    def pair_sum(self, P, Q, pairs, signs=(1, 1, 1, 1)):
+        """The sum of s P[i] Q[j] over the flat index pairs (i, j) and the
+        signs s = +-1, for PackedMatrices of this tower: the big-int products
+        summed packed, folded and reduced once (e reductions).  A minus sign
+        multiplies by the packed negation of Q[j]'s tuples (x -> -x mod
+        p^N), so no slot goes negative.  Returns (coefficient tuples,
+        precision), the precision being the least `product_prec` of the
+        products (eN when the factors are all at full precision)."""
+        a, b = P.ints, Q.ints
+        acc = 0
+        for (i, j), s in zip(pairs, signs):
+            if a[i] and b[j]:  # a zero factor adds nothing, and is not negated
+                acc += a[i] * (b[j] if s > 0 else self._ram_pack(self._negated(Q.cs[j])))
+        precs = self._product_precs(P, Q, (pairs,))
+        return self._ram_reduce(acc), self.pi_precision if precs is None else precs[0]
+
+    def _negated(self, cs):
+        """The coefficient tuples of -x for those of x, in [0, p^N)."""
+        pN = self.pN
+        return [tuple([-c % pN for c in t]) if any(t) else t for t in cs]
+
     def mat_trace(self, P, Q):
-        """The trace of P Q as a RamElem: its four diagonal big-int products
-        summed packed, folded and reduced once (e reductions).  Its
-        precision is the least `product_prec` of those four products."""
-        a00, a01, a10, a11 = P.ints
-        b00, b01, b10, b11 = Q.ints
-        cs = self._ram_reduce(a00 * b00 + a01 * b10 + a10 * b01 + a11 * b11)
-        precs = self._product_precs(P, Q, (_TRACE_PAIRS,))
-        return RamElem(self, [WittElem(self, c) for c in cs], None if precs is None else precs[0])
+        """The trace of P Q as a RamElem: `pair_sum` of its four diagonal
+        products."""
+        return self.ram(*self.pair_sum(P, Q, _TRACE_PAIRS))
+
+    def det(self, P):
+        """ad - bc of the PackedMatrix P: `pair_sum` of its two products,
+        as (coefficient tuples, precision)."""
+        return self.pair_sum(P, P, _DET_PAIRS, (1, -1))
 
     def mat_mul(self, A, B):
         """Product of 2x2 matrices of RamElems of this tower: `packed`,
@@ -357,19 +394,19 @@ class CoeffTower:
             return coeffs
         if isinstance(coeffs, int):
             coeffs = [coeffs]
-        c = self._pad([x % self.pN for x in coeffs[: self.d]])
+        c = tuple(self._pad([x % self.pN for x in coeffs[: self.d]]))
         if len(coeffs) > self.d:
             raise DomainError("bad-shape", "too many Witt coefficients")
-        return WittElem(self, tuple(c))
+        if c == self._zero_w.coeffs:
+            return self._zero_w
+        if c == self._one_w.coeffs:
+            return self._one_w
+        return WittElem(self, c)
 
     def witt_zero(self):
-        if self._zero_w is None:
-            self._zero_w = self.witt(0)
         return self._zero_w
 
     def witt_one(self):
-        if self._one_w is None:
-            self._one_w = self.witt(1)
         return self._one_w
 
     def witt_gen(self):
@@ -383,7 +420,9 @@ class CoeffTower:
         gen_pow/random_unit, else the residue field's log table, which
         exists for q <= 2^16) lifts as T**k, read off a fixed-base window
         table of T built on first use: one product per nonzero base-16 digit
-        of k.  Larger fields lift a log-less element by `_lift_by_iteration`.
+        of k, on packed integers (`_packed_mul`), and one split of the
+        result.  Larger fields lift a log-less element by
+        `_lift_by_iteration`.
         """
         F = self.residue_field
         if isinstance(a, int):
@@ -395,11 +434,16 @@ class CoeffTower:
         k = F.discrete_log(a)
         if k is None:
             return self._lift_by_iteration(a)
+        ring = self._ring
         if self._gen_rows is None:
-            self._gen_rows = fppoly.window_table(
-                self.witt_gen(), self.q - 1, operator.mul, self.witt_one())
-        return fppoly.window_pow(self._gen_rows, k % (self.q - 1),
-                                 operator.mul, self.witt_one())
+            self._gen_rows = fppoly.window_table(ring.pack(ring.x), self.q - 1,
+                                                 self._packed_mul, 1)
+        return WittElem(self, ring.split(fppoly.window_pow(
+            self._gen_rows, k % (self.q - 1), self._packed_mul, 1)))
+
+    def _packed_mul(self, a, b):
+        """The product of two packed Witt elements, packed."""
+        return self._pack(self._reduce(a * b))
 
     def _lift_by_iteration(self, a):
         """Teichmuller lift of a nonzero residue a without its log: iterate
@@ -461,7 +505,9 @@ class PackedMatrix:
     entry's e reduced coefficient tuples, row-major, and `precs` their
     precisions (None when all are eN).  `ints` (the entries' Kronecker
     integers) and `ords` (the valuations of their stored representatives,
-    eN for 0, as `RamElem._repr_ord`) are formed on first read.
+    eN for 0, as `RamElem._repr_ord`) are formed on first read, as tuples;
+    `packed` builds `cs` of tuples too, since `DModule` keeps one
+    PackedMatrix per slot.
 
     Entries are not truncated to their precisions, as RamElems are: a digit
     at or above an entry's precision changes no certified digit of a
@@ -478,24 +524,25 @@ class PackedMatrix:
     @property
     def ints(self):
         if self._ints is None:
-            self._ints = [self.tower._ram_pack(c) for c in self.cs]
+            self._ints = tuple([self.tower._ram_pack(c) for c in self.cs])
         return self._ints
 
     @property
     def ords(self):
         if self._ords is None:
-            self._ords = [self.tower._repr_ord(c) for c in self.cs]
+            self._ords = tuple([self.tower._repr_ord(c) for c in self.cs])
         return self._ords
 
     def sigma(self, n):
         """sigma^n on every coefficient tuple, which keeps each valuation and
-        precision; self when sigma^n is the identity (n = 0 mod d), so that
-        `mat_product` can take its squaring route."""
+        precision; self when sigma^n fixes every entry (n = 0 mod d, or
+        constant coefficients only), so that `mat_product` can take its
+        squaring route and no integer is packed again."""
         t = self.tower
-        if not n % t.d:
+        if not n % t.d or not any(any(c[1:]) for x in self.cs for c in x):
             return self
         rows, sub = t._sigma_map(n), t._ring.substitute
-        cs = [[sub(rows, c) if any(c[1:]) else c for c in x] for x in self.cs]
+        cs = tuple([tuple([sub(rows, c) if any(c[1:]) else c for c in x]) for x in self.cs])
         return PackedMatrix(t, cs, self.precs, self._ords)
 
 

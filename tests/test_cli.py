@@ -162,13 +162,30 @@ def test_malformed_module_shapes(capsys, tmp_path, mutate, code):
       "--tau", "0,0", "--avals", "1,2"), "usage"),
     (("construct", "--family", "normal", "--p", "3", "--f", "2", "--e", "2",
       "--tau", "0,0", "--avals", "2,1"), "usage"),
+    # a slot outside 0..f-1 would alias slot (tau mod f) of the family
+    (("construct", "--family", "normal", "--p", "3", "--f", "2", "--e", "2",
+      "--tau", "2", "--avals", "1"), "usage"),
+    (("construct", "--family", "normal", "--p", "3", "--f", "2", "--e", "2",
+      "--tau", "0,2", "--avals", "1,2"), "usage"),
 ], ids=["short-target", "cjson-list", "cjson-string-coefficient", "scale-inf",
         "scale-nan", "scale-zero", "scale-negative", "scale-overflows-count",
-        "negative-trials", "repeated-tau", "repeated-tau-swapped"])
+        "negative-trials", "repeated-tau", "repeated-tau-swapped", "tau-out-of-range",
+        "tau-aliasing"])
 def test_malformed_arguments(capsys, argv, code):
     exit_code, out = run_cli(capsys, *argv)
     assert exit_code == 1
     assert json.loads(out)["error"]["code"] == code
+
+
+@pytest.mark.parametrize("tau,avals,slot", [("2", "1", 2), ("0,2", "1,2", 2),
+                                             ("-1", "1", -1), ("1,3", "1,1", 3)])
+def test_out_of_range_tau_slot_is_named(capsys, tau, avals, slot):
+    exit_code, out = run_cli(capsys, "construct", "--family", "normal", "--p", "3",
+                             "--f", "2", "--e", "2", "--tau", tau, "--avals", avals)
+    assert exit_code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "usage"
+    assert error["message"].startswith(f"--tau slot {slot} is out of range 0..1")
 
 
 def test_sample_deform_on_degree_one_tower(capsys):

@@ -721,7 +721,13 @@ class TestStoredValuations:
             answer(a_type, M)
             if kind in ("slope", "superspecial", "superspecial-general"):
                 assert not seen, M
-            answer(invariant_report, M)
+            try:
+                answer(invariant_report, M)
+            except DomainError as exc:
+                # the fast Newton trace is not a base-change invariant when
+                # ext > 1, and `_flags` refuses a report whose Newton point
+                # contradicts its a-number; the reads before it still count
+                assert exc.code == "inconsistent" and kind == "base-changed", M
             assert not [x for x in seen if id(x) in entries], M
 
 
@@ -781,3 +787,90 @@ class TestChainRoutes:
             assert value_or_bound(M.iterate_twisted, 3, b) == \
                 value_or_bound(chainref.iterate_twisted, M, 3, b)
         assert value_or_bound(inv._newton_fast, M) == value_or_bound(chainref._newton_fast, M)
+
+
+# -- consistency guards ----------------------------------------------------------
+#
+# `_flags` refuses a report whose Newton point contradicts its a-number:
+# a-number 0 iff ordinary, and superspecial implies supersingular.  The fast
+# Newton trace is not a base-change invariant when ext > 1, so base changes
+# are where a report can contradict itself.
+
+GUARD_SHAPES = [(p, f, e, ext) for p in (2, 3, 5) for e in (1, 2, 3) for f in (1, 2, 3)
+                for ext in (1, 2, 3, 4) if p ** (f * ext) < 2 ** 16]
+
+
+def fiber(t, rng):
+    """A deformation fiber of a normal form over a random target a-type."""
+    e, f = t.e, t.f
+    r = {i: rng.randrange(e) for i in range(f) if rng.random() < .5}
+    base = fam.normal_form(t, tuple(r), {i: t.pi_pow(k) for i, k in r.items()})
+    # a^(i) of the base is r_i + 1 on tau, 0 elsewhere
+    target = tuple(rng.randrange(r[i] + 2) if i in r else 0 for i in range(f))
+    F = t.residue_field
+    asg = {(i, j): F.random(rng) for i in range(f) for j in range(target[i], e)}
+    return fam.deform_specialize(base, target, asg)
+
+
+def consistent_or_refused(M):
+    """The report's flags satisfy both relations, or the report is refused
+    (inconsistent, or not certified); classify agrees with the report."""
+    try:
+        report = invariant_report(M)
+    except PrecisionError:
+        return "precision"
+    except DomainError as exc:
+        assert exc.code == "inconsistent", exc
+        with pytest.raises(DomainError, match="fails$"):
+            classify(M)
+        return "inconsistent"
+    flags = report["flags"]
+    if flags is not None:
+        assert (report["a_number"] == 0) == flags["ordinary"], report
+        assert flags["supersingular"] or report["a_number"] != M.g, report
+        assert flags["superspecial"] == (report["a_number"] == M.g)
+        assert classify(M) == flags
+    return "consistent"
+
+
+@st.composite
+def guard_modules(draw):
+    t = tower(*draw(st.sampled_from(GUARD_SHAPES)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(("normal", "slope", "superspecial", "superspecial-general",
+                                 "fiber")))
+    M = fiber(t, rng) if kind == "fiber" else family_module(t, kind, rng)
+    for _ in range(draw(st.integers(0, 2))):
+        M = base_change(M, rng)
+    return M
+
+
+class TestConsistencyGuards:
+    @settings(max_examples=200, deadline=None)
+    @given(guard_modules())
+    def test_reports_are_consistent_or_refused(self, M):
+        consistent_or_refused(M)
+
+    def test_base_changed_slope_families(self):
+        # slope families with ext = 2, every admissible a, three base changes
+        # each: the fast route reads a wrong Newton point on six of the 57
+        # modules, all on the e = 2 towers, and the guard refuses exactly those
+        rng = random.Random(5)
+        refused, wrong = [], []
+        for p, f, e in ((3, 2, 1), (3, 3, 1), (3, 2, 2), (5, 2, 1), (3, 4, 1), (2, 3, 1),
+                        (5, 3, 1), (2, 2, 2)):
+            t = tower(p, f, e, ext=2)
+            for a in range(e * f // 2 + 1):
+                try:
+                    M = fam.slope_family(t, a)
+                except DomainError:
+                    continue
+                for _ in range(3):
+                    B = base_change(M, rng)
+                    seen = consistent_or_refused(B)
+                    if seen == "inconsistent":
+                        refused.append((p, f, e, a))
+                    if seen == "consistent" and newton_point(B).index != a:
+                        wrong.append((p, f, e, a))
+        assert not wrong
+        assert sorted(refused) == [(2, 2, 2, 1)] * 2 + [(3, 2, 2, 0)] + [(3, 2, 2, 1)] * 3

@@ -159,6 +159,18 @@ class TestTeichmuller:
             x = t.residue_field.random(rng)
             assert t.teichmuller(x).sigma() == t.teichmuller(x.frob())
 
+    @pytest.mark.parametrize("p,d", [(p, d) for p in (2, 3, 5) for d in (1, 2, 8, 16)])
+    def test_packed_window_lift_is_power_of_T(self, p, d):
+        # the window power on packed integers against T**k by WittElem
+        # squaring: k = 15 and 16 are the last entry of row 0 and the first
+        # of row 1, and q - 2 is the largest exponent
+        t = tower(p, d, 1)
+        F, T = t.residue_field, t.witt_gen()
+        for k in (0, 1, 15, 16, t.q - 2):
+            lift = t.teichmuller(F.gen_pow(k))
+            assert type(lift) is WittElem and lift.tower is t
+            assert lift == T ** k
+
     def test_genpow_fast_path_matches_iteration(self, rng, monkeypatch):
         # the logged lift (window table of T) against the Frobenius-root
         # iteration, p in {2, 3, 5}, d = 1 included, N >= 2; the log-less
