@@ -29,7 +29,8 @@ BREAKS = ("none", "none", "scale-slot", "scale-column", "zero-delta", "shift-del
 
 
 def outcome(route, tower, mats, delta, mode):
-    """What validation keeps, or the refusal as (class, code, message, bound)."""
+    """What validation keeps, or the refusal as (class, code, message, bound,
+    info)."""
     try:
         M = route(tower, mats, delta, mode)
     except (DomainError, PrecisionError) as exc:
