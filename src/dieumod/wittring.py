@@ -279,8 +279,8 @@ class CoeffTower:
         full = self.pi_precision
         pa, pb = P.precs or (full,) * 4, Q.precs or (full,) * 4
         ra, rb = P.ords, Q.ords
-        precs = tuple([min(product_prec(ra[i], pa[i], rb[j], pb[j], full) for i, j in ij)
-                       for ij in pairs])
+        precs = [min(product_prec(ra[i], pa[i], rb[j], pb[j], full) for i, j in ij)
+                 for ij in pairs]
         return None if min(precs) == full else precs
 
     def mat_product(self, P, Q):
@@ -300,7 +300,7 @@ class CoeffTower:
             b00, b01, b10, b11 = Q.ints
             sums = (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
                     a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
-        return PackedMatrix(self, tuple([self._ram_reduce(x) for x in sums]),
+        return PackedMatrix(self, [self._ram_reduce(x) for x in sums],
                             self._product_precs(P, Q, _ENTRY_PAIRS))
 
     def pair_sum(self, P, Q, pairs, signs=(1, 1, 1, 1)):
@@ -542,7 +542,7 @@ class PackedMatrix:
         if not n % t.d or not any(any(c[1:]) for x in self.cs for c in x):
             return self
         rows, sub = t._sigma_map(n), t._ring.substitute
-        cs = tuple([tuple([sub(rows, c) if any(c[1:]) else c for c in x]) for x in self.cs])
+        cs = [[sub(rows, c) if any(c[1:]) else c for c in x] for x in self.cs]
         return PackedMatrix(t, cs, self.precs, self._ords)
 
 
