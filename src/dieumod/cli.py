@@ -54,21 +54,24 @@ def cmd_construct(args):
         M = fam.slope_family(tower, args.a)
     elif args.family == "normal":
         tau = _ints(args.tau or "")
+        for i in tau:  # the coefficient map is keyed by the slots as given
+            if not 0 <= i < tower.f:
+                raise DomainError("usage", f"--tau slot {i} is out of range 0..{tower.f - 1}")
+            if tau.count(i) > 1:
+                raise DomainError("usage", f"--tau repeats slot {i}")
         if args.cjson:
             raw = json.loads(args.cjson)
             if not (isinstance(raw, dict) and all(map(is_json_ram, raw.values()))):
                 raise DomainError("bad-input", "--cjson must map slots to ramified elements")
-            c = {int(k): tower.ram(v) for k, v in raw.items()}
+            keys = [int(k) for k in raw]
+            if sorted(keys) != sorted(tau):
+                raise DomainError("usage", f"--cjson slots {sorted(keys)} differ from the "
+                                  f"--tau slots {sorted(tau)}")
+            c = {i: tower.ram(v) for i, v in zip(keys, raw.values())}
         else:
             avals = _ints(args.avals or "")
             if len(avals) != len(tau):
                 raise DomainError("usage", "--avals must list one value per tau slot")
-            for i in tau:  # the map below is keyed by the slots as given
-                if not 0 <= i < tower.f:
-                    raise DomainError("usage", f"--tau slot {i} is out of range 0..{tower.f - 1} "
-                                      "when --avals is given")
-            if len(set(tau)) != len(tau):
-                raise DomainError("usage", "--tau must not repeat a slot when --avals is given")
             c = {i: tower.pi_pow(a - 1) if a else tower.one()
                  for i, a in zip(tau, avals)}
         M = fam.normal_form(tower, tau, c)

@@ -58,20 +58,26 @@ def _attach(module, family, deltas_note):
     return module
 
 
+def slope_fits(a, e, f):
+    """Whether the slope family of index a = d*e + r (0 <= r < e) fits f slots:
+    2d+1 <= f, or 2d = f with r = 0 (the supersingular extreme, all antidiagonal)."""
+    d, r = divmod(a, e)
+    return 2 * d + 1 <= f or (2 * d == f and r == 0)
+
+
 def slope_family(tower, a):
     """The explicit Rapoport-locus family realizing Newton index a.
 
     Writing a = d*e + r with 0 <= r < e, the slots carry
     [[0,1],[-p,0]] (2d of them), [[1,1],[-p,0]], ..., and a final
-    [[pi^r,1],[-p,0]]; it needs 2d+1 <= f, or 2d = f with r = 0 (the
-    supersingular extreme, where every slot is antidiagonal).
+    [[pi^r,1],[-p,0]]; it needs `slope_fits(a, e, f)`.
     """
     g = tower.g
     e, f, p = tower.e, tower.f, tower.p
     if not (isinstance(a, int) and 0 <= 2 * a <= g):
         raise DomainError("bad-shape", f"need an integer 0 <= a <= g/2, got {a}")
     d, r = divmod(a, e)
-    if not (2 * d + 1 <= f or (2 * d == f and r == 0)):
+    if not slope_fits(a, e, f):
         raise DomainError("bad-shape",
                           f"a = {a} = {d}*e + {r} does not fit f = {f} slots "
                           f"(need 2d+1 <= f, or 2d = f with r = 0)")

@@ -277,7 +277,7 @@ def _newton_fast(M):
         tr = a + d
     else:
         t = M.tower
-        *head, last = M.twisted_factors(0)
+        *head, last = M.twisted_factors()
         tr = t.mat_trace(reduce(t.mat_product, head), last)
     g = M.g
     half = Fraction(g, 2)

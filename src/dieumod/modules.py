@@ -28,10 +28,13 @@ def mat(tower, rows):
 
 
 def mat_mul(A, B):
-    """A * B for 2x2 matrices of RamElems, by the packed kernel
-    `CoeffTower.mat_mul`: entries and precisions equal those of the
-    entrywise products and sums."""
-    return A[0][0].tower.mat_mul(A, B)
+    """A * B for 2x2 matrices of RamElems: `CoeffTower.packed`, the 2x2
+    kernel `mat_product` (five big-int products when `B is A`) and
+    `ram_matrix`.  Entries and precisions equal those of the entrywise
+    products and sums."""
+    t = A[0][0].tower
+    P = t.packed(A)
+    return t.ram_matrix(t.mat_product(P, P if B is A else t.packed(B)))
 
 
 def mat_sigma(A, n):
@@ -224,37 +227,23 @@ class DModule:
 
     # -- F^f and its iterates ------------------------------------------------
     #
-    # The chains run on `wittring.PackedMatrix`: they start from the slot
-    # matrices packed at validation, sigma acts on the reduced coefficient
-    # tuples only where it is not the identity, every link is one
-    # `CoeffTower.mat_product`, and only `twisted_power` builds RamElems, for
-    # its return value.
+    # F^f is read on slot 0.  The chains run on `wittring.PackedMatrix`: they
+    # start from the slot matrices packed at validation, sigma acts on the
+    # reduced coefficient tuples only where it is not the identity, every
+    # link is one `CoeffTower.mat_product`, and only `twisted_power` builds
+    # RamElems, for its return value.
 
-    def twisted_factors(self, base_slot=0):
-        """The factors of F^f on slot `base_slot`, packed and in order:
-        sigma^(f-k)(A[b+k]) for k = 1..f, from `packed_matrices`."""
+    def twisted_factors(self):
+        """The factors of F^f on slot 0 in order, sigma^(f-k)(A[k mod f]) for
+        k = 1..f, from `packed_matrices`."""
         f = self.f
-        return [self.packed_matrices[(base_slot + k) % f].sigma(f - k)
-                for k in range(1, f + 1)]
+        return [self.packed_matrices[k % f].sigma(f - k) for k in range(1, f + 1)]
 
-    def _packed_power(self, base_slot):
-        return reduce(self.tower.mat_product, self.twisted_factors(base_slot))
-
-    def twisted_power(self, base_slot=0):
-        """Matrix of F^f on slot `base_slot`:
-        A[b+1]^(sigma^(f-1)) * A[b+2]^(sigma^(f-2)) * ... * A[b+f]."""
-        return self.tower.ram_matrix(self._packed_power(base_slot))
-
-    def iterate_twisted(self, n, base_slot=0):
-        """Minimal entry valuation of the matrix of F^(f*n) on `base_slot`,
-        C_n = sigma^f(C_(n-1)) * C_1, under the rule of `_min_entry_ord`."""
-        if n < 1:
-            raise DomainError("bad-shape", "n must be >= 1")
-        B = self._packed_power(base_slot)
-        C = B
-        for _ in range(n - 1):
-            C = self.tower.mat_product(C.sigma(self.f), B)
-        return self._min_entry_ord(C, n)
+    def twisted_power(self):
+        """Matrix of F^f on slot 0:
+        A[1]^(sigma^(f-1)) * A[2]^(sigma^(f-2)) * ... * A[f], A[f] = A[0]."""
+        t = self.tower
+        return t.ram_matrix(reduce(t.mat_product, self.twisted_factors()))
 
     def _min_entry_ord(self, C, n):
         """m_n = min over the entries of the PackedMatrix C of min(ord,
@@ -271,12 +260,12 @@ class DModule:
                 f"precision; raise N or accept the bound", lower_bound=m)
         return m
 
-    def min_valuation_doublings(self, max_doublings, base_slot=0):
+    def min_valuation_doublings(self, max_doublings):
         """Yield (n, m_n) for n = 1, 2, 4, ... by C_2n = sigma^(f n)(C_n) * C_n,
-        from the twisted power C_1, under the rule of `_min_entry_ord`; a
-        square where sigma^(f n) is the identity."""
+        from the twisted power C_1 on slot 0, under the rule of
+        `_min_entry_ord`; a square where sigma^(f n) is the identity."""
         t = self.tower
-        C = self._packed_power(base_slot)
+        C = reduce(t.mat_product, self.twisted_factors())
         n = 1
         yield n, self._min_entry_ord(C, n)
         for _ in range(max_doublings):

@@ -87,8 +87,7 @@ def criterion_slope_family(check, seed, scale):
                 continue
             tw = tower(3, f, e, slack=20)
             for a in range(g // 2 + 1):
-                d, r = divmod(a, e)
-                if not (2 * d + 1 <= f or (2 * d == f and r == 0)):
+                if not fam.slope_fits(a, e, f):
                     continue
                 M = fam.slope_family(tw, a)
                 fast = inv.newton_point(M, "fast").index
@@ -469,8 +468,7 @@ def criterion_formulas(check, seed, scale):
             M = fam.normal_form(tw, tau, c)
         elif kind == 1:
             a = rng.randrange(0, e * f // 2 + 1)
-            d_, r_ = divmod(a, e)
-            if not (2 * d_ + 1 <= f or (2 * d_ == f and r_ == 0)):
+            if not fam.slope_fits(a, e, f):
                 continue
             M = fam.slope_family(tw, a)
         else:

@@ -15,26 +15,24 @@ pi-adic digits, at most e*N).  Ring operations never lose precision;
 division by pi does, and everything downstream either tracks the loss or
 raises PrecisionError when a requested answer is no longer certified.
 
-Products follow the structure of the operands:
+Each element type picks its product route from the other operand's type
+alone; coefficient structure (zero or constant slots, empty high
+pi-degrees) is detected only by the kernel, `fppoly.PackedQuotient` and
+the tower's `_ram_pack`/`_ram_reduce`.
 
-* A Witt product is one Kronecker product in the packed format owned by
-  the tower's `fppoly.PackedQuotient` over Z/p^N: each operand is packed
-  into one integer of d slots, and the 2d-1 slots of the product are
-  reduced by the kernel (mod p^N, then x^(d+k) from a table).  The kernel
-  skips the slots that hold nothing: a constant packs as itself, a zero
-  product reduces to the shared zero tuple, and a product with empty high
-  slots is split without the fold (`fppoly` module docstring).  The tower
-  binds the kernel's `pack` and `reduce` as `_pack` and `_reduce`.  An int,
-  or a constant Witt element (coefficients 1.. all zero), scales
-  coefficientwise instead.  `witt` returns the tower's one WittElem of 0
-  and of 1 for those values.
-* A ramified product of two operands that both have at least two nonzero
-  pi-coefficients is dense: each operand is packed as one bivariate
-  Kronecker integer, 2d-1 slots per pi-degree, one big-int product is
-  taken, pi^(e+k) = p * pi^k is folded on the packed parts (only when the
-  product has a pi-degree >= e) and each of the e results is reduced
-  once.  Otherwise one operand is a pi-monomial (or zero) and each nonzero
-  coefficient of the other is multiplied once.
+* `WittElem * int` scales coefficientwise; any other Witt product is one
+  `PackedQuotient.mul` over Z/p^N: each operand packs into one integer of
+  d slots, and the 2d-1 slots of the product are reduced (mod p^N, then
+  x^(d+k) from a table).  A constant packs as itself, a zero product
+  reduces to the shared zero tuple, and a product with empty high slots
+  is split without the fold (`fppoly` module docstring).  The tower binds
+  the kernel's `pack` and `reduce` as `_pack` and `_reduce`, and `witt`
+  returns its one WittElem of 0 and of 1 for those values.
+* `RamElem * int` and `RamElem * WittElem` scale each pi-coefficient.  Any
+  other ramified product is one bivariate Kronecker product: `_ram_pack`
+  packs each operand, 2d-1 slots per pi-degree, one big-int product is
+  taken, and `_ram_reduce` folds pi^(e+k) = p * pi^k (only when the
+  product has a pi-degree >= e) and reduces each of the e results once.
 * A product of 2x2 matrices runs on `PackedMatrix`, a matrix kept in the
   kernel's formats: each entry's e reduced coefficient tuples and, formed
   once when first read, its bivariate Kronecker integer.  The one 2x2
@@ -48,8 +46,8 @@ Products follow the structure of the operands:
   so no slot goes negative), and folds and reduces the sum once (e
   reductions).  `mat_trace` (the four diagonal products of P Q) and `det`
   (ad - bc) are calls to it.  Chains of products (twisted powers and their
-  doublings, `modules`) stay packed from link to link; `mat_mul` on
-  RamElems is `packed`, then `mat_product`, then `ram_matrix`.
+  doublings, `modules`) stay packed from link to link; `modules.mat_mul`
+  on RamElems is `packed`, then `mat_product`, then `ram_matrix`.
 * `DModule` validation runs on the same formats: each slot matrix is
   packed once, its determinant is `det`, and the pairing identity
   det(A_i) delta_i = p sigma(delta_(i-1)) is compared on the reduced
@@ -334,14 +332,6 @@ class CoeffTower:
         as (coefficient tuples, precision)."""
         return self.pair_sum(P, P, _DET_PAIRS, (1, -1))
 
-    def mat_mul(self, A, B):
-        """Product of 2x2 matrices of RamElems of this tower: `packed`,
-        `mat_product` (five big-int products when `B is A`) and
-        `ram_matrix`.  Entries and precisions equal those of the entrywise
-        products and sums."""
-        P = self.packed(A)
-        return self.ram_matrix(self.mat_product(P, P if B is A else self.packed(B)))
-
     def _sigma_map(self, n):
         """Packed images sigma^n(x^j) = x^(j p^n) of the basis, j < d: the
         rows of the substitution x -> x^(p^n)."""
@@ -595,13 +585,8 @@ class WittElem:
     def __mul__(self, other):
         if isinstance(other, int):
             return self._scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not any(b[1:]):
-            return self._scale(b[0])
-        if not any(a[1:]):
-            return other._scale(a[0])
         t = self.tower
-        return WittElem(t, t._reduce(t._pack(a) * t._pack(b)))
+        return WittElem(t, t._ring.mul(self.coeffs, other.coeffs))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -727,30 +712,13 @@ class RamElem:
         t = self.tower
         full = t.pi_precision
         if isinstance(other, (int, WittElem)):
-            w = t.witt(other)
             prec = self.prec
             if prec < full:
-                prec = min(prec + t.e * w.ord_p(), full)
-            return RamElem(t, [c * w if c else c for c in self.coeffs], prec)
-        a, b = self.coeffs, other.coeffs
-        a_nz = [i for i, c in enumerate(a) if c]
-        b_nz = [i for i, c in enumerate(b) if c]
-        if len(a_nz) > 1 and len(b_nz) > 1:
-            coeffs = [WittElem(t, c) for c in t._ram_reduce(
-                t._ram_pack([c.coeffs for c in a]) * t._ram_pack([c.coeffs for c in b]))]
-        else:
-            if len(a_nz) > len(b_nz):
-                a, b, a_nz, b_nz = b, a, b_nz, a_nz
-            # a is zero or the monomial c * pi^k: one product per coefficient of b
-            coeffs = [t.witt_zero()] * t.e
-            for k in a_nz:
-                c = a[k]
-                for i in b_nz:
-                    j = i + k
-                    if j < t.e:
-                        coeffs[j] = b[i] * c
-                    else:  # pi^j = p * pi^(j-e)
-                        coeffs[j - t.e] = b[i] * c * t.p
+                prec = min(prec + t.e * t.witt(other).ord_p(), full)
+            return RamElem(t, [c * other if c else c for c in self.coeffs], prec)
+        coeffs = [WittElem(t, c) for c in t._ram_reduce(
+            t._ram_pack([c.coeffs for c in self.coeffs])
+            * t._ram_pack([c.coeffs for c in other.coeffs]))]
         prec = full
         if self.prec < full or other.prec < full:
             prec = product_prec(self._repr_ord(), self.prec, other._repr_ord(),

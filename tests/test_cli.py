@@ -167,25 +167,58 @@ def test_malformed_module_shapes(capsys, tmp_path, mutate, code):
       "--tau", "2", "--avals", "1"), "usage"),
     (("construct", "--family", "normal", "--p", "3", "--f", "2", "--e", "2",
       "--tau", "0,2", "--avals", "1,2"), "usage"),
+    # the same slot checks with the coefficient map of --cjson
+    (("construct", "--family", "normal", "--p", "3", "--f", "2", "--e", "2",
+      "--tau", "2", "--cjson", '{"2": 1}'), "usage"),
+    (("construct", "--family", "normal", "--p", "3", "--f", "2", "--e", "2",
+      "--tau", "0,2", "--cjson", '{"0": 1, "2": 1}'), "usage"),
+    (("construct", "--family", "normal", "--p", "3", "--f", "2", "--e", "2",
+      "--tau", "1,1", "--cjson", '{"1": 1}'), "usage"),
+    # --cjson keys that are not the --tau slots
+    (("construct", "--family", "normal", "--p", "3", "--f", "2", "--e", "2",
+      "--tau", "0", "--cjson", '{"1": 1}'), "usage"),
+    (("construct", "--family", "normal", "--p", "3", "--f", "2", "--e", "2",
+      "--tau", "0,1", "--cjson", '{"0": 1}'), "usage"),
+    (("construct", "--family", "normal", "--p", "3", "--f", "2", "--e", "2",
+      "--tau", "1", "--cjson", '{"1": 1, "01": 2}'), "usage"),
 ], ids=["short-target", "cjson-list", "cjson-string-coefficient", "scale-inf",
         "scale-nan", "scale-zero", "scale-negative", "scale-overflows-count",
         "negative-trials", "repeated-tau", "repeated-tau-swapped", "tau-out-of-range",
-        "tau-aliasing"])
+        "tau-aliasing", "cjson-tau-out-of-range", "cjson-tau-aliasing",
+        "cjson-repeated-tau", "cjson-key-not-in-tau", "cjson-missing-key",
+        "cjson-repeated-key"])
 def test_malformed_arguments(capsys, argv, code):
     exit_code, out = run_cli(capsys, *argv)
     assert exit_code == 1
     assert json.loads(out)["error"]["code"] == code
 
 
-@pytest.mark.parametrize("tau,avals,slot", [("2", "1", 2), ("0,2", "1,2", 2),
-                                             ("-1", "1", -1), ("1,3", "1,1", 3)])
-def test_out_of_range_tau_slot_is_named(capsys, tau, avals, slot):
+@pytest.mark.parametrize("tau,values,slot", [
+    ("2", "1", 2), ("0,2", "1,2", 2), ("-1", "1", -1), ("1,3", "1,1", 3),
+    ("2", '{"2": 1}', 2), ("0,2", '{"0": 1, "2": 1}', 2), ("3,1", '{"1": 1}', 3)])
+def test_out_of_range_tau_slot_is_named(capsys, tau, values, slot):
+    # values: the --avals list, or the --cjson map when it is a JSON object
+    option = "--cjson" if values.startswith("{") else "--avals"
     exit_code, out = run_cli(capsys, "construct", "--family", "normal", "--p", "3",
-                             "--f", "2", "--e", "2", "--tau", tau, "--avals", avals)
+                             "--f", "2", "--e", "2", "--tau", tau, option, values)
     assert exit_code == 1
     error = json.loads(out)["error"]
     assert error["code"] == "usage"
-    assert error["message"].startswith(f"--tau slot {slot} is out of range 0..1")
+    assert error["message"] == f"--tau slot {slot} is out of range 0..1"
+
+
+@pytest.mark.parametrize("tau,values,message", [
+    ("0,0", ("--avals", "1,2"), "--tau repeats slot 0"),
+    ("1,1", ("--cjson", '{"1": 1}'), "--tau repeats slot 1"),
+    ("0", ("--cjson", '{"1": 1}'), "--cjson slots [1] differ from the --tau slots [0]"),
+    ("0,1", ("--cjson", '{"1": 1}'), "--cjson slots [1] differ from the --tau slots [0, 1]"),
+    ("1", ("--cjson", '{"1": 1, "01": 2}'),
+     "--cjson slots [1, 1] differ from the --tau slots [1]")])
+def test_bad_slot_maps_are_named(capsys, tau, values, message):
+    exit_code, out = run_cli(capsys, "construct", "--family", "normal", "--p", "3",
+                             "--f", "2", "--e", "2", "--tau", tau, *values)
+    assert exit_code == 1
+    assert json.loads(out)["error"] == {"code": "usage", "message": message}
 
 
 def test_sample_deform_on_degree_one_tower(capsys):

@@ -17,13 +17,18 @@ class TestSlopeFamily:
         t = tower(3, f, e, slack=20)
         g = e * f
         for a in range(g // 2 + 1):
-            d, r = divmod(a, e)
-            if not (2 * d + 1 <= f or (2 * d == f and r == 0)):
+            if not fam.slope_fits(a, e, f):
                 continue
             M = fam.slope_family(t, a)
             assert newton_point(M, "fast").index == a
             assert newton_point(M, "oracle").index == a
             assert lie_type(M).is_rapoport
+
+    def test_fit_rule(self):
+        # a = d*e + r fits f slots iff 2d+1 <= f, or 2d = f with r = 0
+        assert fam.slope_fits(3, 2, 3) and fam.slope_fits(2, 2, 2)
+        assert not fam.slope_fits(3, 2, 2)  # 2d = f, but r = 1
+        assert not fam.slope_fits(4, 2, 3)
 
     def test_every_admissible_integer_fits(self):
         # extending the construction to 2d = f (all-rotation, r = 0) makes

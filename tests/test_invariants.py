@@ -361,8 +361,7 @@ def family_module(t, kind, rng):
         return fam.normal_form(t, tau, {i: t.random_ram(rng) * t.pi_pow(rng.randrange(e + 1))
                                         for i in tau})
     if kind == "slope":
-        choices = [a for a in range(g // 2 + 1)
-                   if 2 * (a // e) + 1 <= f or (2 * (a // e) == f and a % e == 0)]
+        choices = [a for a in range(g // 2 + 1) if fam.slope_fits(a, e, f)]
         return fam.slope_family(t, rng.choice(choices))
     if kind == "superspecial":
         return fam.superspecial(t, variant="rapoport")
@@ -775,17 +774,25 @@ def value_or_bound(route, *args):
         return ("precision", exc.lower_bound)
 
 
+def rotated(M, b):
+    """M with its slots renumbered i -> i - b: slot 0 of the result is slot
+    b of M, so its F^f on slot 0 is that of M on slot b."""
+    f = M.f
+    delta = None if M.delta is None else [M.delta[(i + b) % f] for i in range(f)]
+    return DModule(M.tower, [M.matrices[(i + b) % f] for i in range(f)], delta, M.mode)
+
+
 class TestChainRoutes:
     @settings(max_examples=300, deadline=None)
     @given(chain_modules())
     def test_packed_chain_matches_ramelem_chain(self, M):
         for b in range(M.f):
-            # RamElem == compares precisions too
-            assert M.twisted_power(b) == chainref.twisted_power(M, b)
-            assert steps_or_bound(M.min_valuation_doublings(3, b)) == \
+            # the packed chain reads slot 0, so slot b is slot 0 of a
+            # renumbered module; RamElem == compares precisions too
+            R = rotated(M, b)
+            assert R.twisted_power() == chainref.twisted_power(M, b)
+            assert steps_or_bound(R.min_valuation_doublings(3)) == \
                 steps_or_bound(chainref.min_valuation_doublings(M, 3, b))
-            assert value_or_bound(M.iterate_twisted, 3, b) == \
-                value_or_bound(chainref.iterate_twisted, M, 3, b)
         assert value_or_bound(inv._newton_fast, M) == value_or_bound(chainref._newton_fast, M)
 
 
@@ -794,7 +801,8 @@ class TestChainRoutes:
 # `_flags` refuses a report whose Newton point contradicts its a-number:
 # a-number 0 iff ordinary, and superspecial implies supersingular.  The fast
 # Newton trace is not a base-change invariant when ext > 1, so base changes
-# are where a report can contradict itself.
+# (and the duals of base-changed modules) are where a report can contradict
+# itself.
 
 GUARD_SHAPES = [(p, f, e, ext) for p in (2, 3, 5) for e in (1, 2, 3) for f in (1, 2, 3)
                 for ext in (1, 2, 3, 4) if p ** (f * ext) < 2 ** 16]
@@ -842,6 +850,11 @@ def guard_modules(draw):
     M = fiber(t, rng) if kind == "fiber" else family_module(t, kind, rng)
     for _ in range(draw(st.integers(0, 2))):
         M = base_change(M, rng)
+    if draw(st.booleans()):
+        try:
+            M = M.dual()
+        except (DomainError, PrecisionError):
+            pass  # non-unit pairing scalars, or p * A^(-1) short of digits: keep M
     return M
 
 
@@ -850,6 +863,34 @@ class TestConsistencyGuards:
     @given(guard_modules())
     def test_reports_are_consistent_or_refused(self, M):
         consistent_or_refused(M)
+
+    def test_dual_has_the_same_newton_index(self):
+        # duality reflects the slopes, lambda -> 1 - lambda, and the Newton
+        # polygon lambda^g (1 - lambda)^g is symmetric: a module and its dual
+        # share the index whenever both answer (the families and fibers as
+        # built, no base change)
+        rng = random.Random(7)
+        kinds = ("normal", "slope", "superspecial", "superspecial-general", "fiber")
+        agreed, differ = Counter(), []
+        for shape in GUARD_SHAPES:
+            t = tower(*shape)
+            for kind in kinds:
+                for _ in range(3):
+                    M = fiber(t, rng) if kind == "fiber" else family_module(t, kind, rng)
+                    try:
+                        D = M.dual()
+                        pair = newton_point(M).index, newton_point(D).index
+                    except PrecisionError:
+                        continue
+                    except DomainError as exc:  # non-unit pairing scalars
+                        assert exc.code == "non-unit", exc
+                        continue
+                    if pair[0] == pair[1]:
+                        agreed[kind] += 1
+                    else:
+                        differ.append((shape, kind, pair))
+        assert not differ
+        assert set(agreed) == set(kinds), agreed
 
     def test_base_changed_slope_families(self):
         # slope families with ext = 2, every admissible a, three base changes

@@ -140,4 +140,4 @@ class TestValidationReference:
             for A, P, reprs in zip(M.matrices, M.packed_matrices, M.repr_orders):
                 assert reprs is P.ords
                 assert t.ram_matrix(P) == A
-            assert M.twisted_factors(f - 1)[-1] is M.packed_matrices[f - 1]
+            assert M.twisted_factors()[-1] is M.packed_matrices[0]
