@@ -132,14 +132,15 @@ class TestTwistedPower:
     def test_pi_swap_second_iterate(self):
         t = tower(5, 1, 2, ext=2)
         M = fam.nonrapoport_module(t)
-        assert chainref.iterate_twisted(M, 1) == 1
-        assert chainref.iterate_twisted(M, 2) == 2  # F^2 = p on the basis
+        assert list(M.min_valuation_doublings(1)) == [(1, 1), (2, 2)]  # F^2 = p on the basis
 
     def test_precision_exhaustion_reported(self):
         t = tower(3, 1, 2, slack=0)  # minimal policy precision
         M = fam.normal_form(t, (0,), {0: t.zero()})
         with pytest.raises(PrecisionError):
             chainref.iterate_twisted(M, 8)
+        with pytest.raises(PrecisionError):
+            list(M.min_valuation_doublings(3))
 
     def test_doublings_match_iterates(self, rng):
         # the squaring chain twists C_n by sigma^(f*n), the reference
