@@ -63,7 +63,12 @@ def cmd_construct(args):
             raw = json.loads(args.cjson)
             if not (isinstance(raw, dict) and all(map(is_json_ram, raw.values()))):
                 raise DomainError("bad-input", "--cjson must map slots to ramified elements")
-            keys = [int(k) for k in raw]
+            keys = []
+            for k in raw:
+                try:
+                    keys.append(int(k))
+                except ValueError:
+                    raise DomainError("usage", f"--cjson key {k!r} is not a slot number") from None
             if sorted(keys) != sorted(tau):
                 raise DomainError("usage", f"--cjson slots {sorted(keys)} differ from the "
                                   f"--tau slots {sorted(tau)}")

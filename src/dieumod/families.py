@@ -11,7 +11,7 @@ module is emitted without a pairing otherwise, flagged on `pairing_note`.
 import warnings
 from functools import cache
 
-from .wittring import DomainError, WittElem
+from .wittring import DomainError, PackedMatrix, WittElem
 from .modules import DModule
 
 
@@ -58,29 +58,20 @@ def _attach(module, family, deltas_note):
     return module
 
 
-def slope_fits(a, e, f):
-    """Whether the slope family of index a = d*e + r (0 <= r < e) fits f slots:
-    2d+1 <= f, or 2d = f with r = 0 (the supersingular extreme, all antidiagonal)."""
-    d, r = divmod(a, e)
-    return 2 * d + 1 <= f or (2 * d == f and r == 0)
-
-
 def slope_family(tower, a):
     """The explicit Rapoport-locus family realizing Newton index a.
 
     Writing a = d*e + r with 0 <= r < e, the slots carry
     [[0,1],[-p,0]] (2d of them), [[1,1],[-p,0]], ..., and a final
-    [[pi^r,1],[-p,0]]; it needs `slope_fits(a, e, f)`.
+    [[pi^r,1],[-p,0]].  These fit f slots for every 0 <= a <= g/2: 2ed + 2r
+    <= ef gives 2d + 1 <= f when r > 0, and 2d <= f (all slots rotations
+    when 2d = f) when r = 0.
     """
     g = tower.g
     e, f, p = tower.e, tower.f, tower.p
     if not (isinstance(a, int) and 0 <= 2 * a <= g):
         raise DomainError("bad-shape", f"need an integer 0 <= a <= g/2, got {a}")
     d, r = divmod(a, e)
-    if not slope_fits(a, e, f):
-        raise DomainError("bad-shape",
-                          f"a = {a} = {d}*e + {r} does not fit f = {f} slots "
-                          f"(need 2d+1 <= f, or 2d = f with r = 0)")
     rot = [[tower.zero(), tower.one()], [tower.ram(-p), tower.zero()]]
     mix = [[tower.one(), tower.one()], [tower.ram(-p), tower.zero()]]
     last = [[tower.pi_pow(r), tower.one()], [tower.ram(-p), tower.zero()]]
@@ -111,8 +102,7 @@ def normal_form(tower, tau, c=None):
     c = {} if c is None else dict(c)
     if set(c) != set(tau):
         raise DomainError("bad-shape", "coefficient map must have exactly the slots of tau")
-    pi = tower.pi()
-    entries = {i: tower.ram(c[i]) * pi for i in tau}
+    entries = {i: tower.ram(c[i]).mul_pi() for i in tau}
     mats = []
     signs = []
     for i in range(f):
@@ -191,7 +181,11 @@ def deform_specialize(base, target_atype, assignment):
     themselves (so fibers that share coordinates can share their lifts).
     Slot matrices become [[T_i, 1], [pi^e, 0]] on tau and
     [[1, 0], [T_i pi^e, pi^e]] elsewhere, with T_i the window sum
-    (plus the base coefficient on tau).
+    (plus the base coefficient on tau).  Each is written as a
+    `wittring.PackedMatrix` from coefficient tuples: the lifts', plus the
+    base entry's mod p^N on tau (truncated to its precision), times p
+    elsewhere, and shared constant tuples of 1, 0 and pi^e = p.  No RamElem
+    is built; the only WittElems are the lifts `teichmuller` returns.
     """
     tower = base.tower
     fam = getattr(base, "family", None)
@@ -209,19 +203,29 @@ def deform_specialize(base, target_atype, assignment):
     if set(assignment) != want:
         raise DomainError("key-mismatch",
                           f"assignment keys must be exactly {sorted(want)}")
-    one, zero, pi_e = tower.one(), tower.zero(), tower.pi_pow(e)
+    p, pN, full = tower.p, tower.pN, tower.pi_precision
+    z = tower.witt_zero().coeffs
+    zero = (z,) * e
+    one = (tower.witt_one().coeffs,) + zero[1:]
+    pi_e = ((p % pN,) + z[1:],) + zero[1:]  # pi^e = p
     mats = []
     for i in range(f):
         # T_{i,j} pi^j for j < e is T_{i,j} placed at pi-coefficient j
-        coeffs = [tower.witt_zero()] * e
+        Ti = list(zero)
         for j in range(target[i], e):
             a = assignment[(i, j)]
-            coeffs[j] = tower.witt(a) if isinstance(a, WittElem) else tower.teichmuller(a)
-        Ti = tower.ram(coeffs)
+            Ti[j] = (tower.witt(a) if isinstance(a, WittElem) else tower.teichmuller(a)).coeffs
         if i in tau:
-            mats.append([[Ti + entries[i], one], [pi_e, zero]])
+            x = entries[i]
+            s = [tuple([(u + v) % pN for u, v in zip(t, b.coeffs)]) if b else t
+                 for t, b in zip(Ti, x.coeffs)]
+            if x.prec < full:
+                s = tower.truncated(s, x.prec)
+            mats.append(PackedMatrix(tower, (tuple(s), one, pi_e, zero),
+                                     None if x.prec == full else (x.prec, full, full, full)))
         else:
-            mats.append([[one, zero], [Ti * tower.p, pi_e]])  # pi^e = p
+            pT = tuple([tuple([u * p % pN for u in t]) if any(t) else t for t in Ti])
+            mats.append(PackedMatrix(tower, (one, zero, pT, pi_e)))
     # the slot signs are the base's (-1 on tau, else +1), and so are its
     # pairing scalars and note; DModule still checks them against the fiber
     module = DModule(tower, mats, base.delta, "separable")

@@ -15,7 +15,10 @@ The kernel does no per-slot work on slots that hold nothing, and each
 shortcut returns what the slot loop would: a constant, zero included, is
 its own packed integer (slot 0 holds it, the others 0); `reduce` returns
 the shared `zero` for a zero product, and folds nothing when the d-1 high
-slots are empty (every fold term would be 0 * x^(d+k)); `split` of an
+slots are empty (every fold term would be 0 * x^(d+k)).  `mul_packed`
+runs the same fold and keeps the reduced product packed, for chains of Witt
+products (the Teichmuller window power) that split only their result;
+`split` of an
 integer below 2^bits is (acc mod m, 0, ..., 0), since every higher slot of
 it is 0.  Most values of the ramified families are sparse (0, 1, -p, pi^r),
 so most calls take one of these.
@@ -92,15 +95,13 @@ class PackedQuotient:
             acc >>= bits
         return tuple(out)
 
-    def reduce(self, conv):
-        """Coefficient tuple mod (modulus, m) of a packed product of 2d-1
-        slots: `zero` for 0, and no fold when the d-1 high slots are
-        empty."""
-        if not conv:
-            return self.zero
+    def _fold(self, conv):
+        """The d low slots of a packed product of 2d-1 slots, x^(d+k) folded
+        in from the table, slots not yet reduced mod m; conv itself when
+        the d-1 high slots are empty."""
         high = conv >> self._lowbits
         if not high:
-            return self.split(conv)
+            return conv
         m, bits, mask = self.m, self.bits, self._mask
         acc = conv & self._lowmask
         for row in self._xpow:
@@ -108,7 +109,28 @@ class PackedQuotient:
             if c:
                 acc += c * row
             high >>= bits
-        return self.split(acc)
+        return acc
+
+    def reduce(self, conv):
+        """Coefficient tuple mod (modulus, m) of a packed product of 2d-1
+        slots: `zero` for 0, and no fold when the d-1 high slots are
+        empty."""
+        if not conv:
+            return self.zero
+        return self.split(self._fold(conv))
+
+    def mul_packed(self, a, b):
+        """`pack(reduce(a * b))` for packed reduced a and b, with no
+        coefficient tuple: the fold of `reduce`, then each slot reduced mod
+        m in place."""
+        acc = self._fold(a * b)
+        m, bits, mask = self.m, self.bits, self._mask
+        out = shift = 0
+        while acc:
+            out |= ((acc & mask) % m) << shift
+            acc >>= bits
+            shift += bits
+        return out
 
     def mul(self, a, b):
         """Coefficient tuple of a * b for reduced coefficient sequences."""

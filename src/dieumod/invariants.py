@@ -268,21 +268,28 @@ def newton_point(M, method="fast"):
     raise DomainError("bad-shape", f"unknown method {method!r}")
 
 
-def _newton_fast(M):
-    """The trace of the one-slot F^f matrix is formed alone: at f = 1 it is
-    A[0]_00 + A[0]_11, else the packed chain stops before its last link and
-    `mat_trace` forms only that link's trace."""
+def _trace_ord(M):
+    """ord_pi of the trace of the one-slot F^f matrix, formed alone: at f = 1
+    the sum of the diagonal tuples of `packed_matrices[0]`, else the packed
+    chain stops before its last link and `mat_trace` forms only that link's
+    trace."""
+    t = M.tower
     if M.f == 1:
-        (a, _), (_, d) = M.matrices[0]
-        tr = a + d
-    else:
-        t = M.tower
-        *head, last = M.twisted_factors()
-        tr = t.mat_trace(reduce(t.mat_product, head), last)
+        P, pN = M.packed_matrices[0], t.pN
+        cs = [[(x + y) % pN for x, y in zip(a, d)] for a, d in zip(P.cs[0], P.cs[3])]
+        prec = min(P.precs[0], P.precs[3]) if P.precs else t.pi_precision
+        return t.certified_ord(t._repr_ord(cs), prec)
+    *head, last = M.twisted_factors()
+    return t.mat_trace(reduce(t.mat_product, head), last).ord_pi()
+
+
+def _newton_fast(M):
+    """min(g/2, ord_pi of the trace); g/2 when the trace vanishes to a
+    precision above g/2."""
     g = M.g
     half = Fraction(g, 2)
     try:
-        v = tr.ord_pi()
+        v = _trace_ord(M)
     except PrecisionError as exc:
         # trace vanishes to the certified precision; decisive iff that
         # precision already exceeds g/2

@@ -14,13 +14,20 @@ An optional family of pairing scalars delta[i] = (X_i, Y_i) pins the
 alternating form; compatibility with F and V forces
 
     det(A[i]) * delta[i] = p * sigma(delta[i-1]).
+
+A slot matrix is given as 2x2 ramified elements (RamElems, or values
+`CoeffTower.ram` takes) or as a `wittring.PackedMatrix`, the form
+validation runs on; deformation fibers are built in the packed form
+(`families.deform_specialize`), so no RamElem of theirs is formed unless
+something reads `DModule.matrices`.
 """
 
 import json
 import operator
 from functools import reduce
 
-from .wittring import CoeffTower, PrecisionError, DomainError, is_int_list, product_prec
+from .wittring import (CoeffTower, PackedMatrix, PrecisionError, DomainError, is_int_list,
+                       product_prec)
 
 
 def mat(tower, rows):
@@ -106,18 +113,20 @@ def _at_precisions(tower, mats, delta, precs):
 class DModule:
     """Validated module presentation; immutable once built.
 
-    `matrices` (RamElems) are the input and JSON form.  Validation packs
-    each slot matrix once, `packed_matrices[i]` (a `wittring.PackedMatrix`),
-    and reads everything off that form: det A[i] by `CoeffTower.det`, the
-    pairing identity on its tuples (`_pairing_holds`) and each entry's
-    valuation (`RamElem._repr_ord`, eN for a zero representative).  It
-    keeps what it read: `repr_orders[i]` is the packed form's `ords`, the
-    valuations of A[i]'s entries row-major, for the a-type; `entry_orders[i]`
-    is their certified minimum (None when no entry attaining it is
-    certified) and `det_orders[i]` the valuation of det A[i].  The packed
-    forms are kept eagerly, not formed on first use, because validation
-    already forms them and every twisted-power chain starts from them
-    (`twisted_factors`)."""
+    A slot matrix is given as RamElems, which validation packs once, or as a
+    `wittring.PackedMatrix` of this tower, taken as it is; either way it is
+    kept as `packed_matrices[i]`, and validation reads everything off that
+    form: det A[i] by `CoeffTower.det`, the pairing identity on its tuples
+    (`_pairing_holds`) and each entry's valuation (`RamElem._repr_ord`, eN
+    for a zero representative).  It keeps what it read: `repr_orders[i]` is
+    the packed form's `ords`, the valuations of A[i]'s entries row-major,
+    for the a-type; `entry_orders[i]` is their certified minimum (None when
+    no entry attaining it is certified) and `det_orders[i]` the valuation of
+    det A[i].  The packed forms are kept eagerly, not formed on first use,
+    because validation already forms them and every twisted-power chain
+    starts from them (`twisted_factors`).  `matrices` (RamElems) are the
+    JSON form and the input of `dual` and of an a-type tie: the given ones,
+    or, for packed input, formed from `packed_matrices` when first read."""
 
     def __init__(self, tower, matrices, delta=None, mode="separable"):
         self.tower = tower
@@ -125,18 +134,27 @@ class DModule:
             raise DomainError("bad-shape", f"expected {tower.f} slot matrices")
         if delta is not None and len(delta) != tower.f:
             raise DomainError("bad-shape", f"expected {tower.f} pairing scalars")
-        self.matrices = tuple(mat(tower, m) for m in matrices)
+        given, packed = [], []
+        for m in matrices:
+            if isinstance(m, PackedMatrix):
+                if m.tower != tower:
+                    raise DomainError("tower-mismatch", "slot matrix from a different tower")
+                packed.append(m)
+            else:
+                given.append(mat(tower, m))
+                packed.append(tower.packed(given[-1]))
+        self._matrices = tuple(given) if len(given) == tower.f else None
+        self.packed_matrices = tuple(packed)
         self.delta = None if delta is None else tuple(tower.ram(d) for d in delta)
         if mode not in ("separable", "general"):
             raise DomainError("bad-shape", "mode must be 'separable' or 'general'")
         self.mode = mode
         full, e = tower.pi_precision, tower.e
-        self.packed_matrices = tuple(tower.packed(A) for A in self.matrices)
         self.repr_orders = [P.ords for P in self.packed_matrices]
         self.det_orders = []
         self.entry_orders = []
         dets = []
-        for i, (A, P) in enumerate(zip(self.matrices, self.packed_matrices)):
+        for i, P in enumerate(self.packed_matrices):
             det, prec = tower.det(P)
             v = tower._repr_ord(det)
             if v >= prec:  # RamElem.ord_pi's rule
@@ -144,16 +162,15 @@ class DModule:
                     # zero in O/pi^(eN) certifies only valuation >= eN, not a zero of O
                     raise PrecisionError(f"det A[{i}] is divisible by pi^{full}, the working "
                                          f"precision", lower_bound=full)
-                raise PrecisionError(
-                    f"valuation >= {prec} but element only certified to pi^{prec}",
-                    lower_bound=prec)
+                tower.certified_ord(v, prec)
             precs = P.precs or (full,) * 4
             ords = [min(r, q) for r, q in zip(P.ords, precs)]  # ord_lower
             m = min(ords)  # adj(A) has the entries of A up to sign
             if m + e < v:
                 # ord_lower is a certified lower bound, so a failure with an
                 # uncertified entry is a precision problem, not a bad module
-                min(x.ord_pi() for row in A for x in row)
+                for r, q in zip(P.ords, precs):
+                    tower.certified_ord(r, q)
                 raise DomainError(
                     "v-nonintegral",
                     f"slot {i}: p*A^(-1) is not integral "
@@ -208,6 +225,15 @@ class DModule:
         lhs_prec = product_prec(self.det_orders[i], prec, t._repr_ord(dc), d.prec, full)
         diff = [[(a - b) % pN for a, b in zip(x, y)] for x, y in zip(lhs, rhs)]
         return t._repr_ord(diff) >= min(lhs_prec, prev.prec + t.e, full)
+
+    @property
+    def matrices(self):
+        """The slot matrices as RamElems: the input when it was given so,
+        else formed from `packed_matrices` on first read
+        (`CoeffTower.ram_matrix`)."""
+        if self._matrices is None:
+            self._matrices = tuple(self.tower.ram_matrix(P) for P in self.packed_matrices)
+        return self._matrices
 
     @property
     def f(self):

@@ -54,8 +54,11 @@ the tower's `_ram_pack`/`_ram_reduce`.
   tuples (`modules`).
 * A Teichmuller lift T**k is one window power on packed integers of the
   tower's ring: the window table of T holds packed ints, each product is
-  pack(reduce(a b)), and the lift is one split of the power, with no
-  WittElem per product.
+  `PackedQuotient.mul_packed` (reduced, and kept packed), and the lift is
+  one split of the power, with no WittElem per product.
+* `RamElem.mul_pi(k)` is the exact shift by pi^k, the inverse of `div_pi`:
+  no kernel product runs.  `families` writes deformation fibers as
+  PackedMatrices from coefficient tuples, which `DModule` takes as they are.
 * sigma^n is the substitution x -> x^(p^n): one linear combination of the
   packed rows x^(j p^n), which the tower computes once per n, from one
   power and d-2 products.  It is the identity on constants and for
@@ -253,6 +256,27 @@ class CoeffTower:
                     best = v
         return best
 
+    def certified_ord(self, v, prec):
+        """`RamElem.ord_pi` of an element at precision prec whose stored
+        representative has valuation v (`_repr_ord`)."""
+        if v < prec:
+            return v
+        if prec == self.pi_precision:
+            return INF
+        raise PrecisionError(f"valuation >= {prec} but element only certified to pi^{prec}",
+                             lower_bound=prec)
+
+    def truncated(self, cs, prec):
+        """The coefficient tuples cs with every pi-adic digit at or above
+        prec zeroed (coefficient j carries the digits j, j+e, j+2e, ...); a
+        tuple with every digit certified is kept as it is."""
+        e, N, p = self.e, self.N, self.p
+        out = []
+        for j, c in enumerate(cs):
+            levels = max(0, -(-(prec - j) // e))
+            out.append(c if levels >= N else tuple([x % p ** levels for x in c]))
+        return out
+
     def packed(self, A):
         """The 2x2 matrix A of RamElems of this tower as a PackedMatrix."""
         entries = [x for row in A for x in row]
@@ -410,8 +434,8 @@ class CoeffTower:
         gen_pow/random_unit, else the residue field's log table, which
         exists for q <= 2^16) lifts as T**k, read off a fixed-base window
         table of T built on first use: one product per nonzero base-16 digit
-        of k, on packed integers (`_packed_mul`), and one split of the
-        result.  Larger fields lift a log-less element by
+        of k, each kept packed (`PackedQuotient.mul_packed`), and one split
+        of the result.  Larger fields lift a log-less element by
         `_lift_by_iteration`.
         """
         F = self.residue_field
@@ -427,13 +451,9 @@ class CoeffTower:
         ring = self._ring
         if self._gen_rows is None:
             self._gen_rows = fppoly.window_table(ring.pack(ring.x), self.q - 1,
-                                                 self._packed_mul, 1)
+                                                 ring.mul_packed, 1)
         return WittElem(self, ring.split(fppoly.window_pow(
-            self._gen_rows, k % (self.q - 1), self._packed_mul, 1)))
-
-    def _packed_mul(self, a, b):
-        """The product of two packed Witt elements, packed."""
-        return self._pack(self._reduce(a * b))
+            self._gen_rows, k % (self.q - 1), ring.mul_packed, 1)))
 
     def _lift_by_iteration(self, a):
         """Teichmuller lift of a nonzero residue a without its log: iterate
@@ -639,21 +659,6 @@ class WittElem:
         return list(self.coeffs)
 
 
-def _truncated(tower, coeffs, prec):
-    """Zero all pi-adic digits at or above prec (coefficient j carries the
-    digits j, j+e, j+2e, ...)."""
-    e, N, p = tower.e, tower.N, tower.p
-    out = []
-    for j, c in enumerate(coeffs):
-        levels = max(0, -(-(prec - j) // e))
-        if levels >= N:  # every digit of this coefficient is certified
-            out.append(c)
-        else:
-            mod = p ** levels
-            out.append(WittElem(tower, tuple([x % mod for x in c.coeffs])))
-    return tuple(out)
-
-
 class RamElem:
     """Element of W_N[pi]/(pi^e - p) with a certified pi-adic precision."""
 
@@ -664,7 +669,8 @@ class RamElem:
         full = tower.pi_precision
         self.prec = full if prec is None else min(prec, full)
         if self.prec < full:
-            coeffs = _truncated(tower, coeffs, self.prec)
+            coeffs = [c if t is c.coeffs else WittElem(tower, t) for c, t in
+                      zip(coeffs, tower.truncated([c.coeffs for c in coeffs], self.prec))]
         self.coeffs = tuple(coeffs)
 
     def __eq__(self, other):
@@ -749,15 +755,8 @@ class RamElem:
         certified zero of O.  A caller that reads INF as zero relies on eN
         exceeding every valuation it needs.  Below full precision, a
         representative that vanishes to its precision raises
-        PrecisionError."""
-        v = self._repr_ord()
-        if v < self.prec:
-            return v
-        if self.prec == self.tower.pi_precision:
-            return INF
-        raise PrecisionError(
-            f"valuation >= {self.prec} but element only certified to pi^{self.prec}",
-            lower_bound=self.prec)
+        PrecisionError (`CoeffTower.certified_ord`)."""
+        return self.tower.certified_ord(self._repr_ord(), self.prec)
 
     def ord_lower(self):
         """A certified lower bound for the valuation (never raises)."""
@@ -773,6 +772,20 @@ class RamElem:
                                  lower_bound=self.prec)
         return PiPoly(self.tower.residue_field, self.tower.e,
                       [c.residue() for c in self.coeffs])
+
+    def mul_pi(self, k=1):
+        """self * pi^k without a kernel product, the inverse of `div_pi`:
+        coefficient j moves to j + k mod e, times p^((j + k) // e) since
+        pi^e = p, and the precision becomes min(prec + k, eN).  Value and
+        precision equal those of `self * tower.pi_pow(k)`."""
+        t = self.tower
+        if k < 0:
+            raise DomainError("bad-shape", "negative pi power")
+        e, out = t.e, [None] * t.e
+        for j, c in enumerate(self.coeffs):
+            q, r = divmod(j + k, e)
+            out[r] = c * pow(t.p, q, t.pN) if q and c else c
+        return RamElem(t, out, self.prec + k)
 
     def div_pi(self, v=1):
         """Exact division by pi^v; costs v digits of certified precision."""

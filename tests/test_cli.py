@@ -181,12 +181,14 @@ def test_malformed_module_shapes(capsys, tmp_path, mutate, code):
       "--tau", "0,1", "--cjson", '{"0": 1}'), "usage"),
     (("construct", "--family", "normal", "--p", "3", "--f", "2", "--e", "2",
       "--tau", "1", "--cjson", '{"1": 1, "01": 2}'), "usage"),
+    # a --cjson key that is no slot number
+    (("construct", "--family", "normal", "--tau", "0", "--cjson", '{"x": 1}'), "usage"),
 ], ids=["short-target", "cjson-list", "cjson-string-coefficient", "scale-inf",
         "scale-nan", "scale-zero", "scale-negative", "scale-overflows-count",
         "negative-trials", "repeated-tau", "repeated-tau-swapped", "tau-out-of-range",
         "tau-aliasing", "cjson-tau-out-of-range", "cjson-tau-aliasing",
         "cjson-repeated-tau", "cjson-key-not-in-tau", "cjson-missing-key",
-        "cjson-repeated-key"])
+        "cjson-repeated-key", "cjson-non-integer-key"])
 def test_malformed_arguments(capsys, argv, code):
     exit_code, out = run_cli(capsys, *argv)
     assert exit_code == 1
@@ -213,7 +215,8 @@ def test_out_of_range_tau_slot_is_named(capsys, tau, values, slot):
     ("0", ("--cjson", '{"1": 1}'), "--cjson slots [1] differ from the --tau slots [0]"),
     ("0,1", ("--cjson", '{"1": 1}'), "--cjson slots [1] differ from the --tau slots [0, 1]"),
     ("1", ("--cjson", '{"1": 1, "01": 2}'),
-     "--cjson slots [1, 1] differ from the --tau slots [1]")])
+     "--cjson slots [1, 1] differ from the --tau slots [1]"),
+    ("0", ("--cjson", '{"x": 1}'), "--cjson key 'x' is not a slot number")])
 def test_bad_slot_maps_are_named(capsys, tau, values, message):
     exit_code, out = run_cli(capsys, "construct", "--family", "normal", "--p", "3",
                              "--f", "2", "--e", "2", "--tau", tau, *values)

@@ -1,7 +1,8 @@
 """The packed kernel's zero and constant shortcuts against `kernelref`,
 the same functions walking every slot.
 
-`pack`, `split` and `reduce` run on quotient rings built here with any
+`pack`, `split`, `reduce` and `mul_packed` (against `pack` of the
+reference `reduce`) run on quotient rings built here with any
 monic modulus (the reduction needs no primitivity), over Z/p with the
 default slot width and over Z/p^N with a tower's width, so the
 comparison does not depend on tower set-up, which itself runs on the
@@ -80,6 +81,10 @@ def check_ring(draw, ring, wide):
         convs.append(sum(convs[:4]))
     for conv in convs:
         assert ring.reduce(conv) == kernelref.reduce(ring, conv)
+    for a in ops:
+        for b in ops:
+            x, y = ring.pack(a), ring.pack(b)
+            assert ring.mul_packed(x, y) == kernelref.pack(ring, kernelref.reduce(ring, x * y))
 
 
 @cache
@@ -127,6 +132,8 @@ class TestPackedKernel:
                 for b in values:
                     conv = ring.pack(a) * ring.pack(b)
                     assert ring.reduce(conv) == kernelref.reduce(ring, conv)
+                    assert ring.mul_packed(ring.pack(a), ring.pack(b)) == \
+                        kernelref.pack(ring, kernelref.reduce(ring, conv))
             for acc in (0, 1, m, ring._mask, ring._mask + 1, 1 << (d - 1) * ring.bits):
                 assert ring.split(acc) == kernelref.split(ring, acc)
 

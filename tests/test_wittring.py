@@ -160,13 +160,14 @@ class TestTeichmuller:
             assert t.teichmuller(x).sigma() == t.teichmuller(x.frob())
 
     @pytest.mark.parametrize("p,d", [(p, d) for p in (2, 3, 5) for d in (1, 2, 8, 16)])
-    def test_packed_window_lift_is_power_of_T(self, p, d):
+    def test_packed_window_lift_is_power_of_T(self, p, d, rng):
         # the window power on packed integers against T**k by WittElem
         # squaring: k = 15 and 16 are the last entry of row 0 and the first
-        # of row 1, and q - 2 is the largest exponent
+        # of row 1, q - 2 is the largest exponent, and random exponents
+        # take products of every row
         t = tower(p, d, 1)
         F, T = t.residue_field, t.witt_gen()
-        for k in (0, 1, 15, 16, t.q - 2):
+        for k in (0, 1, 15, 16, t.q - 2, *(rng.randrange(t.q - 1) for _ in range(4))):
             lift = t.teichmuller(F.gen_pow(k))
             assert type(lift) is WittElem and lift.tower is t
             assert lift == T ** k
@@ -225,22 +226,21 @@ class TestTeichmuller:
         assert y == t.teichmuller(F.elem(list(u.coeffs)))
 
     def test_logged_lift_costs_one_product_per_window_digit(self, monkeypatch):
+        # each product stays packed (`mul_packed`), the lift splits once and
+        # multiplies no WittElem
         t = CoeffTower(3, 1, 2, 16, 2)
-        F = t.residue_field
+        F, ring = t.residue_field, t._ring
         t.teichmuller(F.gen_pow(1))  # the power table is built on first use
         calls = []
-        mul = WittElem.__mul__
-
-        def counting_mul(a, b):
-            calls.append(1)
-            return mul(a, b)
-
-        monkeypatch.setattr(WittElem, "__mul__", counting_mul)
+        for owner, name in ((ring, "mul_packed"), (ring, "split"), (WittElem, "__mul__")):
+            orig = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, orig=orig, name=name:
+                                calls.append(name) or orig(*a))
         for k in (t.q - 2, 16 ** 6 - 1, 2 ** 25 + 1, 16, 1):
             calls.clear()
             t.teichmuller(F.gen_pow(k))
             digits = sum(1 for i in range(0, k.bit_length(), 4) if k >> i & 15)
-            assert len(calls) <= digits
+            assert calls == ["mul_packed"] * (digits - 1) + ["split"]
 
 
 class TestRamified:
@@ -282,6 +282,9 @@ class TestRamified:
         assert (y * t.pi_pow(2) - x).ord_lower() >= y.prec
         with pytest.raises(DomainError):
             t.one().div_pi(1)
+        assert y.mul_pi(2) == RamElem(t, x.coeffs, y.prec + 2)  # the inverse shift
+        with pytest.raises(DomainError, match="negative"):
+            x.mul_pi(-1)
 
     def test_unit_part(self):
         t = tower(3, 1, 2)
@@ -527,6 +530,17 @@ class TestReferenceArithmetic:
         for _ in range(k):
             ref = ref_ram_mul(t, *ref, *ram_of(x))
         assert ram_of(x ** k) == ref
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mul_pi_is_the_pi_power_product(self, data):
+        # the exact shift against the kernel product x * pi^k, precision
+        # included: k below e, at e and past it (coefficients that wrap are
+        # multiplied by p), and past eN (the value is 0)
+        t = data.draw(towers())
+        x = ram_elem(data.draw, t)
+        for k in (0, 1, t.e, data.draw(st.integers(t.e, t.pi_precision + 2 * t.e))):
+            assert ram_of(x.mul_pi(k)) == ram_of(x * t.pi_pow(k)), k
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_every_slot_at_its_bound(self, p):
