@@ -184,8 +184,9 @@ def deform_specialize(base, target_atype, assignment):
     (plus the base coefficient on tau).  Each is written as a
     `wittring.PackedMatrix` from coefficient tuples: the lifts', plus the
     base entry's mod p^N on tau (truncated to its precision), times p
-    elsewhere, and shared constant tuples of 1, 0 and pi^e = p.  No RamElem
-    is built; the only WittElems are the lifts `teichmuller` returns.
+    elsewhere, and shared constant tuples of 1, 0 and pi^e = p, whose
+    valuations are read once per call.  No RamElem is built; the only
+    WittElems are the lifts `teichmuller` returns.
     """
     tower = base.tower
     fam = getattr(base, "family", None)
@@ -208,6 +209,7 @@ def deform_specialize(base, target_atype, assignment):
     zero = (z,) * e
     one = (tower.witt_one().coeffs,) + zero[1:]
     pi_e = ((p % pN,) + z[1:],) + zero[1:]  # pi^e = p
+    ord_one, ord_zero, ord_pi_e = map(tower._repr_ord, (one, zero, pi_e))
     mats = []
     for i in range(f):
         # T_{i,j} pi^j for j < e is T_{i,j} placed at pi-coefficient j
@@ -222,10 +224,12 @@ def deform_specialize(base, target_atype, assignment):
             if x.prec < full:
                 s = tower.truncated(s, x.prec)
             mats.append(PackedMatrix(tower, (tuple(s), one, pi_e, zero),
-                                     None if x.prec == full else (x.prec, full, full, full)))
+                                     None if x.prec == full else (x.prec, full, full, full),
+                                     (tower._repr_ord(s), ord_one, ord_pi_e, ord_zero)))
         else:
             pT = tuple([tuple([u * p % pN for u in t]) if any(t) else t for t in Ti])
-            mats.append(PackedMatrix(tower, (one, zero, pT, pi_e)))
+            mats.append(PackedMatrix(tower, (one, zero, pT, pi_e), None,
+                                     (ord_one, ord_zero, tower._repr_ord(pT), ord_pi_e)))
     # the slot signs are the base's (-1 on tau, else +1), and so are its
     # pairing scalars and note; DModule still checks them against the fiber
     module = DModule(tower, mats, base.delta, "separable")

@@ -95,13 +95,10 @@ class PackedQuotient:
             acc >>= bits
         return tuple(out)
 
-    def _fold(self, conv):
-        """The d low slots of a packed product of 2d-1 slots, x^(d+k) folded
-        in from the table, slots not yet reduced mod m; conv itself when
-        the d-1 high slots are empty."""
-        high = conv >> self._lowbits
-        if not high:
-            return conv
+    def _fold(self, conv, high):
+        """The d low slots of a packed product of 2d-1 slots whose high
+        slots `high` (conv >> d*bits) are not empty, x^(d+k) folded in from
+        the table; slots not yet reduced mod m."""
         m, bits, mask = self.m, self.bits, self._mask
         acc = conv & self._lowmask
         for row in self._xpow:
@@ -117,13 +114,17 @@ class PackedQuotient:
         empty."""
         if not conv:
             return self.zero
-        return self.split(self._fold(conv))
+        high = conv >> self._lowbits
+        return self.split(self._fold(conv, high) if high else conv)
 
     def mul_packed(self, a, b):
         """`pack(reduce(a * b))` for packed reduced a and b, with no
         coefficient tuple: the fold of `reduce`, then each slot reduced mod
         m in place."""
-        acc = self._fold(a * b)
+        acc = a * b
+        high = acc >> self._lowbits
+        if high:
+            acc = self._fold(acc, high)
         m, bits, mask = self.m, self.bits, self._mask
         out = shift = 0
         while acc:

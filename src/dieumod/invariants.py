@@ -269,18 +269,19 @@ def newton_point(M, method="fast"):
 
 
 def _trace_ord(M):
-    """ord_pi of the trace of the one-slot F^f matrix, formed alone: at f = 1
-    the sum of the diagonal tuples of `packed_matrices[0]`, else the packed
-    chain stops before its last link and `mat_trace` forms only that link's
-    trace."""
+    """ord_pi of the trace of the one-slot F^f matrix, formed alone on
+    coefficient tuples: at f = 1 the sum of the diagonal of
+    `packed_matrices[0]`, else the packed chain stops before its last link
+    and `mat_trace` forms only that link's trace."""
     t = M.tower
     if M.f == 1:
         P, pN = M.packed_matrices[0], t.pN
         cs = [[(x + y) % pN for x, y in zip(a, d)] for a, d in zip(P.cs[0], P.cs[3])]
         prec = min(P.precs[0], P.precs[3]) if P.precs else t.pi_precision
-        return t.certified_ord(t._repr_ord(cs), prec)
-    *head, last = M.twisted_factors()
-    return t.mat_trace(reduce(t.mat_product, head), last).ord_pi()
+    else:
+        *head, last = M.twisted_factors()
+        cs, prec = t.mat_trace(reduce(t.mat_product, head), last)
+    return t.certified_ord(t._repr_ord(cs), prec)
 
 
 def _newton_fast(M):

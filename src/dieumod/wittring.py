@@ -347,9 +347,9 @@ class CoeffTower:
         return [tuple([-c % pN for c in t]) if any(t) else t for t in cs]
 
     def mat_trace(self, P, Q):
-        """The trace of P Q as a RamElem: `pair_sum` of its four diagonal
-        products."""
-        return self.ram(*self.pair_sum(P, Q, _TRACE_PAIRS))
+        """The trace of P Q: `pair_sum` of its four diagonal products, as
+        (coefficient tuples, precision)."""
+        return self.pair_sum(P, Q, _TRACE_PAIRS)
 
     def det(self, P):
         """ad - bc of the PackedMatrix P: `pair_sum` of its two products,
@@ -515,9 +515,9 @@ class PackedMatrix:
     entry's e reduced coefficient tuples, row-major, and `precs` their
     precisions (None when all are eN).  `ints` (the entries' Kronecker
     integers) and `ords` (the valuations of their stored representatives,
-    eN for 0, as `RamElem._repr_ord`) are formed on first read, as tuples;
-    `packed` builds `cs` of tuples too, since `DModule` keeps one
-    PackedMatrix per slot.
+    eN for 0, as `RamElem._repr_ord`) are formed on first read, as tuples,
+    unless `ords` is given; `packed` builds `cs` of tuples too, since
+    `DModule` keeps one PackedMatrix per slot.
 
     Entries are not truncated to their precisions, as RamElems are: a digit
     at or above an entry's precision changes no certified digit of a

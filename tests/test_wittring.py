@@ -600,7 +600,7 @@ class TestMatMulKernel:
         A, B = (tuple(tuple(mat_entry(data.draw, t) for _ in range(2)) for _ in range(2))
                 for _ in range(2))
         assert mat_mul(A, B) == entrywise_mat_mul(A, B)
-        assert t.mat_trace(t.packed(A), t.packed(B)) == entrywise_trace(A, B)
+        assert t.ram(*t.mat_trace(t.packed(A), t.packed(B))) == entrywise_trace(A, B)
 
     # (valuation, precision) of x and of y, None for a representative 0,
     # and the certified precision of x y worked by hand, e N = 8: two
@@ -631,4 +631,4 @@ class TestMatMulKernel:
         A = ((x, x), (x, x))
         assert mat_mul(A, A) == entrywise_mat_mul(A, A)
         P = t.packed(A)
-        assert t.mat_trace(P, P) == entrywise_trace(A, A)
+        assert t.ram(*t.mat_trace(P, P)) == entrywise_trace(A, A)
