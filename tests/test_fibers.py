@@ -17,7 +17,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from dieumod import DomainError, PrecisionError, families as fam
-from dieumod.wittring import RamElem
+from dieumod.wittring import RamElem, WittElem
 from conftest import tower
 import deformref
 
@@ -100,13 +100,12 @@ class TestPackedFibers:
     def test_fiber_builds_no_ramelem(self, rng, monkeypatch):
         # the slots are written from tuples: no RamElem, and the only
         # WittElems are the lifts `teichmuller` returns for nonzero residues
-        from dieumod import wittring
         t = tower(3, 3, 2, ext=2)
         base = fam.normal_form(t, (0, 2), {0: t.zero(), 2: RamElem(t, t.one().coeffs, 3)})
         F = t.residue_field
         asg = {(i, j): F.random_unit(rng) if j else F.zero() for i in range(3) for j in range(2)}
         built = []
-        for cls in (wittring.RamElem, wittring.WittElem):
+        for cls in (RamElem, WittElem):
             init = cls.__init__
             monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init, cls=cls:
                                 built.append(cls.__name__) or init(self, *a))
