@@ -31,6 +31,14 @@ class TestSlopeFamily:
                 for a in range(e * f // 2 + 1):
                     assert fam.slope_family(t, a).family == {"kind": "slope", "a": a}
 
+    def test_every_admissible_integer_fits(self):
+        # extending the construction to 2d = f (all-rotation, r = 0) makes
+        # every integer 0 <= a <= g/2 buildable
+        for e, f in ((1, 2), (2, 2), (2, 4), (3, 2)):
+            t = tower(3, f, e)
+            for a in range(e * f // 2 + 1):
+                fam.slope_family(t, a)
+
     def test_shape_errors(self):
         t = tower(3, 2, 2)
         with pytest.raises(DomainError):
