@@ -219,6 +219,10 @@ def _run(args):
         return 1
     except BrokenPipeError:
         raise
+    except RecursionError:
+        # `json` descends one stack frame per nesting level
+        _emit({"error": {"code": "bad-input", "message": "JSON input nests too deeply"}})
+        return 1
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         _emit({"error": {"code": "bad-input", "message": str(exc)}})
         return 1

@@ -6,6 +6,15 @@ cycle this leaves a sign (-1)^t, t the number of antidiagonal-type slots; an
 odd sign is absorbed into delta[0] by a Teichmuller scalar zeta with
 zeta^(p^f) = -zeta when the working field contains one (ext even), and the
 module is emitted without a pairing otherwise, flagged on `pairing_note`.
+
+Every builder writes its slot matrices as `wittring.PackedMatrix` objects
+from coefficient tuples, which `DModule` takes as they are: the constant
+entries 0, +-1, +-p and pi^k are shared tuples whose valuations are read
+once per call (`_constants`), and a normal form's entries c_i * pi are
+written from their RamElems' tuples.  The RamElem `matrices` are formed only when read.  A
+deformation fiber takes its base's pairing scalars in packed form, formed
+on the base's first fiber and kept, so the right-hand sides
+p * sigma(delta[i-1]) of the pairing identity are formed once per base.
 """
 
 import warnings
@@ -52,6 +61,35 @@ def _pairing_scalars(tower, signs):
     return deltas, None
 
 
+def _constants(tower):
+    """The constant entries of one builder call: `entry(c, k)` is c * pi^k
+    for c in {0, 1, -1} and 0 <= k <= e (pi^e = p) as (coefficient tuples,
+    valuation), formed and its valuation read once per call, and shared by
+    every slot that holds it."""
+    e, p, pN = tower.e, tower.p, tower.pN
+    z = tower.witt_zero().coeffs
+    memo = {}
+
+    def entry(c, k=0):
+        key = (c, k) if c else 0
+        if key not in memo:
+            cs = [z] * e
+            if c:
+                q, r = divmod(k, e)
+                cs[r] = (c * p ** q % pN,) + z[1:]
+            cs = tuple(cs)
+            memo[key] = cs, tower._repr_ord(cs)
+        return memo[key]
+    return entry
+
+
+def _slot(tower, entries, precs=None):
+    """The slot matrix of four entries (coefficient tuples, valuation),
+    row-major, as a PackedMatrix; precs as `PackedMatrix.precs`."""
+    return PackedMatrix(tower, tuple([cs for cs, _ in entries]), precs,
+                        tuple([v for _, v in entries]))
+
+
 def _attach(module, family, deltas_note):
     module.family = family
     module.pairing_note = deltas_note
@@ -68,13 +106,15 @@ def slope_family(tower, a):
     when 2d = f) when r = 0.
     """
     g = tower.g
-    e, f, p = tower.e, tower.f, tower.p
+    e, f = tower.e, tower.f
     if not (isinstance(a, int) and 0 <= 2 * a <= g):
         raise DomainError("bad-shape", f"need an integer 0 <= a <= g/2, got {a}")
     d, r = divmod(a, e)
-    rot = [[tower.zero(), tower.one()], [tower.ram(-p), tower.zero()]]
-    mix = [[tower.one(), tower.one()], [tower.ram(-p), tower.zero()]]
-    last = [[tower.pi_pow(r), tower.one()], [tower.ram(-p), tower.zero()]]
+    entry = _constants(tower)
+    zero, one, minus_p = entry(0), entry(1), entry(-1, e)
+    rot = _slot(tower, (zero, one, minus_p, zero))
+    mix = _slot(tower, (one, one, minus_p, zero))
+    last = _slot(tower, (entry(1, r), one, minus_p, zero))
     mats = [None] * f
     for i in range(1, f + 1):  # paper-style 1-based slots, A_f stored at 0
         if i <= 2 * d:
@@ -103,15 +143,22 @@ def normal_form(tower, tau, c=None):
     if set(c) != set(tau):
         raise DomainError("bad-shape", "coefficient map must have exactly the slots of tau")
     entries = {i: tower.ram(c[i]).mul_pi() for i in tau}
+    entry = _constants(tower)
+    zero, one, pi_e = entry(0), entry(1), entry(1, e)
+    off_tau = _slot(tower, (one, zero, zero, pi_e))
+    full = tower.pi_precision
     mats = []
     signs = []
     for i in range(f):
-        if i in entries:
-            mats.append([[entries[i], tower.one()], [tower.pi_pow(e), tower.zero()]])
-            signs.append(-1)
-        else:
-            mats.append([[tower.one(), tower.zero()], [tower.zero(), tower.pi_pow(e)]])
+        x = entries.get(i)
+        if x is None:
+            mats.append(off_tau)
             signs.append(1)
+        else:
+            cs = tuple([w.coeffs for w in x.coeffs])
+            mats.append(_slot(tower, ((cs, tower._repr_ord(cs)), one, pi_e, zero),
+                              None if x.prec == full else (x.prec, full, full, full)))
+            signs.append(-1)
     deltas, note = _pairing_scalars(tower, signs)
     module = DModule(tower, mats, deltas, "separable")
     return _attach(module, {"kind": "normal", "tau": tau, "entries": entries}, note)
@@ -131,9 +178,10 @@ def superspecial(tower, e1=None, e2=None, variant="general"):
               exact pi powers.
     """
     e, f = tower.e, tower.f
+    entry = _constants(tower)
+    zero = entry(0)
     if variant == "rapoport":
-        mats = [[[tower.zero(), -tower.one()], [tower.ram(tower.p), tower.zero()]]
-                for _ in range(f)]
+        mats = [_slot(tower, (zero, entry(-1), entry(1, e), zero))] * f
         deltas = [tower.one()] * f
         module = DModule(tower, mats, deltas, "separable")
         return _attach(module, {"kind": "superspecial", "variant": variant}, None)
@@ -151,7 +199,7 @@ def superspecial(tower, e1=None, e2=None, variant="general"):
             x, y = e1, e2
         else:
             x, y = e - e2, e - e1
-        mats.append([[tower.zero(), -tower.pi_pow(x)], [tower.pi_pow(y), tower.zero()]])
+        mats.append(_slot(tower, (zero, entry(-1, x), entry(1, y), zero)))
     n = max(0, e1 + e2 - e)
     if f % 2:
         deltas = [tower.pi_pow(n)] * f
@@ -184,9 +232,10 @@ def deform_specialize(base, target_atype, assignment):
     (plus the base coefficient on tau).  Each is written as a
     `wittring.PackedMatrix` from coefficient tuples: the lifts', plus the
     base entry's mod p^N on tau (truncated to its precision), times p
-    elsewhere, and shared constant tuples of 1, 0 and pi^e = p, whose
-    valuations are read once per call.  No RamElem is built; the only
-    WittElems are the lifts `teichmuller` returns.
+    elsewhere, and the shared constant tuples of 1, 0 and pi^e = p
+    (`_constants`).  No RamElem is built; the only WittElems are the lifts
+    `teichmuller` returns.  The fiber's pairing scalars are the base's, in
+    the packed form the base keeps (`DModule._packed_pairing`).
     """
     tower = base.tower
     fam = getattr(base, "family", None)
@@ -205,15 +254,12 @@ def deform_specialize(base, target_atype, assignment):
         raise DomainError("key-mismatch",
                           f"assignment keys must be exactly {sorted(want)}")
     p, pN, full = tower.p, tower.pN, tower.pi_precision
-    z = tower.witt_zero().coeffs
-    zero = (z,) * e
-    one = (tower.witt_one().coeffs,) + zero[1:]
-    pi_e = ((p % pN,) + z[1:],) + zero[1:]  # pi^e = p
-    ord_one, ord_zero, ord_pi_e = map(tower._repr_ord, (one, zero, pi_e))
+    entry = _constants(tower)
+    zero, one, pi_e = entry(0), entry(1), entry(1, e)
     mats = []
     for i in range(f):
         # T_{i,j} pi^j for j < e is T_{i,j} placed at pi-coefficient j
-        Ti = list(zero)
+        Ti = list(zero[0])
         for j in range(target[i], e):
             a = assignment[(i, j)]
             Ti[j] = (tower.witt(a) if isinstance(a, WittElem) else tower.teichmuller(a)).coeffs
@@ -223,16 +269,17 @@ def deform_specialize(base, target_atype, assignment):
                  for t, b in zip(Ti, x.coeffs)]
             if x.prec < full:
                 s = tower.truncated(s, x.prec)
-            mats.append(PackedMatrix(tower, (tuple(s), one, pi_e, zero),
-                                     None if x.prec == full else (x.prec, full, full, full),
-                                     (tower._repr_ord(s), ord_one, ord_pi_e, ord_zero)))
+            s = tuple(s)
+            mats.append(_slot(tower, ((s, tower._repr_ord(s)), one, pi_e, zero),
+                              None if x.prec == full else (x.prec, full, full, full)))
         else:
             pT = tuple([tuple([u * p % pN for u in t]) if any(t) else t for t in Ti])
-            mats.append(PackedMatrix(tower, (one, zero, pT, pi_e), None,
-                                     (ord_one, ord_zero, tower._repr_ord(pT), ord_pi_e)))
+            mats.append(_slot(tower, (one, zero, (pT, tower._repr_ord(pT)), pi_e)))
     # the slot signs are the base's (-1 on tau, else +1), and so are its
-    # pairing scalars and note; DModule still checks them against the fiber
-    module = DModule(tower, mats, base.delta, "separable")
+    # pairing scalars and note: the fiber takes the base's packed scalars,
+    # whose right-hand sides every fiber of the base shares, and DModule
+    # still checks them against the fiber's determinants
+    module = DModule(tower, mats, base._packed_pairing(), "separable")
     return _attach(module, {"kind": "deform", "tau": tau, "target": target},
                    base.pairing_note)
 
@@ -247,8 +294,9 @@ def nonrapoport_module(tower):
         raise DomainError("bad-shape", "p must be odd")
     if tower.p == 3:
         warnings.warn("p = 3 is outside the intended p > 3 range; proceeding anyway")
-    pi = tower.pi()
-    mats = [[[tower.zero(), pi], [pi, tower.zero()]]]
+    entry = _constants(tower)
+    zero, pi = entry(0), entry(1, 1)
+    mats = [_slot(tower, (zero, pi, pi, zero))]
     deltas, note = _pairing_scalars(tower, [-1])  # det = -pi^2 = -p
     module = DModule(tower, mats, deltas, "separable")
     return _attach(module, {"kind": "nonrapoport"}, note)

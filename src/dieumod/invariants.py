@@ -174,9 +174,11 @@ def _a_pair(M, i):
     sigma keeps both, a product's valuation is the sum of its factors' (O
     is a DVR) and its precision is `wittring.product_prec`, and a sum of
     two terms of different valuations has the smaller one.  Only two terms
-    that tie below precision, and could still lower s, are multiplied out.
-    r is `M.repr_orders`, which `DModule.__init__` computed once per entry
-    (`RamElem._repr_ord`) during validation."""
+    that tie below precision, and could still lower s, are multiplied out,
+    on the RamElem `M.matrices`.  r is `M.repr_orders`, which
+    `DModule.__init__` computed once per entry (`RamElem._repr_ord`) during
+    validation, and the precisions are those of `M.packed_matrices` (None
+    for all at eN), so a report without a tie forms no RamElem."""
     e, f = M.e, M.f
     j = (i + 1) % f
     off = e - M.det_orders[j]
@@ -185,9 +187,10 @@ def _a_pair(M, i):
     s = min(M.det_orders[i], e + off, d1 + e)
     if s == floor:
         return d1, s - d1
-    A, B = M.matrices[i], M.matrices[j]
     full = M.tower.pi_precision
     ra, rb = M.repr_orders[i], M.repr_orders[j]
+    pa = M.packed_matrices[i].precs or (full,) * 4
+    pb = M.packed_matrices[j].precs or (full,) * 4
     for r in (0, 1):
         for c in (0, 1):
             # (valuation of the stored product, full if it is zero; precision)
@@ -195,10 +198,10 @@ def _a_pair(M, i):
             # exact zero: dropped
             terms = []
             for k in (0, 1):
-                x, y, rx, ry = A[r][k], B[k][c], ra[2 * r + k], rb[2 * k + c]
-                if rx == x.prec == full or ry == y.prec == full:
+                rx, ry, px, py = ra[2 * r + k], rb[2 * k + c], pa[2 * r + k], pb[2 * k + c]
+                if rx == px == full or ry == py == full:
                     continue
-                prec = product_prec(rx, x.prec, ry, y.prec, full)
+                prec = product_prec(rx, px, ry, py, full)
                 terms.append((rx + ry if rx + ry < prec else full, prec))
             if not terms:
                 continue
@@ -208,6 +211,7 @@ def _a_pair(M, i):
                 continue
             if len(terms) == 2 and terms[0][0] == terms[1][0] < prec:
                 # a tie below precision: the sum may cancel
+                A, B = M.matrices[i], M.matrices[j]
                 minor = A[r][0].sigma() * B[0][c] + A[r][1].sigma() * B[1][c]
                 lo = minor.ord_lower()
                 if lo + off >= s:

@@ -17,9 +17,13 @@ alternating form; compatibility with F and V forces
 
 A slot matrix is given as 2x2 ramified elements (RamElems, or values
 `CoeffTower.ram` takes) or as a `wittring.PackedMatrix`, the form
-validation runs on; deformation fibers are built in the packed form
-(`families.deform_specialize`), so no RamElem of theirs is formed unless
-something reads `DModule.matrices`.
+validation runs on.  The pairing scalars are given as ramified elements or
+as a `PackedPairing`, which holds the right-hand sides p * sigma(delta[i-1])
+of the identity; scalars given as elements are checked through a transient
+one.  Every family builder writes its slots in the packed form (`families`),
+so no RamElem matrix of a family module is formed unless something reads
+`DModule.matrices`, and a deformation fiber takes its base's packed
+pairing, whose right-hand sides all fibers of that base share.
 """
 
 import json
@@ -110,15 +114,44 @@ def _at_precisions(tower, mats, delta, precs):
     return mats, None if delta is None else [tower.ram(d, p) for d, p in zip(delta, pd)]
 
 
+class PackedPairing:
+    """Pairing scalars in the kernel's formats, for the pairing identity
+    det(A[i]) * delta[i] = p * sigma(delta[i-1]), whose right-hand sides
+    depend on delta alone: `delta` the scalars as RamElems, `ints[i]` the
+    Kronecker integer of delta[i] and `rhs[i]` the reduced coefficient
+    tuples of p * sigma(delta[i-1]), sigma by the tower's rows."""
+
+    __slots__ = ("tower", "delta", "ints", "rhs")
+
+    def __init__(self, tower, delta):
+        self.tower, self.delta = tower, delta
+        cs = [[c.coeffs for c in d.coeffs] for d in delta]
+        self.ints = [tower._ram_pack(c) for c in cs]
+        p, pN = tower.p, tower.pN
+        rows, sub = tower._sigma_map(1), tower._ring.substitute
+        self.rhs = []
+        for prev in cs[-1:] + cs[:-1]:
+            rhs = []
+            for w in prev:
+                c = sub(rows, w) if any(w[1:]) else w
+                rhs.append(tuple([p * b % pN for b in c]) if any(c) else c)
+            self.rhs.append(rhs)
+
+
 class DModule:
     """Validated module presentation; immutable once built.
 
     A slot matrix is given as RamElems, which validation packs once, or as a
-    `wittring.PackedMatrix` of this tower, taken as it is; either way it is
+    `wittring.PackedMatrix` of this tower, taken as it is (the family
+    builders and deformation fibers write that form); either way it is
     kept as `packed_matrices[i]`, and validation reads everything off that
     form: det A[i] by `CoeffTower.det`, the pairing identity on its tuples
     (`_pairing_holds`) and each entry's valuation (`RamElem._repr_ord`, eN
-    for a zero representative).  It keeps what it read: `repr_orders[i]` is
+    for a zero representative).  The pairing scalars are given as ramified
+    elements, checked through a transient `PackedPairing`, or as the
+    `PackedPairing` of a base module (`_packed_pairing`), whose right-hand
+    sides its deformation fibers share; every slot of every module is
+    checked against them.  It keeps what it read: `repr_orders[i]` is
     the packed form's `ords`, the valuations of A[i]'s entries row-major,
     for the a-type; `entry_orders[i]` is their certified minimum (None when
     no entry attaining it is certified) and `det_orders[i]` the valuation of
@@ -130,6 +163,11 @@ class DModule:
 
     def __init__(self, tower, matrices, delta=None, mode="separable"):
         self.tower = tower
+        pairing = None
+        if isinstance(delta, PackedPairing):
+            if delta.tower != tower:
+                raise DomainError("tower-mismatch", "pairing scalars from a different tower")
+            pairing, delta = delta, delta.delta
         if len(matrices) != tower.f:
             raise DomainError("bad-shape", f"expected {tower.f} slot matrices")
         if delta is not None and len(delta) != tower.f:
@@ -194,37 +232,46 @@ class DModule:
                 "det-budget",
                 f"sum of det valuations {self.det_sum} exceeds 2g = {2 * g}")
         if self.delta is not None:
+            if pairing is None:
+                pairing = PackedPairing(tower, self.delta)
             for i, (det, prec) in enumerate(dets):
                 if not self.delta[i]:
                     raise DomainError("degenerate-pairing",
                                       f"pairing scalar at slot {i} vanishes", slot=i)
-                if not self._pairing_holds(i, det, prec):
+                if not self._pairing_holds(pairing, i, det, prec):
                     raise DomainError(
                         "pairing-incompatible",
                         f"slot {i}: det(A)*delta != p*sigma(delta_prev)", slot=i)
 
-    def _pairing_holds(self, i, det, prec):
+    def _pairing_holds(self, pairing, i, det, prec):
         """det(A[i]) * delta[i] = p * sigma(delta[i-1]) to the certified
-        digits, for det A[i] as (coefficient tuples, precision): both sides
-        on the packed tuples, sigma by the tower's rows, and the difference
-        mod p^N vanishing below the lesser precision (what `bool(lhs - rhs)`
-        of RamElems reads, since truncation keeps every lower digit)."""
+        digits, for det A[i] as (coefficient tuples, precision) and the
+        scalars as a PackedPairing: the left side one packed product, the
+        right side read off `pairing.rhs`, and the difference mod p^N
+        vanishing below the lesser precision (what `bool(lhs - rhs)` of
+        RamElems reads, since truncation keeps every lower digit)."""
         t = self.tower
-        pN, p = t.pN, t.p
-        d, prev = self.delta[i], self.delta[i - 1]
-        dc = [c.coeffs for c in d.coeffs]
-        lhs = t._ram_reduce(t._ram_pack(det) * t._ram_pack(dc))
-        rows, sub = t._sigma_map(1), t._ring.substitute
-        rhs = []
-        for w in prev.coeffs:
-            c = sub(rows, w.coeffs) if any(w.coeffs[1:]) else w.coeffs
-            rhs.append(tuple([p * b % pN for b in c]) if any(c) else c)
+        lhs = t._ram_reduce(t._ram_pack(det) * pairing.ints[i])
+        rhs = pairing.rhs[i]
         if lhs == rhs:
             return True
-        full = t.pi_precision
-        lhs_prec = product_prec(self.det_orders[i], prec, t._repr_ord(dc), d.prec, full)
+        d, prev = self.delta[i], self.delta[i - 1]
+        full, pN = t.pi_precision, t.pN
+        lhs_prec = product_prec(self.det_orders[i], prec, d._repr_ord(), d.prec, full)
         diff = [[(a - b) % pN for a, b in zip(x, y)] for x, y in zip(lhs, rhs)]
         return t._repr_ord(diff) >= min(lhs_prec, prev.prec + t.e, full)
+
+    def _packed_pairing(self):
+        """`delta` as a PackedPairing, formed on the first call and kept:
+        the deformation fibers of this module take it as their scalars and
+        share its right-hand sides (`families.deform_specialize`).  Formed
+        again when `delta` was replaced; None without pairing scalars."""
+        if self.delta is None:
+            return None
+        P = self.__dict__.get("_pairing")
+        if P is None or P.delta is not self.delta:
+            P = self._pairing = PackedPairing(self.tower, self.delta)
+        return P
 
     @property
     def matrices(self):

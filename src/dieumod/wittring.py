@@ -51,14 +51,16 @@ the tower's `_ram_pack`/`_ram_reduce`.
 * `DModule` validation runs on the same formats: each slot matrix is
   packed once, its determinant is `det`, and the pairing identity
   det(A_i) delta_i = p sigma(delta_(i-1)) is compared on the reduced
-  tuples (`modules`).
+  tuples, its right-hand sides formed once per set of scalars
+  (`modules.PackedPairing`).
 * A Teichmuller lift T**k is one window power on packed integers of the
   tower's ring: the window table of T holds packed ints, each product is
   `PackedQuotient.mul_packed` (reduced, and kept packed), and the lift is
   one split of the power, with no WittElem per product.
 * `RamElem.mul_pi(k)` is the exact shift by pi^k, the inverse of `div_pi`:
-  no kernel product runs.  `families` writes deformation fibers as
-  PackedMatrices from coefficient tuples, which `DModule` takes as they are.
+  no kernel product runs.  `families` writes every family module and
+  deformation fiber as PackedMatrices from coefficient tuples, which
+  `DModule` takes as they are.
 * sigma^n is the substitution x -> x^(p^n): one linear combination of the
   packed rows x^(j p^n), which the tower computes once per n, from one
   power and d-2 products.  It is the identity on constants and for

@@ -195,6 +195,20 @@ def test_malformed_arguments(capsys, argv, code):
     assert json.loads(out)["error"]["code"] == code
 
 
+def test_deeply_nested_json_is_bad_input(capsys, tmp_path):
+    # json descends one stack frame per level: the RecursionError is answered
+    deep = "[" * 100000 + "]" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for argv in (("invariants", "--module", str(path)),
+                 ("construct", "--family", "normal", "--tau", "0",
+                  "--cjson", '{"0": ' + deep[50000:150000] + "}")):
+        exit_code, out = run_cli(capsys, *argv)
+        assert exit_code == 1
+        assert json.loads(out) == {"error": {"code": "bad-input",
+                                             "message": "JSON input nests too deeply"}}
+
+
 @pytest.mark.parametrize("tau,values,slot", [
     ("2", "1", 2), ("0,2", "1,2", 2), ("-1", "1", -1), ("1,3", "1,1", 3),
     ("2", '{"2": 1}', 2), ("0,2", '{"0": 1, "2": 1}', 2), ("3,1", '{"1": 1}', 3)])
