@@ -22,7 +22,8 @@ entry valuations of iterated twisted powers (the independent oracle).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
+from math import gcd
 
 from .wittring import PrecisionError, DomainError, INF, product_prec
 
@@ -41,6 +42,10 @@ def admissible_indices(g):
 
 @dataclass(frozen=True)
 class NewtonPoint:
+    """A point s(index) of S(g).  The index is a Fraction n/d in lowest
+    terms with d in {1, 2}; the flags and the JSON form run on n and d as
+    plain integers, and only `sequence` forms Fractions."""
+
     g: int
     index: Fraction
 
@@ -58,20 +63,27 @@ class NewtonPoint:
 
     @property
     def is_ordinary(self):
-        return self.index == 0
+        return self.index.numerator == 0
 
     @property
     def is_supersingular(self):
-        return 2 * self.index == self.g
+        # index = g/2, with index = n/d
+        return 2 * self.index.numerator == self.g * self.index.denominator
 
     def __repr__(self):
         return f"s({self.index})"
 
     def to_json(self):
+        # the slopes n/(d g) and 1 - n/(d g) = (d g - n)/(d g) in lowest
+        # terms: gcd(d g - n, d g) = gcd(n, d g), so one gcd reduces both
+        n, d = self.index.numerator, self.index.denominator
+        den = d * self.g
+        k = gcd(n, den)
+        low, high = (n // k, den // k), ((den - n) // k, den // k)
         return {
-            "index_num": self.index.numerator,
-            "index_den": self.index.denominator,
-            "sequence": [[s.numerator, s.denominator] for s in self.sequence],
+            "index_num": n,
+            "index_den": d,
+            "sequence": [list(low) for _ in range(self.g)] + [list(high) for _ in range(self.g)],
         }
 
 
@@ -118,8 +130,10 @@ class AType:
     def f(self):
         return len(self.pairs)
 
-    @property
+    @cached_property
     def a_number(self):
+        # kept in the instance's __dict__, not a field: equality and hashing
+        # still read e and pairs only
         return sum(a + b for a, b in self.pairs)
 
     @property
@@ -290,19 +304,19 @@ def _trace_ord(M):
 
 def _newton_fast(M):
     """min(g/2, ord_pi of the trace); g/2 when the trace vanishes to a
-    precision above g/2."""
+    precision above g/2.  A trace that is zero at full precision (ord INF)
+    reads as g/2 because every tower holds e*N >= g + 2 > g/2: `CoeffTower`
+    refuses e*N < g + 2.  One Fraction is formed, for the index itself."""
     g = M.g
-    half = Fraction(g, 2)
     try:
         v = _trace_ord(M)
     except PrecisionError as exc:
         # trace vanishes to the certified precision; decisive iff that
         # precision already exceeds g/2
         if 2 * exc.lower_bound > g:
-            return NewtonPoint(g, half)
+            return NewtonPoint(g, Fraction(g, 2))
         raise
-    idx = half if v is INF else min(half, Fraction(v))
-    return NewtonPoint(g, idx)
+    return NewtonPoint(g, Fraction(g, 2) if v is INF or 2 * v >= g else Fraction(v))
 
 
 def _bracket(g, m, n):

@@ -6,7 +6,8 @@ spaced types, the spaced bound lambda, stratum dimensions, deformation
 dimensions, the polarization degree exponent, the superspecial tables, the
 Newton-stratum codimension, and a randomized symbolic check of the
 banded-determinant identity used for the tangent-space computation, run
-exactly over Z with the square-zero directions packed into one integer.
+exactly over Z on integer pairs (a, v): the scalar a and the square-zero
+directions' coefficients packed into one integer v.
 """
 
 import random
@@ -266,40 +267,18 @@ def superspecial_types(e, f):
 
 
 # -- symbolic check of the banded determinant identity ----------------------
-
-class SqZero:
-    """Z[eps_k] / (eps_j eps_k): a + sum_k v_k eps_k, the nilpotent part
-    packed into one integer v = sum_k v_k 2^(w k) of signed w-bit slots.
-    Every operation is linear in v and never reads a slot; while each
-    |v_k| < 2^(w-1), `==` on v is `==` on the coefficient vectors."""
-
-    __slots__ = ("a", "v")
-
-    def __init__(self, a, v=0):
-        self.a, self.v = a, v
-
-    def __add__(self, o):
-        return SqZero(self.a + o.a, self.v + o.v)
-
-    def __sub__(self, o):
-        return SqZero(self.a - o.a, self.v - o.v)
-
-    def __neg__(self):
-        return SqZero(-self.a, -self.v)
-
-    def __mul__(self, o):
-        return SqZero(self.a * o.a, self.a * o.v + o.a * self.v)
-
-    def __eq__(self, o):
-        return self.a == o.a and self.v == o.v
-
-    def __repr__(self):
-        return f"SqZero({self.a}, {self.v:#x})"
-
+#
+# An element a + sum_k v_k eps_k of Z[eps_k] / (eps_j eps_k) is the integer
+# pair (a, v): the scalar a and the nilpotent part packed into one integer
+# v = sum_k v_k 2^(w k) of signed w-bit slots.  The product of (x, y) and
+# (a, v) is (x a, v x + y a), and sums and signs act on both parts; every
+# operation is linear in v and never reads a slot, so while each
+# |v_k| < 2^(w-1), `==` on v is `==` on the coefficient vectors.
 
 def _bottom_minors(rows, k):
     """{mask: minor} for every set of k columns (a bitmask) of a square
-    matrix: the determinant of its last k rows restricted to those columns.
+    matrix of (a, v) pairs: the determinant of its last k rows restricted to
+    those columns, as an (a, v) pair.
 
     Memoized Laplace expansion along rows, from the bottom up: a minor of
     size s + 1 is expanded along its top row into minors of size s, read
@@ -308,45 +287,49 @@ def _bottom_minors(rows, k):
     n = len(rows)
     minors = {1 << j: x for j, x in enumerate(rows[n - 1])}
     for r in range(n - 2, n - 1 - k, -1):
-        wider = {}
-        for mask, minor in minors.items():
-            for j in range(n):
-                if mask >> j & 1:
-                    continue
-                term = rows[r][j] * minor
-                key = mask | 1 << j
-                # cofactor sign: the columns of mask left of j shift j's place
-                odd = (mask & ((1 << j) - 1)).bit_count() % 2
-                if key not in wider:
-                    wider[key] = -term if odd else term
+        row, wider = rows[r], {}
+        for mask, (a, v) in minors.items():
+            # cofactor sign of column bit: odd when an odd number of the
+            # columns of mask lie left of it (they shift its place)
+            odd, bit = False, 1
+            for x, y in row:
+                if mask & bit:
+                    odd = not odd
                 else:
-                    wider[key] = wider[key] - term if odd else wider[key] + term
+                    ta, tv = x * a, v * x + y * a
+                    sa, sv = wider.get(mask | bit, (0, 0))
+                    wider[mask | bit] = (sa - ta, sv - tv) if odd else (sa + ta, sv + tv)
+                bit <<= 1
         minors = wider
     return minors
 
 
 def _det(rows):
-    """Determinant by memoized Laplace expansion over column subsets: the
-    definition of the determinant, in n * 2^(n-1) products instead of the
-    n! terms of a plain cofactor expansion."""
+    """Determinant of a matrix of (a, v) pairs by memoized Laplace expansion
+    over column subsets: the definition of the determinant, in n * 2^(n-1)
+    products instead of the n! terms of a plain cofactor expansion."""
     return _bottom_minors(rows, len(rows))[(1 << len(rows)) - 1]
 
 
 def _banded_matrix(y, n):
-    """Lower-triangular band: entry (i, j) = Y_(i-j+1) for i >= j."""
-    return [[SqZero(y[i - j] if i >= j else 0) for j in range(n)] for i in range(n)]
+    """Lower-triangular band: entry (i, j) = Y_(i-j+1) for i >= j, as scalar
+    pairs (Y, 0)."""
+    return [[(y[i - j], 0) if i >= j else (0, 0) for j in range(n)] for i in range(n)]
 
 
 def _first_row_cofactors(rows):
-    """[U_{1,k} for k < n]: (-1)^k times the minor of rows 2..n without
-    column k, all read from one table of bottom minors."""
+    """[U_{1,k} for k < n] as (a, v) pairs: (-1)^k times the minor of rows
+    2..n without column k, all read from one table of bottom minors."""
     n = len(rows)
     if n == 1:
-        return [SqZero(1)]  # the empty determinant is 1
+        return [(1, 0)]  # the empty determinant is 1
     minors = _bottom_minors(rows, n - 1)
     full = (1 << n) - 1
-    return [-minors[full ^ 1 << k] if k % 2 else minors[full ^ 1 << k]
-            for k in range(n)]
+    out = []
+    for k in range(n):
+        a, v = minors[full ^ 1 << k]
+        out.append((-a, -v) if k % 2 else (a, v))
+    return out
 
 
 def verify_det_identity(n, m1=None, trials=20, rng=None):
@@ -363,38 +346,45 @@ def verify_det_identity(n, m1=None, trials=20, rng=None):
     product expansion actually produces).
 
     Both sides are compared exactly over Z, which implies the identity mod
-    any p.  The n^2 directions share one SqZero slot vector of width
-    w = bits(2 n! 4^n) + 1: each coefficient of a stored minor, product or
-    partial sum is a sum of at most n! products of at most n integers in
-    [0, 5), so it is at most n! 4^n < 2^(w-1) in absolute value.
-    Returns a report dict; `ok` is True when every trial matched.
+    any p.  Every matrix entry is an (a, v) pair; the n^2 directions share
+    the packed part v, in slots of width w = bits(2 n! 4^n) + 1: each
+    coefficient of a stored minor, product or partial sum is a sum of at
+    most n! products of at most n integers in [0, 5), so it is at most
+    n! 4^n < 2^(w-1) in absolute value.  An entry of N and its partial
+    traces are nilpotent, plain packed integers t, and t times a cofactor
+    (c, cv) is (0, t c).
+    Returns a report dict; `ok` is True when at least one trial ran and
+    every trial matched.  An n that is not an integer >= 1, a negative
+    trial count and a block split without two positive blocks are refused
+    with DomainError("bad-shape").
     """
-    rng = rng or random.Random(0)
+    if type(n) is not int or n < 1:
+        raise DomainError("bad-shape", f"need an integer size n >= 1, got {n!r}")
+    if type(trials) is not int or trials < 0:
+        raise DomainError("bad-shape", f"need an integer trial count >= 0, got {trials!r}")
     if m1 is not None and not 0 < m1 < n:
         raise DomainError("bad-shape", "need n = m1 + m2 with positive blocks")
+    rng = rng or random.Random(0)
     w = (2 * factorial(n) * 4 ** n).bit_length() + 1
     failures = 0
     for _ in range(trials):
         y = [rng.randrange(5) for _ in range(n)]
         band = U = _banded_matrix(y, n)
         if m1 is not None:
-            U = [row + [SqZero(0)] * (n - m1) for row in _banded_matrix(y, m1)] + \
-                [[SqZero(0)] * m1 + row for row in _banded_matrix(y, n - m1)]
-        N = [[SqZero(0, rng.randrange(5) << w * (n * i + j)) for j in range(n)]
-             for i in range(n)]
-        lhs = _det([[U[i][j] + N[i][j] for j in range(n)] for i in range(n)])
+            U = [row + [(0, 0)] * (n - m1) for row in _banded_matrix(y, m1)] + \
+                [[(0, 0)] * m1 + row for row in _banded_matrix(y, n - m1)]
+        N = [[rng.randrange(5) << w * (n * i + j) for j in range(n)] for i in range(n)]
+        lhs = _det([[(a, v + c) for (a, v), c in zip(u, row)] for u, row in zip(U, N)])
         cofactors = _first_row_cofactors(band)
         diag = [N] if m1 is None else [[r[:m1] for r in N[:m1]], [r[m1:] for r in N[m1:]]]
-        rhs = SqZero(y[0] ** n)
-        for k in range(1, n + 1):
-            for block in diag:
-                rhs = rhs + _trace_shift(block, k - 1) * cofactors[k - 1]
-        if lhs != rhs:
+        rhs = sum(_trace_shift(block, k) * cofactors[k][0] for k in range(n) for block in diag)
+        if lhs != (y[0] ** n, rhs):
             failures += 1
     return {"n": n, "blocks": None if m1 is None else [m1, n - m1],
-            "trials": trials, "failures": failures, "ok": failures == 0}
+            "trials": trials, "failures": failures, "ok": trials > 0 and failures == 0}
 
 
 def _trace_shift(N, k):
-    """Tr_k N = sum of the k-th superdiagonal (zero when k >= size)."""
-    return sum((N[i][i + k] for i in range(len(N) - k)), SqZero(0))
+    """Tr_k N = sum of the k-th superdiagonal of packed integers (zero when
+    k >= size)."""
+    return sum(N[i][i + k] for i in range(len(N) - k))

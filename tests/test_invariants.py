@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import random
 from collections import Counter
+from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dieumod import (
     DModule, DomainError, PrecisionError, lie_type, a_type, a_index, newton_point, classify,
     a_type_bounds, dual_invariants, admissible_indices, slope_point,
-    invariant_report, LieType, AType,
+    invariant_report, LieType, AType, NewtonPoint,
 )
 from dieumod import families as fam
 from dieumod import invariants as inv
@@ -169,6 +171,56 @@ class TestNewton:
                     None, "general")
         with pytest.raises(DomainError, match="budget"):
             newton_point(M)
+
+
+class TestIntegerNewtonArithmetic:
+    """The Newton point's flags and JSON run on the index's numerator and
+    denominator; they must equal their Fraction definitions everywhere."""
+
+    def test_every_index_matches_the_fraction_definitions(self):
+        for g in range(1, 17):
+            for index in admissible_indices(g):
+                P = NewtonPoint(g, index)
+                lam = index / g
+                assert P.sequence == (lam,) * g + (1 - lam,) * g
+                data = P.to_json()
+                assert data == {
+                    "index_num": index.numerator,
+                    "index_den": index.denominator,
+                    "sequence": [[s.numerator, s.denominator] for s in P.sequence],
+                }
+                assert len({id(pair) for pair in data["sequence"]}) == 2 * g
+                assert P.is_ordinary == (index == 0)
+                assert P.is_supersingular == (2 * index == g)
+
+    def test_a_number_is_the_pair_sum_and_not_a_field(self):
+        assert "a_number" not in {f.name for f in dataclasses.fields(AType)}
+        for pairs in (((0, 0),), ((0, 1), (1, 2)), ((2, 3), (0, 0), (1, 1))):
+            a, b = AType(3, pairs), AType(3, pairs)
+            assert a.a_number == sum(x + y for x, y in pairs)
+            # one has read a_number, the other not: still equal, same hash
+            assert a == b and hash(a) == hash(b)
+            assert repr(a) == f"AType(e=3, pairs={pairs!r})"
+            assert a.to_json()["a_number"] == a.a_number
+
+    def test_inconsistent_refusals_keep_their_messages(self):
+        L = LieType(1, ((0, 1), (0, 1)))
+        with pytest.raises(DomainError) as exc:
+            inv._flags(SimpleNamespace(g=2), L, AType(1, ((0, 1), (0, 0))),
+                       NewtonPoint(2, Fraction(0)))
+        assert exc.value.code == "inconsistent"
+        assert str(exc.value) == ("a-number 1 with Newton point s(0): "
+                                  "a-number 0 iff ordinary fails")
+        assert exc.value.info == {"a_number": 1, "newton": {
+            "index_num": 0, "index_den": 1, "sequence": [[0, 1]] * 2 + [[1, 1]] * 2}}
+        with pytest.raises(DomainError) as exc:
+            inv._flags(SimpleNamespace(g=4), L, AType(1, ((1, 1), (1, 1))),
+                       NewtonPoint(4, Fraction(1)))
+        assert exc.value.code == "inconsistent"
+        assert str(exc.value) == ("a-number g = 4 with Newton point s(1): "
+                                  "superspecial implies supersingular fails")
+        assert exc.value.info == {"a_number": 4, "newton": {
+            "index_num": 1, "index_den": 1, "sequence": [[1, 4]] * 4 + [[3, 4]] * 4}}
 
 
 class TestClassify:

@@ -3,6 +3,7 @@ from itertools import permutations, product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dieumod import (
     DomainError, admissible_slopes, newton_stratum_codim, is_spaced,
@@ -11,7 +12,8 @@ from dieumod import (
     verify_det_identity,
 )
 from dieumod import strata
-from dieumod.strata import SqZero
+import sqzeroref
+from sqzeroref import SqZero
 
 
 class TestSlopes:
@@ -161,6 +163,26 @@ class TestDetIdentity:
         with pytest.raises(DomainError):
             verify_det_identity(3, m1)
 
+    @pytest.mark.parametrize("n", [0, -1, 2.0, "3", True, None])
+    def test_size_must_be_a_positive_integer(self, n):
+        # n = 0 read rows[-1] of an empty matrix and n = -1 reached
+        # factorial(-1); both are a bad shape
+        with pytest.raises(DomainError) as exc:
+            verify_det_identity(n, trials=2)
+        assert exc.value.code == "bad-shape"
+
+    @pytest.mark.parametrize("trials", [-1, -2, 1.5])
+    def test_trial_count_must_be_a_nonnegative_integer(self, trials):
+        with pytest.raises(DomainError) as exc:
+            verify_det_identity(3, trials=trials)
+        assert exc.value.code == "bad-shape"
+
+    @pytest.mark.parametrize("m1", [None, 1])
+    def test_no_trial_is_not_ok(self, m1):
+        # as in verify's criteria, a check passes only if it ran a case
+        rep = verify_det_identity(3, m1, trials=0)
+        assert rep["trials"] == rep["failures"] == 0 and rep["ok"] is False
+
     def test_packed_entries_decode_to_their_own_slots(self, monkeypatch):
         # the check packs entry (i, j) of N into slot n*i + j of width
         # w = bits(2 n! 4^n) + 1; decoded with that width, every matrix it
@@ -179,18 +201,18 @@ class TestDetIdentity:
                 assert verify_det_identity(n, m1, trials=2)["ok"]
                 m, w = n * n, (2 * factorial(n) * 4 ** n).bit_length() + 1
                 assert len(seen) == 2
-                for rows, det in seen:
+                for rows, (det_a, det_v) in seen:
                     tuples = []
                     for i, row in enumerate(rows):
                         tuples.append([])
-                        for j, x in enumerate(row):
-                            v = _unpack(x.v, m, w)
+                        for j, (a, x) in enumerate(row):
+                            v = _unpack(x, m, w)
                             assert all(c == 0 for k, c in enumerate(v) if k != n * i + j)
                             assert 0 <= v[n * i + j] < 5
-                            tuples[-1].append(TupleSqZero(x.a, v))
+                            tuples[-1].append(TupleSqZero(a, v))
                     ref = _leibniz(tuples, TupleSqZero(1, [0] * m), TupleSqZero(0, [0] * m))
-                    got = _unpack(det.v, m, w)
-                    assert (det.a, got) == (ref.a, list(ref.v))
+                    got = _unpack(det_v, m, w)
+                    assert (det_a, got) == (ref.a, list(ref.v))
                     assert max(map(abs, got)) <= factorial(n) * 4 ** n
 
 
@@ -209,7 +231,7 @@ def _leibniz(rows, one, zero):
 
 class TupleSqZero:
     """a + sum_k v_k eps_k over Z with the v_k in a tuple: an unpacked
-    reference for strata.SqZero."""
+    reference for the (a, v) pairs of strata."""
 
     def __init__(self, a, v):
         self.a, self.v = a, tuple(v)
@@ -228,7 +250,7 @@ class TupleSqZero:
 
 
 # slot width of the packed test matrices: with every slot of every entry in
-# [0, 5), a coefficient of an n x n determinant is at most n n! 4^n < 2^39
+# [-4, 5), a coefficient of an n x n determinant is at most n n! 4^n < 2^39
 W = 40
 
 
@@ -254,25 +276,34 @@ def _random_coords(n, m, rng):
              for _ in range(n)] for _ in range(n)]
 
 
-def _random_sqzero_matrix(n, m, rng):
-    return [[SqZero(a, _pack(v)) for a, v in row] for row in _random_coords(n, m, rng)]
+def _pair_matrix(coords):
+    return [[(a, _pack(v)) for a, v in row] for row in coords]
+
+
+def _sqzero_matrix(coords):
+    return [[SqZero(a, _pack(v)) for a, v in row] for row in coords]
 
 
 class TestDeterminant:
     M = 3
 
     def test_det_and_cofactors_match_leibniz(self, rng):
+        # the pair kernel against the permutation expansion over the
+        # reference SqZero, whose packed parts are the same integers
         one, zero = SqZero(1), SqZero(0)
         for n in range(1, 7):
             for _ in range(2 if n == 6 else 4):
-                rows = _random_sqzero_matrix(n, self.M, rng)
-                assert strata._det(rows) == _leibniz(rows, one, zero)
+                coords = _random_coords(n, self.M, rng)
+                rows, objs = _pair_matrix(coords), _sqzero_matrix(coords)
+                ref = _leibniz(objs, one, zero)
+                assert strata._det(rows) == (ref.a, ref.v)
                 cofactors = strata._first_row_cofactors(rows)
                 assert len(cofactors) == n
                 for k in range(n):
-                    minor = [r[:k] + r[k + 1:] for r in rows[1:]]
+                    minor = [r[:k] + r[k + 1:] for r in objs[1:]]
                     expect = _leibniz(minor, one, zero)
-                    assert cofactors[k] == (-expect if k % 2 else expect)
+                    expect = -expect if k % 2 else expect
+                    assert cofactors[k] == (expect.a, expect.v)
 
     def test_packed_slots_match_a_tuple_leibniz(self, rng):
         # decode the packed parts slot by slot against the same expansion
@@ -281,28 +312,55 @@ class TestDeterminant:
         for n in range(1, 7):
             for _ in range(2 if n == 6 else 4):
                 coords = _random_coords(n, self.M, rng)
-                rows = [[SqZero(a, _pack(v)) for a, v in row] for row in coords]
+                rows = _pair_matrix(coords)
                 tuples = [[TupleSqZero(a, v) for a, v in row] for row in coords]
-                det, ref = strata._det(rows), _leibniz(tuples, one, zero)
-                assert (det.a, _unpack(det.v, self.M)) == (ref.a, list(ref.v))
+                (det_a, det_v), ref = strata._det(rows), _leibniz(tuples, one, zero)
+                assert (det_a, _unpack(det_v, self.M)) == (ref.a, list(ref.v))
                 cofactors = strata._first_row_cofactors(rows)
                 for k in range(n):
                     minor = [r[:k] + r[k + 1:] for r in tuples[1:]]
                     ref = _leibniz(minor, one, zero)
                     ref = -ref if k % 2 else ref
-                    got = cofactors[k]
-                    assert (got.a, _unpack(got.v, self.M)) == (ref.a, list(ref.v))
+                    got_a, got_v = cofactors[k]
+                    assert (got_a, _unpack(got_v, self.M)) == (ref.a, list(ref.v))
 
-    def test_det_products_at_most_n_two_to_n_minus_one(self, rng, monkeypatch):
-        n = 6
-        rows = _random_sqzero_matrix(n, self.M, rng)
+    def test_det_products_at_most_n_two_to_n_minus_one(self, rng):
+        # every pair product (x, y)(a, v) = (x a, v x + y a) multiplies its
+        # row scalar x from the left exactly once, so counting the left
+        # multiplications of the row scalars counts the products
         calls = []
-        mul = SqZero.__mul__
 
-        def counting_mul(a, b):
-            calls.append(1)
-            return mul(a, b)
+        class CountedScalar(int):
+            def __mul__(self, o):
+                calls.append(1)
+                return int(self) * o
 
-        monkeypatch.setattr(SqZero, "__mul__", counting_mul)
+        n = 6
+        rows = [[(CountedScalar(a), v) for a, v in row]
+                for row in _pair_matrix(_random_coords(n, self.M, rng))]
         strata._det(rows)
         assert 0 < len(calls) <= n * 2 ** (n - 1)
+
+
+@st.composite
+def signed_pair_matrices(draw):
+    """An n x n matrix, n <= 6, of (a, v) pairs: scalars in [-4, 4] and
+    three signed slots of width W in [-4, 4]."""
+    n = draw(st.integers(1, 6))
+    small = st.integers(-4, 4)
+    return [[(draw(small), _pack(draw(st.lists(small, min_size=3, max_size=3))))
+             for _ in range(n)] for _ in range(n)]
+
+
+class TestPairKernelMatchesSqZero:
+    @settings(max_examples=300, deadline=None)
+    @given(signed_pair_matrices())
+    def test_minor_tables_and_cofactors(self, rows):
+        objs = [[SqZero(a, v) for a, v in row] for row in rows]
+        for k in range(1, len(rows) + 1):
+            got = strata._bottom_minors(rows, k)
+            ref = sqzeroref._bottom_minors(objs, k)
+            assert got == {mask: (x.a, x.v) for mask, x in ref.items()}
+        got = strata._first_row_cofactors(rows)
+        ref = sqzeroref._first_row_cofactors(objs)
+        assert got == [(x.a, x.v) for x in ref]
