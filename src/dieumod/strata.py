@@ -325,11 +325,8 @@ def _first_row_cofactors(rows):
         return [(1, 0)]  # the empty determinant is 1
     minors = _bottom_minors(rows, n - 1)
     full = (1 << n) - 1
-    out = []
-    for k in range(n):
-        a, v = minors[full ^ 1 << k]
-        out.append((-a, -v) if k % 2 else (a, v))
-    return out
+    cofactors = [minors[full ^ 1 << k] for k in range(n)]
+    return [(-a, -v) if k % 2 else (a, v) for k, (a, v) in enumerate(cofactors)]
 
 
 def verify_det_identity(n, m1=None, trials=20, rng=None):

@@ -165,8 +165,8 @@ class TestDetIdentity:
 
     @pytest.mark.parametrize("n", [0, -1, 2.0, "3", True, None])
     def test_size_must_be_a_positive_integer(self, n):
-        # n = 0 read rows[-1] of an empty matrix and n = -1 reached
-        # factorial(-1); both are a bad shape
+        # no n x n matrix to check: a bad shape, not an IndexError or
+        # ValueError from inside the expansion
         with pytest.raises(DomainError) as exc:
             verify_det_identity(n, trials=2)
         assert exc.value.code == "bad-shape"
