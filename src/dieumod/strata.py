@@ -352,14 +352,14 @@ def verify_det_identity(n, m1=None, trials=20, rng=None):
     (c, cv) is (0, t c).
     Returns a report dict; `ok` is True when at least one trial ran and
     every trial matched.  An n that is not an integer >= 1, a negative
-    trial count and a block split without two positive blocks are refused
-    with DomainError("bad-shape").
+    trial count and a block split without two positive integer blocks are
+    refused with DomainError("bad-shape").
     """
     if type(n) is not int or n < 1:
         raise DomainError("bad-shape", f"need an integer size n >= 1, got {n!r}")
     if type(trials) is not int or trials < 0:
         raise DomainError("bad-shape", f"need an integer trial count >= 0, got {trials!r}")
-    if m1 is not None and not 0 < m1 < n:
+    if m1 is not None and (type(m1) is not int or not 0 < m1 < n):
         raise DomainError("bad-shape", "need n = m1 + m2 with positive blocks")
     rng = rng or random.Random(0)
     w = (2 * factorial(n) * 4 ** n).bit_length() + 1

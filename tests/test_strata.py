@@ -158,10 +158,11 @@ class TestDetIdentity:
     def test_n_one(self):
         assert verify_det_identity(1, trials=20)["ok"]
 
-    @pytest.mark.parametrize("m1", [0, 3, -1])
+    @pytest.mark.parametrize("m1", [0, 3, -1, 1.5, True])
     def test_split_needs_two_positive_blocks(self, m1):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as exc:
             verify_det_identity(3, m1)
+        assert exc.value.code == "bad-shape"
 
     @pytest.mark.parametrize("n", [0, -1, 2.0, "3", True, None])
     def test_size_must_be_a_positive_integer(self, n):
