@@ -14,7 +14,7 @@ from .wittring import (
 )
 from .modules import DModule
 from .invariants import (
-    NewtonPoint, LieType, AType, admissible_indices, slope_point,
+    NewtonPoint, LieType, AType, admissible_indices,
     lie_type, a_type, a_index, newton_point, classify,
     a_type_bounds, dual_invariants, invariant_report,
 )

@@ -130,7 +130,8 @@ def cmd_verify(args):
         print(f"[{word}] {check['name']} ({check['cases']} cases, {elapsed:.3f} s)",
               file=sys.stderr)
 
-    report = vf.run_suite(args.suite, seed=args.seed, scale=args.scale, progress=status)
+    report = vf.run_criteria(vf.SUITES[args.suite], seed=args.seed, scale=args.scale,
+                             progress=status)
     _emit(report)
     return 0 if report["passed"] else 1
 

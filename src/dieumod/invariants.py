@@ -9,8 +9,8 @@ valuation and d2 the minimum 2x2 minor valuation of the row matrix.  They
 are read off the determinant and entry valuations of the slot matrices
 and, for the a-type, a few mixed minors capped at what they can still
 change.  A mixed minor is read off its entries' valuations and precisions,
-and formed in the ring only when its two terms tie below precision; a
-minor that vanishes to working precision below its cap raises
+and formed, on the packed slot matrices, only when its two terms tie below
+precision; a minor that vanishes to working precision below its cap raises
 PrecisionError.  The Newton point is an element of
 
     S(g) = {0, 1, ..., floor(g/2)} u {g/2}
@@ -43,13 +43,18 @@ def admissible_indices(g):
 @dataclass(frozen=True)
 class NewtonPoint:
     """A point s(index) of S(g).  The index is a Fraction n/d in lowest
-    terms with d in {1, 2}; the flags and the JSON form run on n and d as
-    plain integers, and only `sequence` forms Fractions."""
+    terms with d in {1, 2}, or an int, which is kept as a Fraction; the
+    flags and the JSON form run on n and d as plain integers, and only
+    `sequence` forms Fractions."""
 
     g: int
     index: Fraction
 
     def __post_init__(self):
+        if type(self.index) is int:
+            object.__setattr__(self, "index", Fraction(self.index))
+        elif not isinstance(self.index, Fraction):
+            raise DomainError("bad-slope", f"index {self.index!r} is not a Fraction or an int")
         # S(g) holds the integers in [0, g/2] and g/2 itself (n/d in lowest terms)
         n, d = self.index.numerator, self.index.denominator
         if not (d == 1 and 0 <= 2 * n <= self.g or d == 2 and n == self.g):
@@ -85,10 +90,6 @@ class NewtonPoint:
             "index_den": d,
             "sequence": [list(low) for _ in range(self.g)] + [list(high) for _ in range(self.g)],
         }
-
-
-def slope_point(g, i):
-    return NewtonPoint(g, Fraction(i))
 
 
 @dataclass(frozen=True)
@@ -189,10 +190,10 @@ def _a_pair(M, i):
     is a DVR) and its precision is `wittring.product_prec`, and a sum of
     two terms of different valuations has the smaller one.  Only two terms
     that tie below precision, and could still lower s, are multiplied out,
-    on the RamElem `M.matrices`.  r is `M.repr_orders`, which
-    `DModule.__init__` computed once per entry (`RamElem._repr_ord`) during
-    validation, and the precisions are those of `M.packed_matrices` (None
-    for all at eN), so a report without a tie forms no RamElem."""
+    on the packed forms: one `CoeffTower.pair_sum` of sigma(A[i]) and A[j].
+    r and the precisions are the `ords` and `precs` of
+    `M.packed_matrices`, which `DModule.__init__` formed during validation,
+    so no report forms a RamElem."""
     e, f = M.e, M.f
     j = (i + 1) % f
     off = e - M.det_orders[j]
@@ -201,10 +202,11 @@ def _a_pair(M, i):
     s = min(M.det_orders[i], e + off, d1 + e)
     if s == floor:
         return d1, s - d1
-    full = M.tower.pi_precision
-    ra, rb = M.repr_orders[i], M.repr_orders[j]
-    pa = M.packed_matrices[i].precs or (full,) * 4
-    pb = M.packed_matrices[j].precs or (full,) * 4
+    t = M.tower
+    full = t.pi_precision
+    A, B = M.packed_matrices[i], M.packed_matrices[j]
+    ra, rb = A.ords, B.ords
+    pa, pb = A.precs or (full,) * 4, B.precs or (full,) * 4
     for r in (0, 1):
         for c in (0, 1):
             # (valuation of the stored product, full if it is zero; precision)
@@ -225,9 +227,8 @@ def _a_pair(M, i):
                 continue
             if len(terms) == 2 and terms[0][0] == terms[1][0] < prec:
                 # a tie below precision: the sum may cancel
-                A, B = M.matrices[i], M.matrices[j]
-                minor = A[r][0].sigma() * B[0][c] + A[r][1].sigma() * B[1][c]
-                lo = minor.ord_lower()
+                cs, prec = t.pair_sum(A.sigma(1), B, ((2 * r, c), (2 * r + 1, 2 + c)))
+                lo = min(t._repr_ord(cs), prec)
                 if lo + off >= s:
                     continue
             if lo >= prec:

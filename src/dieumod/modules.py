@@ -38,19 +38,8 @@ def mat(tower, rows):
     return tuple(tuple(tower.ram(x) for x in row) for row in rows)
 
 
-def mat_mul(A, B):
-    """A * B for 2x2 matrices of RamElems: `CoeffTower.packed`, the 2x2
-    kernel `mat_product` (five big-int products when `B is A`) and
-    `ram_matrix`.  Entries and precisions equal those of the entrywise
-    products and sums."""
-    t = A[0][0].tower
-    P = t.packed(A)
-    return t.ram_matrix(t.mat_product(P, P if B is A else t.packed(B)))
-
-
 def mat_sigma(A, n):
-    """sigma^n entrywise; A itself when sigma^n is the identity, so that
-    `mat_mul` can take its squaring route."""
+    """sigma^n entrywise; A itself when sigma^n is the identity."""
     if not n % A[0][0].tower.d:
         return A
     return tuple(tuple(x.sigma(n) for x in row) for row in A)
@@ -58,13 +47,6 @@ def mat_sigma(A, n):
 
 def mat_adj(A):
     return ((A[1][1], -A[0][1]), (-A[1][0], A[0][0]))
-
-
-def mat_det(A):
-    """det A for a 2x2 matrix of RamElems, by the packed kernel
-    `CoeffTower.det`: value and precision equal those of ad - bc."""
-    t = A[0][0].tower
-    return t.ram(*t.det(t.packed(A)))
 
 
 def mat_transpose(A):
@@ -151,15 +133,15 @@ class DModule:
     elements, checked through a transient `PackedPairing`, or as the
     `PackedPairing` of a base module (`_packed_pairing`), whose right-hand
     sides its deformation fibers share; every slot of every module is
-    checked against them.  It keeps what it read: `repr_orders[i]` is
-    the packed form's `ords`, the valuations of A[i]'s entries row-major,
-    for the a-type; `entry_orders[i]` is their certified minimum (None when
-    no entry attaining it is certified) and `det_orders[i]` the valuation of
+    checked against them.  It keeps what it read: `entry_orders[i]` is the
+    certified minimum of the valuations of A[i]'s entries (None when no
+    entry attaining it is certified) and `det_orders[i]` the valuation of
     det A[i].  The packed forms are kept eagerly, not formed on first use,
-    because validation already forms them and every twisted-power chain
-    starts from them (`twisted_factors`).  `matrices` (RamElems) are the
-    JSON form and the input of `dual` and of an a-type tie: the given ones,
-    or, for packed input, formed from `packed_matrices` when first read."""
+    because validation already forms them, the a-type reads their `ords`
+    and `precs`, and every twisted-power chain starts from them
+    (`twisted_factors`).  `matrices` (RamElems) are the JSON form and the
+    input of `dual`: the given ones, or, for packed input, formed from
+    `packed_matrices` when first read."""
 
     def __init__(self, tower, matrices, delta=None, mode="separable"):
         self.tower = tower
@@ -188,7 +170,6 @@ class DModule:
             raise DomainError("bad-shape", "mode must be 'separable' or 'general'")
         self.mode = mode
         full, e = tower.pi_precision, tower.e
-        self.repr_orders = [P.ords for P in self.packed_matrices]
         self.det_orders = []
         self.entry_orders = []
         dets = []

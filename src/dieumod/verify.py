@@ -573,9 +573,3 @@ def run_criteria(ids, seed=0, scale=1.0, progress=None):
     return {"seed": seed, "scale": scale,
             "passed": all(c["passed"] for c in checks),
             "checks": checks}
-
-
-def run_suite(name, seed=0, scale=1.0, progress=None):
-    if name not in SUITES:
-        raise KeyError(name)
-    return run_criteria(SUITES[name], seed=seed, scale=scale, progress=progress)

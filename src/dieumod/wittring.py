@@ -46,8 +46,7 @@ the tower's `_ram_pack`/`_ram_reduce`.
   so no slot goes negative), and folds and reduces the sum once (e
   reductions).  `mat_trace` (the four diagonal products of P Q) and `det`
   (ad - bc) are calls to it.  Chains of products (twisted powers and their
-  doublings, `modules`) stay packed from link to link; `modules.mat_mul`
-  on RamElems is `packed`, then `mat_product`, then `ram_matrix`.
+  doublings, `modules`) stay packed from link to link.
 * `DModule` validation runs on the same formats: each slot matrix is
   packed once, its determinant is `det`, and the pairing identity
   det(A_i) delta_i = p sigma(delta_(i-1)) is compared on the reduced
@@ -165,9 +164,10 @@ class CoeffTower:
             raise DomainError("not-prime", f"p = {p} is not prime")
         if f < 1 or e < 1 or ext < 1:
             raise DomainError("bad-shape", "f, e, ext must all be >= 1")
+        least = min_N(e * f, e)
         if N is None:
-            N = min_N(e * f, e)
-        if e * N < e * f + 2:
+            N = least
+        if N < least:
             raise DomainError(
                 "precision-policy",
                 f"e*N = {e * N} < e*f + 2 = {e * f + 2}; raise N",
@@ -504,12 +504,6 @@ class CoeffTower:
     def random_ram(self, rng):
         return self.ram([self.random_witt(rng) for _ in range(self.e)])
 
-    def random_ram_unit(self, rng):
-        c = [self.random_witt(rng) for _ in range(self.e)]
-        while c[0].ord_p() > 0:
-            c[0] = self.random_witt(rng)
-        return self.ram(c)
-
 
 class PackedMatrix:
     """A 2x2 matrix over the ramified ring in the kernel's formats, for
@@ -636,19 +630,6 @@ class WittElem:
         """The reduction mod p; the coefficients already have degree < d."""
         p = self.tower.p
         return FqElem(self.tower.residue_field, tuple([c % p for c in self.coeffs]))
-
-    def inverse(self):
-        if not self.is_unit():
-            raise DomainError("non-unit", "inverting a non-unit Witt element")
-        t = self.tower
-        z = WittElem(t, self.residue().inverse().coeffs)
-        one = t.witt_one()
-        for _ in range(t.N.bit_length() + 1):
-            err = one - self * z
-            if not err:
-                return z
-            z = z + z * err
-        raise RuntimeError("Newton inversion did not converge")
 
     def exact_div_p(self):
         """Exact division by p; the top p-adic digit of the result is not
@@ -814,10 +795,13 @@ class RamElem:
         return v, self.div_pi(v)
 
     def inverse(self):
+        """Newton's iteration z -> z + z (1 - self z) from the inverse of the
+        residue of the constant coefficient, certified to one digit; each
+        step doubles the certified digits, up to self's precision."""
         if not self.is_unit():
             raise DomainError("non-unit", "inverting a non-unit; use unit_part first")
         t = self.tower
-        z = t.ram(self.coeffs[0].inverse())
+        z = t.ram(WittElem(t, self.coeffs[0].residue().inverse().coeffs))
         one = t.one()
         for _ in range(t.pi_precision.bit_length() + 2):
             err = one - self * z

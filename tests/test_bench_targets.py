@@ -1,10 +1,13 @@
-"""Every function the benchmark's traced run wraps still exists.
+"""Every function the benchmark's traced run wraps still exists, and every
+task of its workloads still runs and passes its check.
 
-perfbench/tracing.py is loaded from its file, not edited or imported as a
-package, and each TARGETS entry is resolved as Tracer.install resolves it:
-the module as an attribute of the dieumod package, then the attribute path,
-the last name read with vars() on its owner.  A source change that removes
-or renames a traced name fails here, in well under a second.
+perfbench/tracing.py and perfbench/workloads.py are loaded from their files,
+not edited or imported as a package.  Each TARGETS entry is resolved as
+Tracer.install resolves it: the module as an attribute of the dieumod
+package, then the attribute path, the last name read with vars() on its
+owner.  A source change that removes or renames a traced name fails here,
+in well under a second; one that breaks a name the workloads call fails in
+`test_small_workloads_pass_their_checks`, in about a second.
 """
 
 import importlib.util
@@ -13,14 +16,18 @@ from pathlib import Path
 import dieumod
 from dieumod import verify  # noqa: F401  (Tracer.install imports it too)
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load("tracing")
 
 
 def test_every_target_resolves():
@@ -40,3 +47,13 @@ def test_every_target_resolves():
 def test_span_names_unique():
     names = [name for _, _, name in load_tracing().TARGETS]
     assert len(names) == len(set(names))
+
+
+def test_small_workloads_pass_their_checks():
+    workloads = load("workloads")
+    failed = []
+    for name in ("invariants", "verify"):
+        for task in workloads.build(name, 1, "small"):
+            if not task.check(task.call()):
+                failed.append(f"{name}:{task.label}")
+    assert not failed, f"workload checks failed: {failed}"

@@ -8,7 +8,7 @@ from dieumod import (
 from dieumod import CoeffTower, families as fam
 from dieumod.modp import ResidueField
 from dieumod.modp import smith_exponents
-from conftest import tower
+from conftest import random_unit, tower
 
 
 class TestSlopeFamily:
@@ -51,7 +51,7 @@ class TestNormalForm:
     def test_roundtrip_a_index(self, rng):
         t = tower(3, 4, 2, ext=2)
         tau = (0, 2)
-        c = {0: t.pi(), 2: t.random_ram_unit(rng)}
+        c = {0: t.pi(), 2: random_unit(t, rng)}
         M = fam.normal_form(t, tau, c)
         got_tau, tcount, reduced = a_index(M)
         assert got_tau == tau and tcount == 2 and reduced == 2

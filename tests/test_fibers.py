@@ -2,7 +2,7 @@
 of `families.deform_specialize` built from RamElems.
 
 Every specialization either gives, on both routes, the same module (its
-RamElem `matrices`, the packed forms' `cs` and `precs`, `repr_orders`,
+RamElem `matrices`, the packed forms' `cs`, `precs` and `ords`,
 `det_orders`, `entry_orders`, pairing scalars and family record), or is
 refused by both with the same exception class, code and message.  Bases are
 normal forms with zero, pi-power, dense and truncated entries; targets lie
@@ -32,8 +32,8 @@ def outcome(route, base, target, assignment):
         M = route(base, target, assignment)
     except (DomainError, PrecisionError) as exc:
         return type(exc), getattr(exc, "code", None), str(exc)
-    return (M.matrices, [(P.cs, P.precs) for P in M.packed_matrices],
-            [tuple(r) for r in M.repr_orders], M.det_orders, M.entry_orders, M.det_sum,
+    return (M.matrices, [(P.cs, P.precs, tuple(P.ords)) for P in M.packed_matrices],
+            M.det_orders, M.entry_orders, M.det_sum,
             M.delta, M.mode, M.family, M.pairing_note)
 
 

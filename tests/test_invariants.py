@@ -10,17 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from dieumod import (
     DModule, DomainError, PrecisionError, lie_type, a_type, a_index, newton_point, classify,
-    a_type_bounds, dual_invariants, admissible_indices, slope_point,
+    a_type_bounds, dual_invariants, admissible_indices,
     invariant_report, LieType, AType, NewtonPoint,
 )
 from dieumod import families as fam
 from dieumod import invariants as inv
 from dieumod import modp
-from dieumod.modules import mat_mul, mat_sigma
-from dieumod.wittring import RamElem
+from dieumod.modules import mat_sigma
+from dieumod.wittring import CoeffTower, RamElem
 import atyperef
 import chainref
-from conftest import tower
+from conftest import mat_mul, random_unit, tower
 
 
 class TestLieType:
@@ -149,7 +149,7 @@ class TestNewton:
     def test_sequence_symmetry(self):
         for g in (2, 3, 5, 6):
             for i in admissible_indices(g):
-                seq = slope_point(g, i).sequence
+                seq = NewtonPoint(g, i).sequence
                 assert len(seq) == 2 * g
                 assert sorted(1 - s for s in seq) == sorted(seq)
 
@@ -192,6 +192,20 @@ class TestIntegerNewtonArithmetic:
                 assert len({id(pair) for pair in data["sequence"]}) == 2 * g
                 assert P.is_ordinary == (index == 0)
                 assert P.is_supersingular == (2 * index == g)
+
+    def test_int_index_is_kept_as_a_fraction(self):
+        P = NewtonPoint(4, 1)
+        assert type(P.index) is Fraction
+        assert P.sequence[0] == Fraction(1, 4)
+        assert all(type(s) is Fraction for s in P.sequence)
+        Q = NewtonPoint(4, Fraction(1))
+        assert P == Q and P.to_json() == Q.to_json() and repr(P) == "s(1)"
+
+    @pytest.mark.parametrize("index", [0.5, 1.0, "1", True, None])
+    def test_other_index_types_are_refused(self, index):
+        with pytest.raises(DomainError) as exc:
+            NewtonPoint(4, index)
+        assert exc.value.code == "bad-slope"
 
     def test_a_number_is_the_pair_sum_and_not_a_field(self):
         assert "a_number" not in {f.name for f in dataclasses.fields(AType)}
@@ -436,7 +450,7 @@ def base_change(M, rng):
     Ps, Pinvs = [], []
     for _ in range(f):
         u, l = t.random_ram(rng), t.random_ram(rng)
-        d1, d2 = t.random_ram_unit(rng), t.random_ram_unit(rng)
+        d1, d2 = random_unit(t, rng), random_unit(t, rng)
         U, L, D = ((t.one(), u), (t.zero(), t.one())), ((t.one(), t.zero()), (l, t.one())), \
             ((d1, t.zero()), (t.zero(), d2))
         Ps.append(mat_mul(mat_mul(U, L), D))
@@ -618,7 +632,7 @@ def _sparse_entry(t, rng):
         return t.zero()
     if kind == 1:
         return t.pi_pow(k)
-    return (t.random_ram_unit(rng) if kind == 2 else t.random_ram(rng)) * t.pi_pow(k)
+    return (random_unit(t, rng) if kind == 2 else t.random_ram(rng)) * t.pi_pow(k)
 
 
 def sparse_module(t, rng):
@@ -691,7 +705,8 @@ class TestATypeRoutes:
 
     def test_products_only_on_ties(self, rng, monkeypatch):
         # the families decide every mixed minor from valuations; normal forms
-        # may multiply, but only the two terms of a tie below precision
+        # and base changes may multiply, by one `pair_sum` of the packed
+        # forms, but only the two terms of a tie below precision
         families, normal_forms = [], []
         for p, f, e, ext in ((3, 1, 1, 2), (3, 2, 2, 2), (3, 3, 2, 2), (3, 4, 1, 2),
                              (5, 2, 4, 2), (2, 3, 1, 1), (5, 1, 2, 1)):
@@ -704,28 +719,33 @@ class TestATypeRoutes:
                 tau = tuple(i for i in range(f) if n >> i & 1)
                 normal_forms.append(fam.normal_form(
                     t, tau, {i: t.random_ram(rng) * t.pi_pow(n % (e + 1)) for i in tau}))
+        normal_forms += [base_change(M, rng) for M in normal_forms]
         sums = []
-        mul = RamElem.__mul__
+        pair_sum = CoeffTower.pair_sum
 
-        def counting(x, y):
-            sums.append((x._repr_ord() + y._repr_ord(), min(x.prec, y.prec)))
-            return mul(x, y)
+        def counting(t, P, Q, pairs, *signs):
+            out = pair_sum(t, P, Q, pairs, *signs)
+            # the valuation of each product's stored terms, and the sum's precision
+            sums.append(([P.ords[i] + Q.ords[j] for i, j in pairs], out[1]))
+            return out
 
-        monkeypatch.setattr(RamElem, "__mul__", counting)
+        monkeypatch.setattr(CoeffTower, "pair_sum", counting)
         for M in families:
             a_type(M)
             assert not sums, M
+        ties = 0
         for M in normal_forms:
             sums.clear()
             a_type(M)
-            assert len(sums) % 2 == 0
-            for (v1, q1), (v2, q2) in zip(sums[::2], sums[1::2]):
-                assert v1 == v2 < min(q1, q2)
+            for (v1, v2), prec in sums:
+                assert v1 == v2 < prec
+            ties += len(sums)
+        assert ties
 
 
 class TestStoredValuations:
-    """`DModule.__init__` keeps each entry's `_repr_ord` in `repr_orders`,
-    and the a-type reads it there."""
+    """`DModule.__init__` keeps each entry's `_repr_ord` in the `ords` of
+    its packed form, and the a-type reads it there."""
 
     @settings(max_examples=150, deadline=None)
     @given(modules())
@@ -742,9 +762,9 @@ class TestStoredValuations:
         for X in presentations:
             if X is None:
                 continue
-            assert len(X.repr_orders) == X.f
-            for A, reprs in zip(X.matrices, X.repr_orders):
-                assert reprs == tuple(x._repr_ord() for row in A for x in row)
+            assert len(X.packed_matrices) == X.f
+            for A, P in zip(X.matrices, X.packed_matrices):
+                assert P.ords == tuple(x._repr_ord() for row in A for x in row)
 
     def test_reports_read_no_entry_valuation(self, rng, monkeypatch):
         # a_type and invariant_report take no valuation of an entry; a

@@ -6,11 +6,12 @@ import pytest
 from dieumod import (
     CoeffTower, DModule, DomainError, PrecisionError, lie_type, a_type, newton_point,
 )
-from dieumod.modules import mat_det, mat_mul, mat_sigma
+from dieumod.modules import mat_sigma
 from dieumod.wittring import RamElem, WittElem
 from dieumod import families as fam
 import chainref
-from conftest import tower
+from conftest import mat_mul, random_unit, tower
+from validationref import mat_det
 
 
 def ordinary_mats(t):
@@ -243,7 +244,7 @@ class TestMatMul:
 
         def entry():
             x = rng.choice([t.zero(), t.pi_pow(rng.randrange(2 * e)), t.random_ram(rng),
-                            t.random_ram_unit(rng) * t.pi_pow(rng.randrange(e + 1))])
+                            random_unit(t, rng) * t.pi_pow(rng.randrange(e + 1))])
             return RamElem(t, x.coeffs, rng.randrange(1, full + 1)) if rng.random() < .4 else x
 
         packs = [0]

@@ -20,6 +20,7 @@ from dieumod import invariants as inv
 from dieumod import modules
 from dieumod.wittring import CoeffTower, RamElem
 from conftest import tower
+from test_invariants import base_change, family_module
 import familyref
 
 SHAPES = [(p, f, e, ext) for p in (2, 3, 5) for f in (1, 2, 3) for e in (1, 2, 3)
@@ -36,8 +37,8 @@ def outcome(route, args):
     except (DomainError, PrecisionError) as exc:
         return type(exc), getattr(exc, "code", None), str(exc)
     return ([(P.cs, P.precs, P.ords) for P in M.packed_matrices], M.det_orders,
-            M.entry_orders, [tuple(r) for r in M.repr_orders], M.det_sum, M.delta,
-            M.mode, M.matrices, M.dumps(), M.family, M.pairing_note)
+            M.entry_orders, M.det_sum, M.delta, M.mode, M.matrices, M.dumps(), M.family,
+            M.pairing_note)
 
 
 def coefficient(t, rng):
@@ -188,3 +189,31 @@ class TestReportsFormNoRamElem:
                 inv.invariant_report(M)
                 assert M._matrices is None
         assert made == []
+
+    def test_reports_with_ties_form_no_ramelem(self, rng, monkeypatch):
+        # base-changed families tie below precision in the a-type's mixed
+        # minors; a tie is multiplied out on the packed forms, so a report
+        # forms no RamElem matrix and takes no RamElem product
+        tied, ties = [], []
+        pair_sum = CoeffTower.pair_sum
+        monkeypatch.setattr(CoeffTower, "pair_sum",
+                            lambda self, *args: ties.append(args) or pair_sum(self, *args))
+        for p, f, e in ((3, 2, 2), (3, 3, 1), (5, 2, 2), (2, 4, 1), (3, 1, 3)):
+            t = tower(p, f, e)
+            for kind in ("normal", "slope", "superspecial", "superspecial-general"):
+                X = base_change(family_module(t, kind, rng), rng)
+                M = modules.DModule(t, [t.packed(A) for A in X.matrices], X.delta, X.mode)
+                ties.clear()
+                inv.a_type(M)
+                if ties:
+                    tied.append(M)
+        assert len(tied) >= 10
+        made, products = [], []
+        ram_matrix, mul = CoeffTower.ram_matrix, RamElem.__mul__
+        monkeypatch.setattr(CoeffTower, "ram_matrix",
+                            lambda self, P: made.append(P) or ram_matrix(self, P))
+        monkeypatch.setattr(RamElem, "__mul__",
+                            lambda x, y: products.append(y) or mul(x, y))
+        for M in tied:
+            inv.invariant_report(M)
+            assert M._matrices is None and made == [] and products == [], M

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from dieumod import CoeffTower, DomainError, PrecisionError, INF
 from dieumod.wittring import WittElem, RamElem
-from dieumod.modules import mat_mul
 from dieumod import families as fam
 from dieumod import fppoly, modp
-from conftest import tower
+from conftest import mat_mul, random_unit, tower
 from polyref import is_irreducible, pdivmod
 from chainref import mat_mul as entrywise_mat_mul
+import inverseref
 
 
 class TestTowerConstruction:
@@ -120,13 +120,14 @@ class TestWittArithmetic:
         assert t.witt(7).sigma() == t.witt(7)
 
     def test_inverse(self, rng):
+        # a Witt unit inverts as a ramified element (e = 1: W_N itself)
         t = tower(5, 2, 1)
         for _ in range(30):
             a = t.random_witt(rng)
             if a.is_unit():
-                assert a * a.inverse() == t.witt_one()
+                assert t.ram(a) * t.ram(a).inverse() == t.one()
         with pytest.raises(DomainError):
-            t.witt(5).inverse()
+            t.ram(t.witt(5)).inverse()
 
 
 class TestTeichmuller:
@@ -304,7 +305,7 @@ class TestRamified:
     def test_inverse(self, rng):
         t = tower(3, 2, 2, ext=2)
         for _ in range(30):
-            u = t.random_ram_unit(rng)
+            u = random_unit(t, rng)
             assert u * u.inverse() == t.one()
 
     def test_serialization(self):
@@ -556,9 +557,37 @@ class TestReferenceArithmetic:
         assert list(w.sigma(1).coeffs) == ref_witt_sigma(t, top[0], 1)
 
 
+class TestInverseReference:
+    """`RamElem.inverse`, one Newton iteration from the residue, against
+    `inverseref.ram_inverse`, which first inverts the constant coefficient
+    in W_N: the same value and precision (RamElem == compares both), and the
+    same refusal of a non-unit."""
+
+    @staticmethod
+    def outcome(inverse, x):
+        try:
+            return inverse(x)
+        except DomainError as exc:
+            return type(exc), exc.code, str(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_witt_then_ramified(self, data):
+        t = data.draw(towers())
+        x = ram_elem(data.draw, t)
+        if data.draw(st.booleans()):  # mostly a unit, truncated ones included
+            x = x + t.witt(data.draw(st.integers(1, t.p - 1)))
+        got = self.outcome(RamElem.inverse, x)
+        assert got == self.outcome(inverseref.ram_inverse, x)
+        if x.is_unit():
+            err = t.one() - x * got
+            assert got.prec == x.prec and err.ord_lower() >= x.prec
+
+
 # -- the packed 2x2 kernel against the entrywise product -----------------------
 #
-# `entrywise_mat_mul` is `chainref.mat_mul`, the reference of the chains.
+# `mat_mul` is the conftest helper on the kernel; `entrywise_mat_mul` is
+# `chainref.mat_mul`, the reference of the chains.
 
 
 def entrywise_trace(A, B):
@@ -590,8 +619,8 @@ def mat_entry(draw, t):
 
 
 class TestMatMulKernel:
-    """`mat_mul` (one packed kernel) equals the entrywise product, prec
-    included (RamElem == compares coefficients and prec)."""
+    """`mat_mul` (the packed kernel `mat_product`) equals the entrywise
+    product, prec included (RamElem == compares coefficients and prec)."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
