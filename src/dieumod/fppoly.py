@@ -9,7 +9,9 @@ x**(q-2), by Fermat, and a lazy generator power gen()**k is formed by it)
 and `window_table`/`window_pow` compute the fixed-base powers of the
 Teichmuller lift T**k (`CoeffTower.teichmuller`) with one product per
 nonzero base-2^W digit of the exponent; all three take the ring's
-multiplication from their arguments.
+multiplication from their arguments.  `teichmuller_point` is the one
+statement of the lift rule, a closed-form power: `teichmuller_modulus` lifts
+x by it, and `CoeffTower.teichmuller` an element without a discrete log.
 
 The kernel does no per-slot work on slots that hold nothing, and each
 shortcut returns what the slot loop would: a constant, zero included, is
@@ -296,6 +298,17 @@ def smallest_primitive(p, d):
     raise RuntimeError("no primitive polynomial found (impossible for prime p)")
 
 
+def teichmuller_point(y, q, d, N, mul, one):
+    """The Teichmuller point of W_N(F_q), q = p^d, congruent to y mod p:
+    y**(q^k) with k = ceil((N-1)/d), in the ring that `mul` and `one` give.
+
+    Let w be that point, so w = y mod p and w^q = w.  If u = v mod p^j with
+    j >= 1 then u^p = v^p mod p^(j+1) (Serre, Local Fields, II 4-6), so
+    y = w mod p^j gives y^q = w^q = w mod p^(j+d): each q-th power gains d
+    digits, and k of them take the one digit of y to the N of the ring."""
+    return power(y, q ** -(-(N - 1) // d), mul, one)
+
+
 def teichmuller_modulus(mu, p, N):
     """Lift an irreducible mu over F_p to the monic factor m of T^(q-1) - 1 over Z/p^N.
 
@@ -310,13 +323,7 @@ def teichmuller_modulus(mu, p, N):
     ring = PackedQuotient(mu, m)
     mul, one = ring.mul, ring.one
 
-    # Teichmuller lift of the residue of x: iterate q-th powers to the fixpoint.
-    w = ring.x
-    for _ in range(N + 1):
-        w2 = power(w, q, mul, one)
-        if w2 == w:
-            break
-        w = w2
+    w = teichmuller_point(ring.x, q, d, N, mul, one)  # the lift of the residue of x
     # minimal polynomial = prod over Frobenius conjugates w^(p^j), as a
     # polynomial in T (low degree first) with coefficients in the ring
     zero = (0,) * d

@@ -30,8 +30,8 @@ import json
 import operator
 from functools import reduce
 
-from .wittring import (CoeffTower, PackedMatrix, PrecisionError, DomainError, is_int_list,
-                       product_prec)
+from .wittring import (INF, CoeffTower, PackedMatrix, PrecisionError, DomainError,
+                       is_int_list, product_prec)
 
 
 def mat(tower, rows):
@@ -175,13 +175,11 @@ class DModule:
         dets = []
         for i, P in enumerate(self.packed_matrices):
             det, prec = tower.det(P)
-            v = tower._repr_ord(det)
-            if v >= prec:  # RamElem.ord_pi's rule
-                if prec == full:
-                    # zero in O/pi^(eN) certifies only valuation >= eN, not a zero of O
-                    raise PrecisionError(f"det A[{i}] is divisible by pi^{full}, the working "
-                                         f"precision", lower_bound=full)
-                tower.certified_ord(v, prec)
+            v = tower.certified_ord(tower._repr_ord(det), prec)
+            if v == INF:
+                # zero in O/pi^(eN) certifies only valuation >= eN, not a zero of O
+                raise PrecisionError(f"det A[{i}] is divisible by pi^{full}, the working "
+                                     f"precision", lower_bound=full)
             precs = P.precs or (full,) * 4
             ords = [min(r, q) for r, q in zip(P.ords, precs)]  # ord_lower
             m = min(ords)  # adj(A) has the entries of A up to sign

@@ -13,7 +13,7 @@ directions' coefficients packed into one integer v.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import factorial
 
 from .wittring import DomainError, count_text
@@ -230,15 +230,10 @@ def polarization_degree_exponent(pairs, e, f, normalize=True):
         if sum(sums) != e * f:
             raise DomainError("det-budget",
                               "normalization needs Lie exponents summing to g")
-        partial = [0]
-        for s in sums[:-1]:
-            partial.append(partial[-1] + s - e)
-        best = min(range(f), key=lambda r: (partial[r], r))
+        partial = [0, *accumulate(s - e for s in sums[:-1])]
+        best = partial.index(min(partial))
         sums = sums[best:] + sums[:best]
-    D = 0
-    for i in range(1, f):
-        D += 2 * sum(sums[k] - e for k in range(i))
-    return D
+    return 2 * sum(accumulate(s - e for s in sums[:-1]))
 
 
 def superspecial_types(e, f):

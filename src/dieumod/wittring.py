@@ -55,9 +55,11 @@ the tower's `_ram_pack`/`_ram_reduce`.
 * A Teichmuller lift T**k is one window power on packed integers of the
   tower's ring: the window table of T holds packed ints, each product is
   `PackedQuotient.mul_packed` (reduced, and kept packed), and the lift is
-  one split of the power, with no WittElem per product.
-* `RamElem.mul_pi(k)` is the exact shift by pi^k, the inverse of `div_pi`:
-  no kernel product runs.  `families` writes every family module and
+  one split of the power, with no WittElem per product; an element without
+  a log lifts in closed form (`fppoly.teichmuller_point`).
+* `RamElem.mul_pi(k)` and `div_pi(k)` are exact shifts in closed form, no
+  kernel product: coefficient j moves to j +- k mod e, times or divided by
+  p per wrap past pi^e = p.  `families` writes every family module and
   deformation fiber as PackedMatrices from coefficient tuples, which
   `DModule` takes as they are.
 * sigma^n is the substitution x -> x^(p^n): one linear combination of the
@@ -437,8 +439,8 @@ class CoeffTower:
         exists for q <= 2^16) lifts as T**k, read off a fixed-base window
         table of T built on first use: one product per nonzero base-16 digit
         of k, each kept packed (`PackedQuotient.mul_packed`), and one split
-        of the result.  Larger fields lift a log-less element by
-        `_lift_by_iteration`.
+        of the result.  Larger fields lift a log-less element in closed
+        form, y**(q^ceil((N-1)/d)) (`fppoly.teichmuller_point`).
         """
         F = self.residue_field
         if isinstance(a, int):
@@ -448,27 +450,15 @@ class CoeffTower:
         if not a:
             return self.witt_zero()
         k = F.discrete_log(a)
-        if k is None:
-            return self._lift_by_iteration(a)
         ring = self._ring
+        if k is None:
+            return WittElem(self, fppoly.teichmuller_point(a.coeffs, self.q, self.d, self.N,
+                                                           ring.mul, ring.one))
         if self._gen_rows is None:
             self._gen_rows = fppoly.window_table(ring.pack(ring.x), self.q - 1,
                                                  ring.mul_packed, 1)
         return WittElem(self, ring.split(fppoly.window_pow(
             self._gen_rows, k % (self.q - 1), ring.mul_packed, 1)))
-
-    def _lift_by_iteration(self, a):
-        """Teichmuller lift of a nonzero residue a without its log: iterate
-        y -> sigma^(-1)(y)**p from any lift y of a.  If y = w(a) mod p^k then
-        sigma^(-1)(y) = w(a^(1/p)) mod p^k, and its p-th power is w(a) mod
-        p^(k+1), so each step gains one digit."""
-        y = WittElem(self, a.coeffs)
-        for _ in range(self.N + 1):
-            y2 = y.sigma(-1) ** self.p
-            if y2 == y:
-                return y2
-            y = y2
-        raise RuntimeError("Teichmuller iteration did not stabilize")
 
     def random_witt(self, rng):
         return self.witt([rng.randrange(self.pN) for _ in range(self.d)])
@@ -496,10 +486,7 @@ class CoeffTower:
         return self.pi_pow(1)
 
     def pi_pow(self, n):
-        if n < 0:
-            raise DomainError("bad-shape", "negative pi power")
-        q, r = divmod(n, self.e)
-        return self.ram([0] * r + [pow(self.p, q, self.pN)])
+        return self.one().mul_pi(n)
 
     def random_ram(self, rng):
         return self.ram([self.random_witt(rng) for _ in range(self.e)])
@@ -608,6 +595,9 @@ class WittElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self**n; a negative n powers the ramified inverse (`non-unit`)."""
+        if n < 0:
+            return self.tower.ram(self).inverse().coeffs[0] ** -n
         return fppoly.power(self, n, operator.mul, self.tower.witt_one())
 
     def sigma(self, n=1):
@@ -630,13 +620,6 @@ class WittElem:
         """The reduction mod p; the coefficients already have degree < d."""
         p = self.tower.p
         return FqElem(self.tower.residue_field, tuple([c % p for c in self.coeffs]))
-
-    def exact_div_p(self):
-        """Exact division by p; the top p-adic digit of the result is not
-        certified (callers account for it through RamElem precision)."""
-        if any(c % self.tower.p for c in self.coeffs):
-            raise DomainError("non-divisible", "Witt element is not divisible by p")
-        return WittElem(self.tower, tuple(c // self.tower.p for c in self.coeffs))
 
     def to_json(self):
         return list(self.coeffs)
@@ -771,19 +754,25 @@ class RamElem:
         return RamElem(t, out, self.prec + k)
 
     def div_pi(self, v=1):
-        """Exact division by pi^v; costs v digits of certified precision."""
+        """Exact division by pi^v, which costs v digits of precision: the
+        inverse shift of `mul_pi`, coefficient j moves to j - v mod e and is
+        divided by p^min(ceil((v - j)/e), N), since a coefficient has N
+        digits.  `non-divisible` is checked before the precision left."""
         t = self.tower
-        x = list(self.coeffs)
-        prec = self.prec
-        for _ in range(v):
-            low = x[0]
-            if any(c % t.p for c in low.coeffs):
-                raise DomainError("non-divisible", "element is not divisible by pi")
-            x = x[1:] + [low.exact_div_p()]
-            prec -= 1
-        if prec <= 0:
+        if v < 0:
+            raise DomainError("bad-shape", "negative pi power")
+        e, out = t.e, [None] * t.e
+        for j, c in enumerate(self.coeffs):
+            w = -(-(v - j) // e)  # >= 0, since j < e
+            if w and c:
+                m = t.p ** min(w, t.N)
+                if any(x % m for x in c.coeffs):
+                    raise DomainError("non-divisible", "element is not divisible by pi")
+                c = WittElem(t, tuple([x // m for x in c.coeffs]))
+            out[(j - v) % e] = c
+        if self.prec - v <= 0:
             raise PrecisionError("no certified digits left after pi-division", lower_bound=0)
-        return RamElem(t, x, prec)
+        return RamElem(t, out, self.prec - v)
 
     def unit_part(self):
         """(v, u) with self = pi^v * u and u a unit; requires a nonzero

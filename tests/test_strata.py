@@ -119,6 +119,46 @@ class TestFormulas:
         assert polarization_degree_exponent(rotated, 1, 3, normalize=True) == 4
         assert polarization_degree_exponent(rotated, 1, 3, normalize=False) == -2
 
+    @staticmethod
+    def double_sum_degree_exponent(pairs, e, f, normalize):
+        """The exponent as the formula reads: partial sums to choose the
+        rotation, then D = 2 sum_{i=1}^{f-1} sum_{k<i} (s_k - e)."""
+        sums = [x + y for x, y in pairs]
+        if normalize:
+            if sum(sums) != e * f:
+                raise DomainError("det-budget",
+                                  "normalization needs Lie exponents summing to g")
+            partial = [0]
+            for s in sums[:-1]:
+                partial.append(partial[-1] + s - e)
+            best = min(range(f), key=lambda r: (partial[r], r))
+            sums = sums[best:] + sums[:best]
+        D = 0
+        for i in range(1, f):
+            D += 2 * sum(sums[k] - e for k in range(i))
+        return D
+
+    def test_degree_exponent_matches_the_double_sum(self):
+        # every Lie type with e <= 3 and f <= 5, both conventions, the
+        # det-budget refusal included
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except DomainError as exc:
+                return exc.code, str(exc)
+
+        budget = 0
+        for e in range(1, 4):
+            slot = [(x, y) for y in range(e + 1) for x in range(y + 1)]
+            for f in range(1, 6):
+                for pairs in product(slot, repeat=f):
+                    for normalize in (True, False):
+                        got = outcome(polarization_degree_exponent, pairs, e, f, normalize)
+                        assert got == outcome(self.double_sum_degree_exponent,
+                                              pairs, e, f, normalize), (pairs, normalize)
+                        budget += type(got) is tuple
+        assert budget
+
     @pytest.mark.parametrize("call", [
         lambda: dp_stratum_dim([(0, 1), (0, 1)], 1, 1),
         lambda: dp_stratum_dim([(0, 2), (1, 2)], 2, 1),

@@ -11,7 +11,9 @@ from dieumod import fppoly, modp
 from conftest import mat_mul, random_unit, tower
 from polyref import is_irreducible, pdivmod
 from chainref import mat_mul as entrywise_mat_mul
+import divpiref
 import inverseref
+import teichref
 
 
 class TestTowerConstruction:
@@ -129,6 +131,31 @@ class TestWittArithmetic:
         with pytest.raises(DomainError):
             t.ram(t.witt(5)).inverse()
 
+    def test_negative_power_of_a_unit(self, rng):
+        # w ** -n is the n-th power of the ramified inverse's constant
+        # coefficient, whose higher pi-coefficients are all zero
+        t = tower(3, 2, 2, ext=2)
+        one, units = t.witt_one(), 0
+        for _ in range(100):
+            w = t.random_witt(rng)
+            if not w.is_unit():
+                continue
+            units += 1
+            inv = t.ram(w).inverse()
+            assert not any(inv.coeffs[1:])
+            assert w ** -1 == inv.coeffs[0] and w * w ** -1 == one
+            assert w ** -3 * w ** 3 == one
+        assert units
+        z = CoeffTower(3, 1, 1)  # W_3(F_3) = Z/27, where 2 * 14 = 1
+        assert z.pN == 27 and z.witt(2) ** -1 == z.witt(14)
+
+    def test_negative_power_of_a_non_unit_is_refused(self):
+        t = tower(3, 2, 2, ext=2)
+        for w in (t.witt(3), t.witt_zero(), t.witt([3, 6, 9, 12])):
+            with pytest.raises(DomainError) as exc:
+                w ** -2
+            assert exc.value.code == "non-unit"
+
 
 class TestTeichmuller:
     def test_zero_and_one(self):
@@ -175,9 +202,10 @@ class TestTeichmuller:
 
     def test_genpow_fast_path_matches_iteration(self, rng, monkeypatch):
         # the logged lift (window table of T) against the Frobenius-root
-        # iteration, p in {2, 3, 5}, d = 1 included, N >= 2; the log-less
-        # element lifts through the log table, and through the iteration
-        # in the q = 3^11 > 2^16 field, which never asks for a table
+        # iteration (`teichref`), p in {2, 3, 5}, d = 1 included, N >= 2;
+        # the log-less element lifts through the log table, and through the
+        # closed form in the q = 3^11 > 2^16 field, which never asks for a
+        # table
         asked = []
         log_table = modp.log_table
         monkeypatch.setattr(modp, "log_table",
@@ -192,7 +220,7 @@ class TestTeichmuller:
                 viapow = t.teichmuller(F.gen_pow(k))
                 plain = F.elem(list(F.gen_pow(k).coeffs))
                 assert plain.log is None
-                y = t._lift_by_iteration(plain)
+                y = teichref.lift_by_iteration(t, plain)
                 assert y == viapow == t.teichmuller(plain)
                 assert y ** t.q == y and y.residue() == plain
         assert asked and max(asked) <= modp.LOG_TABLE_MAX_ORDER
@@ -213,7 +241,7 @@ class TestTeichmuller:
         for x in xs:
             y = t.teichmuller(x)
             if x:
-                assert y == t._lift_by_iteration(x), x
+                assert y == teichref.lift_by_iteration(t, x), x
             assert y ** t.q == y and y.residue() == x, x
         table = log_table(p, F.mu)
         assert set(asked) == {F.mu} and table.itemsize == 2 and len(table) == F.order
@@ -286,6 +314,8 @@ class TestRamified:
         assert y.mul_pi(2) == RamElem(t, x.coeffs, y.prec + 2)  # the inverse shift
         with pytest.raises(DomainError, match="negative"):
             x.mul_pi(-1)
+        with pytest.raises(DomainError, match="negative"):
+            x.div_pi(-1)
 
     def test_unit_part(self):
         t = tower(3, 1, 2)
@@ -542,6 +572,7 @@ class TestReferenceArithmetic:
         x = ram_elem(data.draw, t)
         for k in (0, 1, t.e, data.draw(st.integers(t.e, t.pi_precision + 2 * t.e))):
             assert ram_of(x.mul_pi(k)) == ram_of(x * t.pi_pow(k)), k
+            assert t.pi_pow(k) == t.pi() ** k, k
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_every_slot_at_its_bound(self, p):
@@ -582,6 +613,75 @@ class TestInverseReference:
         if x.is_unit():
             err = t.one() - x * got
             assert got.prec == x.prec and err.ord_lower() >= x.prec
+
+
+@cache
+def lift_tower(p, d, N):
+    return CoeffTower(p, 1, 2, d, N)
+
+
+class TestTeichmullerReference:
+    """Every Teichmuller route against `teichref`, the step loops that stop
+    at their fixpoint: in `CoeffTower.teichmuller` the logged window power,
+    the log table and the closed form `fppoly.teichmuller_point` (q = 3^11
+    > 2^16, where no log table is built), and `fppoly.teichmuller_modulus`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_lift_route_matches_the_iteration(self, data):
+        p, d = data.draw(st.sampled_from(((2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 2),
+                                          (3, 11))))
+        t = lift_tower(p, d, data.draw(st.integers(2, 6)))
+        F = t.residue_field
+        logged = F.gen_pow(data.draw(st.integers(0, t.q - 2)))
+        plain = F.elem(list(logged.coeffs))
+        assert (F.discrete_log(plain) is None) == (t.q > modp.LOG_TABLE_MAX_ORDER)
+        assert t.teichmuller(logged) == teichref.lift_by_iteration(t, plain) \
+            == t.teichmuller(plain)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([(p, d) for p in (2, 3, 5, 7, 11) for d in (1, 2, 3, 4, 6, 8, 16)
+                            if p ** d < 2 ** 64]),
+           st.integers(1, 8))
+    def test_modulus_matches_the_fixpoint_loop(self, shape, N):
+        p, d = shape
+        mu = list(fppoly.smallest_primitive(p, d))
+        assert fppoly.teichmuller_modulus(mu, p, N) == teichref.teichmuller_modulus(mu, p, N)
+
+
+class TestDivPiReference:
+    """`RamElem.div_pi`, the closed-form shift, against `divpiref.div_pi`,
+    the stepwise division: the same value and precision, and the same
+    refusal (`non-divisible` before `PrecisionError`), at every v up to
+    2eN + 2, on drawn elements (truncated ones included) and on their
+    shifts by `mul_pi`, which are divisible."""
+
+    @staticmethod
+    def outcome(div, x, v):
+        try:
+            return ram_of(div(x, v))
+        except (DomainError, PrecisionError) as exc:
+            return (type(exc), getattr(exc, "code", None), str(exc),
+                    getattr(exc, "lower_bound", None))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_stepwise_division(self, data):
+        t = data.draw(towers())
+        x = ram_elem(data.draw, t)
+        if data.draw(st.booleans()):
+            x = x.mul_pi(data.draw(st.integers(0, 2 * t.pi_precision)))
+        for v in range(2 * t.pi_precision + 3):
+            assert self.outcome(RamElem.div_pi, x, v) == self.outcome(divpiref.div_pi, x, v), v
+
+    def test_negative_power_is_refused(self):
+        # the stepwise loop took no step and returned x
+        t = tower(3, 1, 2)
+        x = t.pi_pow(3)
+        assert divpiref.div_pi(x, -1) == x
+        with pytest.raises(DomainError) as exc:
+            x.div_pi(-1)
+        assert exc.value.code == "bad-shape"
 
 
 # -- the packed 2x2 kernel against the entrywise product -----------------------
