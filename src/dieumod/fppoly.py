@@ -10,8 +10,9 @@ and `window_table`/`window_pow` compute the fixed-base powers of the
 Teichmuller lift T**k (`CoeffTower.teichmuller`) with one product per
 nonzero base-2^W digit of the exponent; all three take the ring's
 multiplication from their arguments.  `teichmuller_point` is the one
-statement of the lift rule, a closed-form power: `teichmuller_modulus` lifts
-x by it, and `CoeffTower.teichmuller` an element without a discrete log.
+statement of the lift rule, the closed form y**(q^ceil((N-1)/d)) for any
+lift y: `teichmuller_modulus` lifts the residue of x by it, and
+`CoeffTower.teichmuller` an element without a discrete log.
 
 The kernel does no per-slot work on slots that hold nothing, and each
 shortcut returns what the slot loop would: a constant, zero included, is

@@ -674,15 +674,6 @@ class TestDivPiReference:
         for v in range(2 * t.pi_precision + 3):
             assert self.outcome(RamElem.div_pi, x, v) == self.outcome(divpiref.div_pi, x, v), v
 
-    def test_negative_power_is_refused(self):
-        # the stepwise loop took no step and returned x
-        t = tower(3, 1, 2)
-        x = t.pi_pow(3)
-        assert divpiref.div_pi(x, -1) == x
-        with pytest.raises(DomainError) as exc:
-            x.div_pi(-1)
-        assert exc.value.code == "bad-shape"
-
 
 # -- the packed 2x2 kernel against the entrywise product -----------------------
 #

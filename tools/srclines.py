@@ -29,9 +29,9 @@ _LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
 def _docstring_lines(source):
     """The line numbers that the docstrings of `source` span."""
     lines = set()
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and ast.get_docstring(node, clean=False) is not None:
+        if isinstance(node, owners) and ast.get_docstring(node, clean=False) is not None:
             doc = node.body[0]
             lines.update(range(doc.lineno, doc.end_lineno + 1))
     return lines
