@@ -36,8 +36,7 @@ def _odd_sign_scalar(tower):
     if order % need:
         return None, ("no pairing: the working field has no scalar with "
                       "sigma^f(z) = -z; use an even base-field extension")
-    zeta = tower.residue_field.gen_pow(order // need)
-    return tower.ram(tower.teichmuller(zeta)), None
+    return tower.ram(tower.teichmuller_power(order // need)), None
 
 
 def _pairing_scalars(tower, signs):
@@ -317,13 +316,12 @@ def sample_deform(tower, tau, target, trials, rng):
         ai = target[i] if target[i] else 1
         c[i] = tower.pi_pow(ai - 1)  # entry c_i * pi has valuation exactly ai
     base = normal_form(tower, tau, c)
-    F = tower.residue_field
     hist = {}
     for _ in range(trials):
         assignment = {}
         for i in range(f):
             for j in range(target[i], e):
-                assignment[(i, j)] = F.random_unit(rng)
+                assignment[(i, j)] = tower.teichmuller_power(rng.randrange(tower.q - 1))
         M = deform_specialize(base, target, assignment)
         idx = newton_point(M).index
         hist[idx] = hist.get(idx, 0) + 1

@@ -5,14 +5,14 @@ tuples of exactly d coefficients in [0, m), little-endian: the format of
 `PackedQuotient`, which owns their packed (Kronecker) product in
 (Z/m)[x]/(modulus).  `modp.ResidueField` and `wittring.CoeffTower` each
 build one.  `power` squares and multiplies (a residue-field inverse is
-x**(q-2), by Fermat, and a lazy generator power gen()**k is formed by it)
-and `window_table`/`window_pow` compute the fixed-base powers of the
-Teichmuller lift T**k (`CoeffTower.teichmuller`) with one product per
-nonzero base-2^W digit of the exponent; all three take the ring's
+x**(q-2), by Fermat, and a generator power gen()**k is formed by it) and
+`window_table`/`window_pow` compute the fixed-base powers of the
+Teichmuller point T**k (`CoeffTower.teichmuller_power`) with one product
+per nonzero base-2^W digit of the exponent; all three take the ring's
 multiplication from their arguments.  `teichmuller_point` is the one
 statement of the lift rule, the closed form y**(q^ceil((N-1)/d)) for any
 lift y: `teichmuller_modulus` lifts the residue of x by it, and
-`CoeffTower.teichmuller` an element without a discrete log.
+`CoeffTower.teichmuller` an element of a field with no log table.
 
 The kernel does no per-slot work on slots that hold nothing, and each
 shortcut returns what the slot loop would: a constant, zero included, is

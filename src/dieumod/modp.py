@@ -1,15 +1,15 @@
 """Mod-p layer: the residue field F_{p^d}, the Artinian ring k[pi]/(pi^e),
 and Smith normal form over it.
 
-A residue-field element is a tuple of exactly d residues in [0, p) modulo
-a fixed irreducible polynomial of degree d: the format of the field's
-`fppoly.PackedQuotient` (m = p), the kernel that `wittring.CoeffTower` runs
-over Z/p^N, so a residue and a Witt vector share one shape and pass between
-the layers unchanged.  Sums are coefficientwise mod p; a product is one
-packed integer product reduced by the kernel; powers go through
-`fppoly.power`, and the inverse is x**(q-2) by Fermat.  A coefficient list
-longer than d is reduced by Horner's rule with the kernel's product, so the
-layer needs no polynomial division.
+A residue-field element is its tuple of exactly d residues in [0, p)
+modulo a fixed irreducible polynomial of degree d: the format of the
+field's `fppoly.PackedQuotient` (m = p), the kernel that
+`wittring.CoeffTower` runs over Z/p^N, so a residue and a Witt vector share
+one shape and pass between the layers unchanged.  `ResidueField.elem`
+takes at most d coefficients, as `CoeffTower.witt` does, and refuses an
+element of another field.  Sums are coefficientwise mod p; a product is
+one packed integer product reduced by the kernel; powers go through
+`fppoly.power`, and the inverse is x**(q-2) by Fermat.
 
 k[pi]/(pi^e) is a chain ring, so a matrix over it has a Smith form
 diag(pi^v1, pi^v2, ...) and the exponents are found by valuation-minimal
@@ -21,15 +21,13 @@ and a-type off valuations over the DVR.  `PiPoly`, `smith_exponents` and
 independent reference route of the tests and the names the benchmark's
 traced run wraps.
 
-The residue field also serves Teichmuller sampling, which lifts an element
-through its discrete log k to the generator as T^k (`CoeffTower.teichmuller`).
-`gen_pow` and `random_unit` carry their exponent, and form the coefficients
-(gen()**k by `fppoly.power`) only when something reads them.  Any other
-element finds its log in `log_table(p, mu)`, the one exp/log map of F_q
-(`hecke.SmallField` reads it too), for q <= 2^16: an array("H"), 2 bytes
-per element, indexed by the base-p number sum(c_j p^j) of its coefficients,
-built once per (p, mu) on first use by walking the powers of gen().  Larger
-fields have no table.
+The residue field also serves Teichmuller lifting, which lifts a unit
+through its discrete log k to the generator as T^k
+(`CoeffTower.teichmuller_power`).  A unit finds its log in
+`log_table(p, mu)`, the one exp/log map of F_q (`hecke.SmallField` reads
+it too), for q <= 2^16: an array("H"), 2 bytes per element, indexed by the
+base-p number sum(c_j p^j) of its coefficients, built once per (p, mu) on
+first use by walking the powers of gen().  Larger fields have no table.
 """
 
 import operator
@@ -94,43 +92,37 @@ class ResidueField:
     def __repr__(self):
         return f"ResidueField(p={self.p}, d={self.d})"
 
-    def elem(self, coeffs, log=None):
+    def elem(self, coeffs):
+        """FqElem from an int or a little-endian list of at most d
+        coefficients; an element of this field is returned as it is."""
         if isinstance(coeffs, FqElem):
+            if coeffs.field is not self and coeffs.field != self:
+                raise ValueError("element of a different residue field")
             return coeffs
         if isinstance(coeffs, int):
             coeffs = [coeffs]
-        c = [x % self.p for x in coeffs]
-        c += [0] * (self.d - len(c))
-        # a list longer than d: Horner in x from its top d coefficients
-        acc, x = c[-self.d:], self._ring.x
-        for a in reversed(c[:-self.d]):
-            acc = list(self._mul(acc, x))
-            acc[0] = (acc[0] + a) % self.p
-        return FqElem(self, tuple(acc), log)
+        if len(coeffs) > self.d:
+            raise ValueError("too many residue-field coefficients")
+        return FqElem(self, tuple([x % self.p for x in coeffs] + [0] * (self.d - len(coeffs))))
 
     def zero(self):
         return FqElem(self, (0,) * self.d)
 
     def one(self):
-        return FqElem(self, (1,) + (0,) * (self.d - 1), 0)
+        return FqElem(self, (1,) + (0,) * (self.d - 1))
 
     def gen(self):
         """The residue of T; a multiplicative generator when mu is primitive."""
-        return FqElem(self, self._ring.x, 1 % (self.order - 1))
+        return FqElem(self, self._ring.x)
 
     def gen_pow(self, k):
-        """gen()**k, remembering the exponent so Witt lifts stay cheap.
-
-        The coefficients are formed when first read (`FqElem.coeffs`), so an
-        element that is only lifted costs no work in F_q.
-        """
-        return FqElem(self, None, k % (self.order - 1))
+        """gen()**k, by repeated squaring (`fppoly.power`)."""
+        ring = self._ring
+        return FqElem(self, fppoly.power(ring.x, k % (self.order - 1), ring.mul, ring.one))
 
     def discrete_log(self, a):
-        """k with gen()**k = a for a nonzero a: its cached `log`, else the
-        field's log table; None when neither exists (q > 2^16)."""
-        if a.log is not None:
-            return a.log
+        """k with gen()**k = a for a nonzero a, read off the field's log
+        table; None when the field has none (q > 2^16)."""
         if self.order > LOG_TABLE_MAX_ORDER:
             return None
         idx = 0
@@ -143,9 +135,8 @@ class ResidueField:
 
     def random_unit(self, rng):
         """Uniform over F_{p^d}^* as gen()**k from one randrange(q - 1) draw
-        (mu must be primitive).  Only k is kept: the coefficients are formed
-        when first read, and a Teichmuller lift reads k alone, so the lift is
-        one window power in the tower and none in F_q."""
+        (mu must be primitive).  A caller that only lifts the unit draws k
+        and calls `CoeffTower.teichmuller_power` instead."""
         return self.gen_pow(rng.randrange(self.order - 1))
 
     def elements(self):
@@ -156,27 +147,16 @@ class ResidueField:
 
 class FqElem:
     """Element of a ResidueField: `coeffs` holds exactly d residues in
-    [0, p).  `log` caches a known discrete log of the element with respect
-    to the generator (None when unknown).  An element made from its log
-    alone (coeffs None) forms its coefficients when they are first read."""
+    [0, p)."""
 
-    __slots__ = ("field", "_coeffs", "log")
+    __slots__ = ("field", "coeffs")
 
-    def __init__(self, field, coeffs, log=None):
+    def __init__(self, field, coeffs):
         self.field = field
-        self._coeffs = coeffs
-        self.log = log
-
-    @property
-    def coeffs(self):
-        if self._coeffs is None:  # gen()**log
-            ring = self.field._ring
-            self._coeffs = fppoly.power(ring.x, self.log, ring.mul, ring.one)
-        return self._coeffs
+        self.coeffs = coeffs
 
     def __bool__(self):
-        # an element made from its log is a power of the generator
-        return self._coeffs is None or any(self._coeffs)
+        return any(self.coeffs)
 
     def __eq__(self, other):
         return (
@@ -191,17 +171,12 @@ class FqElem:
     def __repr__(self):
         return f"Fq{list(self.coeffs)}"
 
-    def _lift(self, other):
-        if isinstance(other, int):
-            return self.field.elem(other)
-        return other
-
     def __add__(self, other):
-        p, b = self.field.p, self._lift(other).coeffs
+        p, b = self.field.p, self.field.elem(other).coeffs
         return FqElem(self.field, tuple([(x + y) % p for x, y in zip(self.coeffs, b)]))
 
     def __sub__(self, other):
-        p, b = self.field.p, self._lift(other).coeffs
+        p, b = self.field.p, self.field.elem(other).coeffs
         return FqElem(self.field, tuple([(x - y) % p for x, y in zip(self.coeffs, b)]))
 
     def __neg__(self):
@@ -209,19 +184,14 @@ class FqElem:
         return FqElem(self.field, tuple([-a % p for a in self.coeffs]))
 
     def __mul__(self, other):
-        other = self._lift(other)
         f = self.field
-        c = f._mul(self.coeffs, other.coeffs)
-        log = None
-        if self.log is not None and other.log is not None and self and other:
-            log = (self.log + other.log) % (f.order - 1)
-        return FqElem(f, c, log)
+        return FqElem(f, f._mul(self.coeffs, f.elem(other).coeffs))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def inverse(self):
-        """x**(q-2) by Fermat; a known log comes out as -log mod q-1."""
+        """x**(q-2) by Fermat."""
         if not self:
             raise ZeroDivisionError("zero in residue field")
         one = self.field.one()

@@ -69,7 +69,7 @@ def _scaled(n, scale):
 
 def _random_unit(tw, rng):
     """Teichmuller lift of a random residue unit, as a ramified element."""
-    return tw.ram(tw.teichmuller(tw.residue_field.random_unit(rng)))
+    return tw.ram(tw.teichmuller_power(rng.randrange(tw.q - 1)))
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +240,6 @@ def criterion_deformation_strata(check, seed, scale):
                 continue
             tw = tower(3, f, e, ext=2, slack=20)
             base = fam.normal_form(tw, (0,), {0: tw.zero()})
-            F = tw.residue_field
             for m in inv.admissible_indices(g):
                 # zero the first ceil(m) flattened coordinates, unit next
                 k_unit = int(m) if m.denominator == 1 else -(-m.numerator // m.denominator)
@@ -248,7 +247,7 @@ def criterion_deformation_strata(check, seed, scale):
                 for i in range(f):
                     for j in range(e):
                         k = e * i + j
-                        assignment[(i, j)] = F.one() if k == k_unit else F.zero()
+                        assignment[(i, j)] = tw.witt_one() if k == k_unit else tw.witt_zero()
                 M = fam.deform_specialize(base, (0,) * f, assignment)
                 fast = inv.newton_point(M, "fast").index
                 oracle = inv.newton_point(M, "oracle").index
@@ -271,11 +270,11 @@ def criterion_nonordinary_locus(check, seed, scale):
                 tau = tuple(i for i in range(f) if mask >> i & 1)
                 base = fam.normal_form(tw, tau, {i: tw.zero() for i in tau})
                 for _ in range(per_tau):
-                    asg = {(i, j): (F.random_unit(rng) if j == 0 and i in tau
-                                    else F.random(rng))
-                           for i in range(f) for j in range(e)}
                     # both fibers are built from one set of Teichmuller lifts
-                    lifts = {k: tw.teichmuller(a) for k, a in asg.items()}
+                    lifts = {(i, j): (tw.teichmuller_power(rng.randrange(tw.q - 1))
+                                      if j == 0 and i in tau
+                                      else tw.teichmuller(F.random(rng)))
+                             for i in range(f) for j in range(e)}
                     M = fam.deform_specialize(base, (0,) * f, lifts)
                     check(inv.newton_point(M, "fast").is_ordinary,
                           e=e, f=f, tau=list(tau), kind="should be ordinary")

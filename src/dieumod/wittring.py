@@ -52,11 +52,13 @@ the tower's `_ram_pack`/`_ram_reduce`.
   det(A_i) delta_i = p sigma(delta_(i-1)) is compared on the reduced
   tuples, its right-hand sides formed once per set of scalars
   (`modules.PackedPairing`).
-* A Teichmuller lift T**k is one window power on packed integers of the
-  tower's ring: the window table of T holds packed ints, each product is
-  `PackedQuotient.mul_packed` (reduced, and kept packed), and the lift is
-  one split of the power, with no WittElem per product; an element without
-  a log lifts in closed form (`fppoly.teichmuller_point`).
+* A Teichmuller point T**k (`teichmuller_power`, the lift of gen()**k) is
+  one window power on packed integers of the tower's ring: the window
+  table of T holds packed ints, each product is `PackedQuotient.mul_packed`
+  (reduced, and kept packed), and the lift is one split of the power, with
+  no WittElem per product.  Random units are drawn as k and lifted so; a
+  residue-field element lifts through its log table entry k, or in closed
+  form when the field has no table (`fppoly.teichmuller_point`).
 * `RamElem.mul_pi(k)` and `div_pi(k)` are exact shifts in closed form, no
   kernel product: coefficient j moves to j +- k mod e, times or divided by
   p per wrap past pi^e = p.  `families` writes every family module and
@@ -192,8 +194,8 @@ class CoeffTower:
         mu = [c % p for c in modulus]
         if not fppoly.is_primitive(mu, p):
             # the residue of T must generate F_q^* (which also makes mu
-            # irreducible): gen_pow, random_unit and the pairing-scalar
-            # construction all rely on it
+            # irreducible): teichmuller_power, the log table and the
+            # pairing-scalar construction all rely on it
             raise DomainError("bad-modulus", "modulus is not primitive mod p")
         self.modulus = tuple(modulus)
         self._key = (p, f, e, ext, N, self.modulus)
@@ -209,7 +211,7 @@ class CoeffTower:
         self._pack, self._reduce = ring.pack, ring.reduce
         self._stride = (2 * self.d - 1) * bits  # bits per pi-degree
         self._sigma_maps = {}
-        self._gen_rows = None  # window table of T, built on the first logged lift
+        self._gen_rows = None  # window table of T, built on the first teichmuller_power
         # the one WittElem of 0 and of 1, which `witt` returns for them
         self._zero_w = WittElem(self, ring.zero)
         self._one_w = WittElem(self, ring.one)
@@ -434,13 +436,10 @@ class CoeffTower:
     def teichmuller(self, a):
         """The unique multiplicative lift of a residue-field element.
 
-        A unit with discrete log k to the generator (its cached `log` from
-        gen_pow/random_unit, else the residue field's log table, which
-        exists for q <= 2^16) lifts as T**k, read off a fixed-base window
-        table of T built on first use: one product per nonzero base-16 digit
-        of k, each kept packed (`PackedQuotient.mul_packed`), and one split
-        of the result.  Larger fields lift a log-less element in closed
-        form, y**(q^ceil((N-1)/d)) (`fppoly.teichmuller_point`).
+        A unit whose discrete log k to the generator is in the residue
+        field's log table (q <= 2^16) lifts as T**k (`teichmuller_power`).
+        Larger fields lift it in closed form, y**(q^ceil((N-1)/d))
+        (`fppoly.teichmuller_point`).
         """
         F = self.residue_field
         if isinstance(a, int):
@@ -450,10 +449,18 @@ class CoeffTower:
         if not a:
             return self.witt_zero()
         k = F.discrete_log(a)
+        if k is not None:
+            return self.teichmuller_power(k)
         ring = self._ring
-        if k is None:
-            return WittElem(self, fppoly.teichmuller_point(a.coeffs, self.q, self.d, self.N,
-                                                           ring.mul, ring.one))
+        return WittElem(self, fppoly.teichmuller_point(a.coeffs, self.q, self.d, self.N,
+                                                       ring.mul, ring.one))
+
+    def teichmuller_power(self, k):
+        """T**k for any integer k, the Teichmuller point above gen()**k: read
+        off a fixed-base window table of T built on first use, one product
+        per nonzero base-16 digit of k mod q - 1, each kept packed
+        (`PackedQuotient.mul_packed`), and one split of the result."""
+        ring = self._ring
         if self._gen_rows is None:
             self._gen_rows = fppoly.window_table(ring.pack(ring.x), self.q - 1,
                                                  ring.mul_packed, 1)
@@ -468,6 +475,8 @@ class CoeffTower:
     def ram(self, coeffs, prec=None):
         """RamElem from a list of e Witt coefficients (or ints), or an int."""
         if isinstance(coeffs, RamElem):
+            if coeffs.tower is not self and coeffs.tower != self:
+                raise DomainError("tower-mismatch", "element from a different tower")
             return coeffs
         if isinstance(coeffs, (int, WittElem)):
             coeffs = [coeffs]
@@ -565,17 +574,12 @@ class WittElem:
         pN = self.tower.pN
         return WittElem(self.tower, tuple([c % pN for c in coeffs]))
 
-    def _lift(self, other):
-        if isinstance(other, int):
-            return self.tower.witt(other)
-        return other
-
     def __add__(self, other):
-        other = self._lift(other)
+        other = self.tower.witt(other)
         return self._wrap([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
-        other = self._lift(other)
+        other = self.tower.witt(other)
         return self._wrap([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
@@ -589,7 +593,7 @@ class WittElem:
         if isinstance(other, int):
             return self._scale(other)
         t = self.tower
-        return WittElem(t, t._ring.mul(self.coeffs, other.coeffs))
+        return WittElem(t, t._ring.mul(self.coeffs, t.witt(other).coeffs))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -634,6 +638,8 @@ class RamElem:
         self.tower = tower
         full = tower.pi_precision
         self.prec = full if prec is None else min(prec, full)
+        if self.prec < 0:
+            raise DomainError("bad-shape", "negative precision")
         if self.prec < full:
             coeffs = [c if t is c.coeffs else WittElem(tower, t) for c, t in
                       zip(coeffs, tower.truncated([c.coeffs for c in coeffs], self.prec))]
@@ -654,19 +660,14 @@ class RamElem:
         tag = "" if self.prec == self.tower.pi_precision else f" ~pi^{self.prec}"
         return f"Ram[{body}]{tag}"
 
-    def _lift(self, other):
-        if isinstance(other, (int, WittElem)):
-            return self.tower.ram(other)
-        return other
-
     def __add__(self, other):
-        other = self._lift(other)
+        other = self.tower.ram(other)
         return RamElem(self.tower,
                        [a + b if b else a for a, b in zip(self.coeffs, other.coeffs)],
                        min(self.prec, other.prec))
 
     def __sub__(self, other):
-        other = self._lift(other)
+        other = self.tower.ram(other)
         return RamElem(self.tower,
                        [a - b if b else a for a, b in zip(self.coeffs, other.coeffs)],
                        min(self.prec, other.prec))
@@ -688,6 +689,7 @@ class RamElem:
             if prec < full:
                 prec = min(prec + t.e * t.witt(other).ord_p(), full)
             return RamElem(t, [c * other if c else c for c in self.coeffs], prec)
+        other = t.ram(other)
         coeffs = [WittElem(t, c) for c in t._ram_reduce(
             t._ram_pack([c.coeffs for c in self.coeffs])
             * t._ram_pack([c.coeffs for c in other.coeffs]))]

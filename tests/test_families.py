@@ -6,7 +6,6 @@ from dieumod import (
     DomainError, lie_type, a_type, a_index, newton_point, classify,
 )
 from dieumod import CoeffTower, families as fam
-from dieumod.modp import ResidueField
 from dieumod.modp import smith_exponents
 from conftest import random_unit, tower
 
@@ -79,16 +78,18 @@ class TestNormalForm:
     def test_odd_sign_scalar_computed_once_per_tower(self, monkeypatch):
         t = CoeffTower(3, 3, 1, 2, 7)
         calls = []
-        gen_pow = ResidueField.gen_pow
+        power = CoeffTower.teichmuller_power
 
-        def counting_gen_pow(field, k):
+        def counting_power(tower, k):
             calls.append(k)
-            return gen_pow(field, k)
+            return power(tower, k)
 
-        monkeypatch.setattr(ResidueField, "gen_pow", counting_gen_pow)
+        monkeypatch.setattr(CoeffTower, "teichmuller_power", counting_power)
+        fam._odd_sign_scalar.cache_clear()
         deltas = [fam.normal_form(t, tau, {i: t.one() for i in tau}).delta
                   for tau in ((0,), (1,), (0, 1, 2), (2,))]
-        assert len(calls) <= 1
+        # zeta = T**k with k = (q - 1)/(2(p^f - 1)), lifted once
+        assert calls == [(t.q - 1) // (2 * (t.p ** t.f - 1))]
         z = deltas[0][0]
         assert z == deltas[2][0]
         # delta0 absorbs the odd sign: sigma^f(delta0) = -delta0

@@ -7,7 +7,7 @@ RamElem `matrices`, the packed forms' `cs`, `precs` and `ords`,
 refused by both with the same exception class, code and message.  Bases are
 normal forms with zero, pi-power, dense and truncated entries; targets lie
 at or below the base a-type, or one above it; coordinates are residue
-elements with and without a cached log, their Teichmuller lifts, arbitrary
+elements (random units, any element, zero), their Teichmuller lifts, arbitrary
 Witt values, and now and then a Witt value of another tower or a missing
 key.
 """
@@ -50,8 +50,8 @@ def coefficient(t, rng):
 
 
 def coordinate(t, rng):
-    """A deformation coordinate: a residue element (with or without its
-    log) or a Witt value (a Teichmuller lift or any element)."""
+    """A deformation coordinate: a residue element (a random unit, any
+    element or zero) or a Witt value (a Teichmuller lift or any element)."""
     F = t.residue_field
     kind = rng.randrange(6)
     if kind == 0:

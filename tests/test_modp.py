@@ -162,8 +162,8 @@ def test_gen_pow_matches_repeated_squaring(p, d, rng):
     ks = [0, 1, 15, 16, 255, 256, q - 2] + [rng.randrange(q - 1) for _ in range(10)]
     for k in ks:
         x = F.gen_pow(k)
-        assert x == g ** k and (g ** k).log == x.log == k % (q - 1)
-        assert g ** -k == x.inverse() and (g ** -k).log == x.inverse().log == -k % (q - 1)
+        assert x == g ** k == F.gen_pow(k - (q - 1)) and len(x.coeffs) == d
+        assert g ** -k == x.inverse() == F.gen_pow(-k)
         # an element without a known log, against powers of coefficient lists
         r = F.random(rng)
         assert r ** k == F.elem(ppowmod(list(r.coeffs), k, list(F.mu), p))
@@ -204,15 +204,17 @@ def test_packed_product_matches_long_division(p, rng):
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_every_element_is_a_d_tuple(p, d, rng):
     # every FqElem carries the packed kernel's format: exactly d residues in
-    # [0, p), the shape of WittElem.coeffs, zero included
+    # [0, p), the shape of WittElem.coeffs, zero included; a list of more
+    # than d coefficients is refused, as `CoeffTower.witt` refuses one
     t = CoeffTower(p, 1, 1, d, 3)
     F = t.residue_field
     x, y, u = F.random(rng), F.random(rng), F.random_unit(rng)
     made = {
-        "elem": F.elem([1, p + 1]), "elem-int": F.elem(p + 1), "elem-empty": F.elem([]),
-        "elem-long": F.elem([rng.randrange(3 * p) for _ in range(2 * d + 3)]),
+        "elem": F.elem([1, p + 1][:d]), "elem-int": F.elem(p + 1), "elem-empty": F.elem([]),
+        "elem-full": F.elem([rng.randrange(3 * p) for _ in range(d)]),
         "zero": F.zero(), "one": F.one(), "gen": F.gen(),
-        "gen_pow": F.gen_pow(F.order - 2), "random": x, "random_unit": u,
+        "gen_pow": F.gen_pow(F.order - 2), "gen_pow-neg": F.gen_pow(-3),
+        "random": x, "random_unit": u,
         "add": x + y, "add-int": x + 1, "sub": x - y, "sub-self": x - x, "neg": -x,
         "mul": x * y, "mul-zero": x * F.zero(), "pow": u ** 3, "pow-neg": u ** -2,
         "pow-zero": F.zero() ** 3, "inverse": u.inverse(), "frob": x.frob(),
@@ -220,8 +222,10 @@ def test_every_element_is_a_d_tuple(p, d, rng):
     }
     for name, z in made.items():
         assert len(z.coeffs) == d and all(0 <= c < p for c in z.coeffs), (name, z)
-    long = [rng.randrange(p) for _ in range(2 * d + 3)]
-    assert F.elem(long) == F.elem(pmod(long, list(F.mu), p))
+    for long in ([1, p + 1], [0] * (d + 1), [rng.randrange(3 * p) for _ in range(2 * d + 3)]):
+        if len(long) > d:
+            with pytest.raises(ValueError, match="too many residue-field coefficients"):
+                F.elem(long)
 
 
 def test_inverse_of_a_zero_divisor_is_refused():
@@ -242,21 +246,21 @@ def test_log_table_inverts_gen_pow(p, d):
     F = ResidueField(p, fppoly.smallest_primitive(p, d))
     q = F.order
     for k in range(q - 1):
-        x = F.elem(list(F.gen_pow(k).coeffs))
-        assert x.log is None and F.discrete_log(x) == k
+        assert F.discrete_log(F.gen_pow(k)) == k
     table = modp.log_table(p, F.mu)
     assert table.itemsize == 2 and len(table) == q
     G = ResidueField(p, [c + p for c in F.mu])
-    assert G.discrete_log(G.elem([0, 1])) == 1 % (q - 1)
+    assert G.discrete_log(G.gen()) == 1 % (q - 1)
     assert modp.log_table(p, G.mu) is table
 
 
 def test_log_table_cap(rng, monkeypatch):
     # q = 2^16 still has a table (logs up to q - 2 fit 16 bits); q = 3^11
-    # never asks for one, so a log-less element has no log there
+    # never asks for one, so no element has a log there, a power of the
+    # generator included
     F = ResidueField(2, fppoly.smallest_primitive(2, 16))
     k = rng.randrange(F.order - 1)
-    assert F.discrete_log(F.elem(list(F.gen_pow(k).coeffs))) == k
+    assert F.discrete_log(F.gen_pow(k)) == k
     assert len(modp.log_table(2, F.mu)) == 1 << 16
     G = ResidueField(3, fppoly.smallest_primitive(3, 11))
 
@@ -264,7 +268,7 @@ def test_log_table_cap(rng, monkeypatch):
         raise AssertionError("log table asked for q > 2^16")
     monkeypatch.setattr(modp, "log_table", no_table)
     assert G.discrete_log(G.elem([1, 1])) is None
-    assert G.discrete_log(G.gen_pow(5)) == 5
+    assert G.discrete_log(G.gen_pow(5)) is None
 
 
 @pytest.mark.parametrize("mu", [[1, 0, 1], [1, 1, 1, 1, 1]],
@@ -278,9 +282,9 @@ def test_log_table_refuses_a_nonprimitive_modulus(mu):
 
 
 @pytest.mark.parametrize("p,d", [(2, 4), (3, 8), (3, 16)])
-def test_random_unit_is_one_draw_with_a_lazy_residue(p, d):
-    # one randrange(q - 1) draw, as gen_pow(k) made it, and no coefficients
-    # until they are read; then they are gen()**k by repeated squaring
+def test_random_unit_is_one_draw_of_its_log(p, d):
+    # one randrange(q - 1) draw k, and the unit is gen()**k, formed at once
+    # by repeated squaring
     F = ResidueField(p, fppoly.smallest_primitive(p, d))
     q = F.order
     calls = []
@@ -296,6 +300,6 @@ def test_random_unit_is_one_draw_with_a_lazy_residue(p, d):
         u = F.random_unit(rng)
         k = twin.randrange(q - 1)
         assert calls == [(q - 1,)] and rng.getstate() == twin.getstate()
-        assert u.log == k and u._coeffs is None and u
+        assert u and len(u.coeffs) == d and all(0 <= c < p for c in u.coeffs)
         assert u.coeffs == F.gen_pow(k).coeffs == (F.gen() ** k).coeffs
         assert u == F.elem(list(u.coeffs)) and hash(u) == hash(F.elem(list(u.coeffs)))

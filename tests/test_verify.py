@@ -60,22 +60,37 @@ def test_verify_all_output_is_byte_identical(capsys):
 
 def test_nonordinary_locus_lifts_each_coordinate_once(monkeypatch):
     # criterion 7 builds its two fibers per case from one set of lifts: one
-    # Teichmuller lift per coordinate of the first fiber, none for the second
+    # Teichmuller lift per coordinate of the first fiber (T**k for a leading
+    # coordinate, `teichmuller` of a residue element for the others), none
+    # for the second; a `teichmuller_power` inside `teichmuller` is the same
+    # lift
     from dieumod import CoeffTower, families
 
-    sizes, lifts = [], []
-    specialize, teichmuller = families.deform_specialize, CoeffTower.teichmuller
+    sizes, lifts, inside = [], [], []
+    specialize = families.deform_specialize
+    teichmuller, power = CoeffTower.teichmuller, CoeffTower.teichmuller_power
 
     def counting_specialize(base, target, asg):
         sizes.append(len(asg))
         return specialize(base, target, asg)
 
     def counting_teichmuller(tower, a):
-        lifts.append(a)
-        return teichmuller(tower, a)
+        lifts.append("teichmuller")
+        inside.append(a)
+        try:
+            return teichmuller(tower, a)
+        finally:
+            inside.pop()
+
+    def counting_power(tower, k):
+        if not inside:
+            lifts.append("power")
+        return power(tower, k)
 
     monkeypatch.setattr(families, "deform_specialize", counting_specialize)
     monkeypatch.setattr(CoeffTower, "teichmuller", counting_teichmuller)
+    monkeypatch.setattr(CoeffTower, "teichmuller_power", counting_power)
     report = verify.CRITERIA[7](seed=0, scale=0.02)
     assert report["passed"]
     assert sizes[::2] == sizes[1::2] and len(lifts) == sum(sizes[::2]) > 0
+    assert "power" in lifts and "teichmuller" in lifts

@@ -1,4 +1,6 @@
 import json
+import operator
+import random
 from functools import cache
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dieumod import CoeffTower, DomainError, PrecisionError, INF
 from dieumod.wittring import WittElem, RamElem
-from dieumod import families as fam
+from dieumod import DModule, families as fam
 from dieumod import fppoly, modp
 from conftest import mat_mul, random_unit, tower
 from polyref import is_irreducible, pdivmod
@@ -194,18 +196,18 @@ class TestTeichmuller:
         # of row 1, q - 2 is the largest exponent, and random exponents
         # take products of every row
         t = tower(p, d, 1)
-        F, T = t.residue_field, t.witt_gen()
+        T = t.witt_gen()
         for k in (0, 1, 15, 16, t.q - 2, *(rng.randrange(t.q - 1) for _ in range(4))):
-            lift = t.teichmuller(F.gen_pow(k))
+            lift = t.teichmuller_power(k)
             assert type(lift) is WittElem and lift.tower is t
             assert lift == T ** k
 
     def test_genpow_fast_path_matches_iteration(self, rng, monkeypatch):
-        # the logged lift (window table of T) against the Frobenius-root
-        # iteration (`teichref`), p in {2, 3, 5}, d = 1 included, N >= 2;
-        # the log-less element lifts through the log table, and through the
-        # closed form in the q = 3^11 > 2^16 field, which never asks for a
-        # table
+        # T**k (`teichmuller_power`, the window table of T) against the
+        # Frobenius-root iteration (`teichref`) on gen()**k, p in {2, 3, 5},
+        # d = 1 included, N >= 2; gen()**k itself lifts through the log
+        # table, and through the closed form in the q = 3^11 > 2^16 field,
+        # which never asks for a table
         asked = []
         log_table = modp.log_table
         monkeypatch.setattr(modp, "log_table",
@@ -217,12 +219,10 @@ class TestTeichmuller:
         for t in towers:
             F = t.residue_field
             for k in [0, 1, t.q - 2] + [rng.randrange(t.q - 1) for _ in range(8)]:
-                viapow = t.teichmuller(F.gen_pow(k))
-                plain = F.elem(list(F.gen_pow(k).coeffs))
-                assert plain.log is None
-                y = teichref.lift_by_iteration(t, plain)
-                assert y == viapow == t.teichmuller(plain)
-                assert y ** t.q == y and y.residue() == plain
+                x = F.gen_pow(k)
+                y = teichref.lift_by_iteration(t, x)
+                assert y == t.teichmuller_power(k) == t.teichmuller(x)
+                assert y ** t.q == y and y.residue() == x
         assert asked and max(asked) <= modp.LOG_TABLE_MAX_ORDER
 
     @pytest.mark.parametrize("p,d", [(p, d) for p in (2, 3, 5, 7) for d in range(1, 10)
@@ -246,20 +246,37 @@ class TestTeichmuller:
         table = log_table(p, F.mu)
         assert set(asked) == {F.mu} and table.itemsize == 2 and len(table) == F.order
 
-    def test_lift_of_a_random_unit_reads_no_coefficients(self, rng):
+    def test_lift_of_a_random_unit_reads_no_coefficients(self, monkeypatch):
+        # a unit that is only lifted is drawn as its log k, and T**k forms
+        # no residue-field element and reads no log table
         t = tower(3, 2, 2, ext=4)
+        ks = [random.Random(s).randrange(t.q - 1) for s in range(20)]
+        want = [t.teichmuller(t.residue_field.gen_pow(k)) for k in ks]
+
+        def refuse(*args):
+            raise AssertionError("the lift read the residue field")
+        monkeypatch.setattr(modp.FqElem, "__init__", refuse)
+        monkeypatch.setattr(modp, "log_table", refuse)
+        assert [t.teichmuller_power(k) for k in ks] == want
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2, 4), (2, 1, 2, 16), (3, 1, 2, 11)])
+    def test_random_unit_lifts_as_the_power_of_its_draw(self, shape):
+        # F.random_unit and a bare randrange(q - 1) draw the same k, so the
+        # two routes of verify and sample-deform give the same lift, with a
+        # log table (q <= 2^16) and without one (q = 3^11)
+        p, f, e, ext = shape
+        t = CoeffTower(p, f, e, ext)
         F = t.residue_field
-        u = F.random_unit(rng)
-        y = t.teichmuller(u)
-        assert u._coeffs is None  # only the log was read
-        assert y == t.teichmuller(F.elem(list(u.coeffs)))
+        for s in range(10):
+            assert t.teichmuller(F.random_unit(random.Random(s))) \
+                == t.teichmuller_power(random.Random(s).randrange(t.q - 1))
 
     def test_logged_lift_costs_one_product_per_window_digit(self, monkeypatch):
-        # each product stays packed (`mul_packed`), the lift splits once and
-        # multiplies no WittElem
+        # T**k from the log k: each product stays packed (`mul_packed`),
+        # the lift splits once and multiplies no WittElem
         t = CoeffTower(3, 1, 2, 16, 2)
-        F, ring = t.residue_field, t._ring
-        t.teichmuller(F.gen_pow(1))  # the power table is built on first use
+        ring = t._ring
+        t.teichmuller_power(1)  # the power table is built on first use
         calls = []
         for owner, name in ((ring, "mul_packed"), (ring, "split"), (WittElem, "__mul__")):
             orig = getattr(owner, name)
@@ -267,7 +284,7 @@ class TestTeichmuller:
                                 calls.append(name) or orig(*a))
         for k in (t.q - 2, 16 ** 6 - 1, 2 ** 25 + 1, 16, 1):
             calls.clear()
-            t.teichmuller(F.gen_pow(k))
+            t.teichmuller_power(k)
             digits = sum(1 for i in range(0, k.bit_length(), 4) if k >> i & 15)
             assert calls == ["mul_packed"] * (digits - 1) + ["split"]
 
@@ -343,6 +360,87 @@ class TestRamified:
         x = t.pi() + t.ram(5)
         data = x.to_json()
         assert t.ram([t.witt(c) for c in data]) == x
+
+    def test_negative_precision_is_refused(self):
+        # a precision below 0 certifies nothing; 0 is legal (the JSON reader
+        # takes [0, eN]) and leaves no certified digit
+        t = CoeffTower(3, 1, 2)
+        for make in (lambda: t.ram([1, 2], prec=-5),
+                     lambda: RamElem(t, t.ram([1, 2]).coeffs, -1)):
+            with pytest.raises(DomainError) as exc:
+                make()
+            assert exc.value.code == "bad-shape"
+        z = t.ram([1, 2], prec=0)
+        assert z.prec == 0 and z.ord_lower() == 0 and not z
+        with pytest.raises(PrecisionError):
+            z.ord_pi()
+
+
+class TestRingMismatch:
+    """An element of another ring never mixes silently: every operator and
+    constructor of the three element types refuses it (`tower-mismatch`
+    for the tower's elements, ValueError for the residue field's), and so
+    do `DModule` and `normal_form`.  Equal towers built apart (a JSON round
+    trip) still mix.  B differs from A in its residue degree, C in p."""
+
+    @staticmethod
+    def rings():
+        return CoeffTower(3, 1, 1, 1), CoeffTower(3, 1, 1, 2), CoeffTower(5, 1, 1, 1)
+
+    @staticmethod
+    def mismatch(make):
+        with pytest.raises(DomainError) as exc:
+            make()
+        assert exc.value.code == "tower-mismatch"
+
+    OPS = (operator.add, operator.sub, operator.mul)
+
+    def test_tower_elements(self):
+        A, *others = self.rings()
+        x, w = A.ram(2), A.witt(2)
+        for B in others:
+            y, v = B.ram([B.witt([1] * B.d)]), B.witt([1] * B.d)
+            for op in self.OPS:
+                for a, b in ((x, y), (y, x), (x, v), (w, v), (v, w)):
+                    self.mismatch(lambda: op(a, b))
+            for make in (lambda: A.ram(y), lambda: A.ram(v), lambda: A.ram([v]),
+                         lambda: A.witt(v), lambda: A.teichmuller(B.residue_field.one())):
+                self.mismatch(make)
+
+    def test_residue_field_elements(self):
+        A, *others = self.rings()
+        F = A.residue_field
+        for B in others:
+            G = B.residue_field
+            y = G.elem([1] * G.d)
+            for op in self.OPS:
+                for a, b in ((F.elem(1), y), (y, F.elem(1))):
+                    with pytest.raises(ValueError, match="different residue field"):
+                        op(a, b)
+            with pytest.raises(ValueError, match="different residue field"):
+                F.elem(y)
+
+    def test_modules_refuse_another_tower(self):
+        A, B, C = self.rings()
+        for other in (B, C):
+            self.mismatch(lambda: DModule(
+                A, [[[other.one(), other.zero()], [other.zero(), other.ram(3)]]]))
+            self.mismatch(lambda: DModule(
+                A, [[[A.one(), A.zero()], [A.zero(), A.ram(3)]]], [other.one()]))
+            self.mismatch(lambda: fam.normal_form(A, (0,), {0: other.zero()}))
+
+    def test_equal_towers_built_apart_mix(self):
+        A, _, _ = self.rings()
+        A2 = CoeffTower.from_json(json.loads(A.dumps()))
+        assert A2 is not A and A2 == A
+        x, y = A.ram(2), A2.ram(3)
+        assert [op(x, y) for op in self.OPS] == [op(x, A.ram(3)) for op in self.OPS]
+        assert A.witt(2) * A2.witt(3) == A.witt(6) and A.ram(y) is y
+        F, F2 = A.residue_field, A2.residue_field
+        assert F.elem(1) + F2.elem(1) == F.elem(2) and F.elem(F2.one()) == F.one()
+        M = DModule(A, [[[A2.one(), A2.zero()], [A2.zero(), A2.ram(3)]]], [A2.one()])
+        assert M.det_orders == [1]
+        assert fam.normal_form(A, (0,), {0: A2.zero()}).tower is A
 
 
 class TestPower:
@@ -620,24 +718,35 @@ def lift_tower(p, d, N):
     return CoeffTower(p, 1, 2, d, N)
 
 
+LIFT_SHAPES = ((2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 2), (3, 11))
+
+
 class TestTeichmullerReference:
     """Every Teichmuller route against `teichref`, the step loops that stop
-    at their fixpoint: in `CoeffTower.teichmuller` the logged window power,
-    the log table and the closed form `fppoly.teichmuller_point` (q = 3^11
-    > 2^16, where no log table is built), and `fppoly.teichmuller_modulus`."""
+    at their fixpoint: `CoeffTower.teichmuller_power`, the window power
+    T**k; in `CoeffTower.teichmuller` the log table and the closed form
+    `fppoly.teichmuller_point` (q = 3^11 > 2^16, where no log table is
+    built); and `fppoly.teichmuller_modulus`."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_every_lift_route_matches_the_iteration(self, data):
-        p, d = data.draw(st.sampled_from(((2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 2),
-                                          (3, 11))))
+        p, d = data.draw(st.sampled_from(LIFT_SHAPES))
         t = lift_tower(p, d, data.draw(st.integers(2, 6)))
         F = t.residue_field
-        logged = F.gen_pow(data.draw(st.integers(0, t.q - 2)))
-        plain = F.elem(list(logged.coeffs))
-        assert (F.discrete_log(plain) is None) == (t.q > modp.LOG_TABLE_MAX_ORDER)
-        assert t.teichmuller(logged) == teichref.lift_by_iteration(t, plain) \
-            == t.teichmuller(plain)
+        x = F.elem(data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)))
+        assert (F.discrete_log(x) is None) == (t.q > modp.LOG_TABLE_MAX_ORDER)
+        assert t.teichmuller(x) == teichref.lift_by_iteration(t, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_power_of_T_is_the_lift_of_gen_pow(self, data):
+        # any integer k, negative and above q - 1 included
+        p, d = data.draw(st.sampled_from(LIFT_SHAPES))
+        t = lift_tower(p, d, data.draw(st.integers(2, 6)))
+        k = data.draw(st.one_of(st.integers(-3 * t.q, 3 * t.q), st.integers()))
+        x = t.residue_field.gen_pow(k)
+        assert t.teichmuller_power(k) == t.teichmuller(x) == teichref.lift_by_iteration(t, x)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from([(p, d) for p in (2, 3, 5, 7, 11) for d in (1, 2, 3, 4, 6, 8, 16)
