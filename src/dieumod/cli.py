@@ -77,8 +77,10 @@ def cmd_construct(args):
             avals = _ints(args.avals or "")
             if len(avals) != len(tau):
                 raise DomainError("usage", "--avals must list one value per tau slot")
-            c = {i: tower.pi_pow(a - 1) if a else tower.one()
-                 for i, a in zip(tau, avals)}
+            for a in avals:  # c = pi^(a-1) gives the slot the a-value ord(c*pi) = a
+                if not 1 <= a <= tower.e:
+                    raise DomainError("usage", f"--avals value {a} is out of range 1..{tower.e}")
+            c = {i: tower.pi_pow(a - 1) for i, a in zip(tau, avals)}
         M = fam.normal_form(tower, tau, c)
     elif args.family == "superspecial":
         M = fam.superspecial(tower, args.e1, args.e2, args.variant)
@@ -173,7 +175,7 @@ def build_parser():
     sp.add_argument("--a", type=int, default=None, help="slope family parameter")
     sp.add_argument("--tau", default=None, help="comma list of slots")
     sp.add_argument("--avals", default=None,
-                    help="comma list of slot a-values matching --tau")
+                    help="comma list of slot a-values in 1..e matching --tau")
     sp.add_argument("--cjson", default=None,
                     help="JSON map slot -> ramified-element coefficients")
     sp.add_argument("--e1", type=int, default=None)

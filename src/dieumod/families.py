@@ -156,7 +156,7 @@ def normal_form(tower, tau, c=None):
         else:
             cs = tuple([w.coeffs for w in x.coeffs])
             mats.append(_slot(tower, ((cs, tower._repr_ord(cs)), one, pi_e, zero),
-                              None if x.prec == full else (x.prec, full, full, full)))
+                              (x.prec, full, full, full)))
             signs.append(-1)
     deltas, note = _pairing_scalars(tower, signs)
     module = DModule(tower, mats, deltas, "separable")
@@ -270,7 +270,7 @@ def deform_specialize(base, target_atype, assignment):
                 s = tower.truncated(s, x.prec)
             s = tuple(s)
             mats.append(_slot(tower, ((s, tower._repr_ord(s)), one, pi_e, zero),
-                              None if x.prec == full else (x.prec, full, full, full)))
+                              (x.prec, full, full, full)))
         else:
             pT = tuple([tuple([u * p % pN for u in t]) if any(t) else t for t in Ti])
             mats.append(_slot(tower, (one, zero, (pT, tower._repr_ord(pT)), pi_e)))

@@ -153,12 +153,16 @@ class AType:
 
 
 def _entry_order(M, i):
-    """m_i, the minimum entry valuation of A[i], certified."""
+    """m_i, the minimum entry valuation of A[i], certified; else
+    PrecisionError with the certified lower bound, the least min(ord, prec)
+    of the entries."""
     m = M.entry_orders[i]
     if m is None:
+        P = M.packed_matrices[i]
         raise PrecisionError(
             f"slot {i}: the minimum entry valuation of A[{i}] is attained only "
-            "by entries that vanish to working precision; raise N")
+            "by entries that vanish to working precision; raise N",
+            lower_bound=min(map(min, P.ords, P.precs)))
     return m
 
 
@@ -206,7 +210,7 @@ def _a_pair(M, i):
     full = t.pi_precision
     A, B = M.packed_matrices[i], M.packed_matrices[j]
     ra, rb = A.ords, B.ords
-    pa, pb = A.precs or (full,) * 4, B.precs or (full,) * 4
+    pa, pb = A.precs, B.precs
     for r in (0, 1):
         for c in (0, 1):
             # (valuation of the stored product, full if it is zero; precision)
@@ -296,7 +300,7 @@ def _trace_ord(M):
     if M.f == 1:
         P, pN = M.packed_matrices[0], t.pN
         cs = [[(x + y) % pN for x, y in zip(a, d)] for a, d in zip(P.cs[0], P.cs[3])]
-        prec = min(P.precs[0], P.precs[3]) if P.precs else t.pi_precision
+        prec = min(P.precs[0], P.precs[3])
     else:
         *head, last = M.twisted_factors()
         cs, prec = t.mat_trace(reduce(t.mat_product, head), last)

@@ -45,18 +45,6 @@ def mat_sigma(A, n):
     return tuple(tuple(x.sigma(n) for x in row) for row in A)
 
 
-def mat_adj(A):
-    return ((A[1][1], -A[0][1]), (-A[1][0], A[0][0]))
-
-
-def mat_transpose(A):
-    return ((A[0][0], A[1][0]), (A[0][1], A[1][1]))
-
-
-def mat_scale(A, c):
-    return tuple(tuple(x * c for x in row) for row in A)
-
-
 def mat_mod_p(A):
     return tuple(tuple(x.residue_poly() for x in row) for row in A)
 
@@ -180,13 +168,12 @@ class DModule:
                 # zero in O/pi^(eN) certifies only valuation >= eN, not a zero of O
                 raise PrecisionError(f"det A[{i}] is divisible by pi^{full}, the working "
                                      f"precision", lower_bound=full)
-            precs = P.precs or (full,) * 4
-            ords = [min(r, q) for r, q in zip(P.ords, precs)]  # ord_lower
+            ords = list(map(min, P.ords, P.precs))  # ord_lower
             m = min(ords)  # adj(A) has the entries of A up to sign
             if m + e < v:
                 # ord_lower is a certified lower bound, so a failure with an
                 # uncertified entry is a precision problem, not a bad module
-                for r, q in zip(P.ords, precs):
+                for r, q in zip(P.ords, P.precs):
                     tower.certified_ord(r, q)
                 raise DomainError(
                     "v-nonintegral",
@@ -198,7 +185,7 @@ class DModule:
             # m is exact once an entry attaining it is certified, which always
             # holds when the entries share one precision (2m <= v < prec)
             self.entry_orders.append(
-                m if any(o == m < q for o, q in zip(ords, precs)) else None)
+                m if any(o == m < q for o, q in zip(ords, P.precs)) else None)
         self.det_sum = sum(self.det_orders)
         g = tower.g
         if mode == "separable" and self.det_sum != g:
@@ -304,9 +291,8 @@ class DModule:
         lower bound.  A step whose four entries all vanish to their
         precisions (ord >= prec) certifies nothing more and raises
         PrecisionError with the bound attached."""
-        precs = C.precs or (self.tower.pi_precision,) * 4
-        m = min(map(min, C.ords, precs))
-        if all(map(operator.ge, C.ords, precs)):
+        m = min(map(min, C.ords, C.precs))
+        if all(map(operator.ge, C.ords, C.precs)):
             raise PrecisionError(
                 f"all entries of the {n}-fold twisted power vanish to working "
                 f"precision; raise N or accept the bound", lower_bound=m)
@@ -328,23 +314,30 @@ class DModule:
     # -- reduction mod p and duality ----------------------------------------
 
     def _p_adjugate(self, i):
-        """p * adj(A[i]) / pi^v, v = ord det A[i]: p * A[i]^(-1) up to a unit."""
-        v = self.det_orders[i]
-        return tuple(tuple((x * self.tower.p).div_pi(v) for x in row)
-                     for row in mat_adj(self.matrices[i]))
+        """p * adj(A[i]) / pi^v = pi^(e-v) * adj(A[i]), v = ord det A[i]:
+        p * A[i]^(-1) up to the det's unit part.  One pi-shift per entry:
+        `mul_pi(e - v)`, exact, when v <= e, else `div_pi(v - e)`, which
+        costs v - e digits and which validation's integrality check (min
+        entry valuation + e >= v) makes exact."""
+        k = self.e - self.det_orders[i]
+        shift = (lambda x: x.mul_pi(k)) if k >= 0 else (lambda x: x.div_pi(-k))
+        (a, b), (c, d) = self.matrices[i]
+        return ((shift(d), shift(-b)), (shift(-c), shift(a)))
 
     def _p_inverse(self, i):
-        """p * A[i]^(-1), exactly; the unit division costs det-valuation digits."""
+        """p * A[i]^(-1) = pi^(e-v) * adj(A[i]) * u^(-1), det A[i] = pi^v u:
+        only the det's unit part u spends digits."""
         t = self.tower
-        _, u = t.ram(*t.det(self.packed_matrices[i])).unit_part()
-        return mat_scale(self._p_adjugate(i), u.inverse())
+        u = t.ram(*t.det(self.packed_matrices[i])).unit_part()[1].inverse()
+        return tuple(tuple(x * u for x in row) for row in self._p_adjugate(i))
 
     def vbar_matrix(self, i):
         """Matrix of V: slot i -> slot i-1, reduced mod p, up to a unit
-        scalar: the det's unit part is not divided out (same row span, no
-        precision spent on inverting it).  dual() uses the exact p*A^(-1).
-        With fbar_matrix, the chain-ring reference route for the mod-p
-        invariants, which `invariants` reads off valuations instead."""
+        scalar: sigma^(-1) of `_p_adjugate`, so the det's unit part is not
+        divided out (same row span, no digit spent on inverting it).  dual()
+        uses the exact p*A^(-1).  With fbar_matrix, the chain-ring reference
+        route for the mod-p invariants, which `invariants` reads off
+        valuations instead."""
         return mat_mod_p(mat_sigma(self._p_adjugate(i), -1))
 
     def fbar_matrix(self, i):
@@ -353,8 +346,10 @@ class DModule:
 
     def dual(self):
         """Module of the dual p-divisible group: A_dual[i] = (p A[i]^(-1))^T,
-        dual pairing scalars 1/delta[i] (unit scalars required)."""
-        duals = [mat_transpose(self._p_inverse(i)) for i in range(self.f)]
+        dual pairing scalars 1/delta[i] (unit scalars required).  The entries
+        lose only the digits that inverting the det's unit part spends
+        (`_p_inverse`), and v - e more on a slot with v > e."""
+        duals = [((a, c), (b, d)) for (a, b), (c, d) in map(self._p_inverse, range(self.f))]
         delta = None
         if self.delta is not None:
             if not all(d.is_unit() for d in self.delta):

@@ -182,6 +182,9 @@ class CoeffTower:
         self.p, self.f, self.e, self.ext, self.N = p, f, e, ext, N
         self.d = f * ext
         self.pi_precision = e * N  # the certified digits of a full-precision element
+        # the `PackedMatrix.precs` of every matrix at full precision, which
+        # the kernel compares by identity
+        self._full_precs = (self.pi_precision,) * 4
         self.q = p ** self.d
         self.pN = p ** N
 
@@ -286,30 +289,27 @@ class CoeffTower:
     def packed(self, A):
         """The 2x2 matrix A of RamElems of this tower as a PackedMatrix."""
         entries = [x for row in A for x in row]
-        precs = tuple([x.prec for x in entries])
         return PackedMatrix(self, tuple([tuple([c.coeffs for c in x.coeffs]) for x in entries]),
-                            None if min(precs) == self.pi_precision else precs)
+                            tuple([x.prec for x in entries]))
 
     def ram_matrix(self, P):
         """The PackedMatrix P as a 2x2 matrix of RamElems (truncated to their
         precisions, as every RamElem is)."""
-        full = self.pi_precision
-        precs = P.precs or (full,) * 4
         entries = [RamElem(self, [WittElem(self, c) for c in cs], q)
-                   for cs, q in zip(P.cs, precs)]
+                   for cs, q in zip(P.cs, P.precs)]
         return (tuple(entries[:2]), tuple(entries[2:]))
 
     def _product_precs(self, P, Q, pairs):
         """The least `product_prec` of P[i] Q[j] over each list of flat
-        index pairs (i, j); None when P and Q are both at full precision."""
-        if not (P.precs or Q.precs):
-            return None
+        index pairs (i, j), as a tuple; when P and Q are both at full
+        precision, the tower's `_full_precs`, eN in every place whatever the
+        number of lists."""
+        if P.precs is Q.precs is self._full_precs:
+            return self._full_precs
         full = self.pi_precision
-        pa, pb = P.precs or (full,) * 4, Q.precs or (full,) * 4
-        ra, rb = P.ords, Q.ords
-        precs = [min(product_prec(ra[i], pa[i], rb[j], pb[j], full) for i, j in ij)
-                 for ij in pairs]
-        return None if min(precs) == full else precs
+        pa, pb, ra, rb = P.precs, Q.precs, P.ords, Q.ords
+        return tuple([min(product_prec(ra[i], pa[i], rb[j], pb[j], full) for i, j in ij)
+                      for ij in pairs])
 
     def mat_product(self, P, Q):
         """P Q for PackedMatrices of this tower: the 2x2 kernel.
@@ -344,8 +344,7 @@ class CoeffTower:
         for (i, j), s in zip(pairs, signs):
             if a[i] and b[j]:  # a zero factor adds nothing, and is not negated
                 acc += a[i] * (b[j] if s > 0 else self._ram_pack(self._negated(Q.cs[j])))
-        precs = self._product_precs(P, Q, (pairs,))
-        return self._ram_reduce(acc), self.pi_precision if precs is None else precs[0]
+        return self._ram_reduce(acc), self._product_precs(P, Q, (pairs,))[0]
 
     def _negated(self, cs):
         """The coefficient tuples of -x for those of x, in [0, p^N)."""
@@ -504,12 +503,14 @@ class CoeffTower:
 class PackedMatrix:
     """A 2x2 matrix over the ramified ring in the kernel's formats, for
     chains of products that build no WittElem or RamElem: `cs` holds each
-    entry's e reduced coefficient tuples, row-major, and `precs` their
-    precisions (None when all are eN).  `ints` (the entries' Kronecker
-    integers) and `ords` (the valuations of their stored representatives,
-    eN for 0, as `RamElem._repr_ord`) are formed on first read, as tuples,
-    unless `ords` is given; `packed` builds `cs` of tuples too, since
-    `DModule` keeps one PackedMatrix per slot.
+    entry's e reduced coefficient tuples, row-major, and `precs` their four
+    precisions, always a tuple: the tower's one shared (eN, eN, eN, eN),
+    the default, whenever all are eN, so that `mat_product` and `pair_sum`
+    tell two full-precision factors by identity.  `ints` (the entries'
+    Kronecker integers) and `ords` (the valuations of their stored
+    representatives, eN for 0, as `RamElem._repr_ord`) are formed on first
+    read, as tuples, unless `ords` is given; `packed` builds `cs` of tuples
+    too, since `DModule` keeps one PackedMatrix per slot.
 
     Entries are not truncated to their precisions, as RamElems are: a digit
     at or above an entry's precision changes no certified digit of a
@@ -519,7 +520,8 @@ class PackedMatrix:
     __slots__ = ("tower", "cs", "precs", "_ints", "_ords")
 
     def __init__(self, tower, cs, precs=None, ords=None):
-        self.tower, self.cs, self.precs = tower, cs, precs
+        full = tower._full_precs
+        self.tower, self.cs, self.precs = tower, cs, precs if precs and precs != full else full
         self._ints = None
         self._ords = ords
 
@@ -574,13 +576,21 @@ class WittElem:
         pN = self.tower.pN
         return WittElem(self.tower, tuple([c % pN for c in coeffs]))
 
+    # a ramified operand answers through RamElem's reflected operator
     def __add__(self, other):
+        if isinstance(other, RamElem):
+            return NotImplemented
         other = self.tower.witt(other)
         return self._wrap([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
+        if isinstance(other, RamElem):
+            return NotImplemented
         other = self.tower.witt(other)
         return self._wrap([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __rsub__(self, other):
+        return self.tower.witt(other) - self
 
     def __neg__(self):
         return self._wrap([-a for a in self.coeffs])
@@ -592,6 +602,8 @@ class WittElem:
     def __mul__(self, other):
         if isinstance(other, int):
             return self._scale(other)
+        if isinstance(other, RamElem):
+            return NotImplemented
         t = self.tower
         return WittElem(t, t._ring.mul(self.coeffs, t.witt(other).coeffs))
 
@@ -671,6 +683,9 @@ class RamElem:
         return RamElem(self.tower,
                        [a - b if b else a for a, b in zip(self.coeffs, other.coeffs)],
                        min(self.prec, other.prec))
+
+    def __rsub__(self, other):
+        return self.tower.ram(other) - self
 
     def __neg__(self):
         return RamElem(self.tower, [-a for a in self.coeffs], self.prec)

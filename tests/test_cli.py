@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dieumod import DModule, a_type
 from dieumod.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -221,6 +222,26 @@ def test_out_of_range_tau_slot_is_named(capsys, tau, values, slot):
     error = json.loads(out)["error"]
     assert error["code"] == "usage"
     assert error["message"] == f"--tau slot {slot} is out of range 0..1"
+
+
+@pytest.mark.parametrize("avals,bad", [("0", 0), ("3", 3), ("-1", -1), ("1,0", 0)])
+def test_out_of_range_aval_is_named(capsys, avals, bad):
+    # an a-value is ord(c * pi) for the slot's c = pi^(a-1), so 1..e; a = 0
+    # once built c = 1 (a-value 1) and a = 3 > e the a-value e = 2
+    tau = ",".join(str(i) for i in range(len(avals.split(","))))
+    exit_code, out = run_cli(capsys, "construct", "--family", "normal", "--p", "3",
+                             "--f", "2", "--e", "2", "--tau", tau, "--avals", avals)
+    assert exit_code == 1
+    assert json.loads(out)["error"] == {
+        "code": "usage", "message": f"--avals value {bad} is out of range 1..2"}
+
+
+@pytest.mark.parametrize("avals", ["1", "2"])
+def test_avals_give_the_a_type(capsys, avals):
+    exit_code, out = run_cli(capsys, "construct", "--family", "normal", "--p", "3",
+                             "--f", "1", "--e", "2", "--tau", "0", "--avals", avals)
+    assert exit_code == 0
+    assert a_type(DModule.from_json(json.loads(out))).pairs == ((0, int(avals)),)
 
 
 @pytest.mark.parametrize("tau,values,message", [

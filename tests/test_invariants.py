@@ -462,6 +462,21 @@ def base_change(M, rng):
     return DModule(t, mats, None, M.mode)
 
 
+def is_exact(M):
+    return all(x.prec == M.tower.pi_precision for A in M.matrices for row in A for x in row)
+
+
+def base_changed(M, rng):
+    """base_change(M, rng), or None when M has truncated entries (a dual)
+    and the changed presentation's determinant is no longer certified: the
+    outcome of building it, PrecisionError included."""
+    try:
+        return base_change(M, rng)
+    except PrecisionError:
+        assert not is_exact(M)
+        return None
+
+
 @st.composite
 def modules(draw):
     """(module, seeded rng): a family or general-mode module, possibly its
@@ -482,15 +497,15 @@ class TestReadOffReference:
     @given(modules())
     def test_matches_chain_ring_route(self, case):
         M, rng = case
-        B = base_change(M, rng)  # another presentation of the same module
-        exact = all(x.prec == M.tower.pi_precision
-                    for A in M.matrices for row in A for x in row)
+        B = base_changed(M, rng)  # another presentation of the same module
+        exact = is_exact(M)
         got = read_off_invariants(M) if exact else answer(read_off_invariants, M)
         for X in (M, B):
-            ref = answer(chain_ring_invariants, X)
+            ref = None if X is None else answer(chain_ring_invariants, X)
             assert ref is None or ref == got
-        got_b = read_off_invariants(B) if exact else answer(read_off_invariants, B)
-        assert got_b is None or got is None or got_b == got
+        if B is not None:
+            got_b = read_off_invariants(B) if exact else answer(read_off_invariants, B)
+            assert got_b is None or got is None or got_b == got
 
 
 def truncated(M, rng, low=False, delta=False):
@@ -541,8 +556,9 @@ class TestReadOffPrecision:
         pi2, z = t.pi_pow(2), t.zero()
         T = DModule(t, [[[RamElem(t, z.coeffs, 1), pi2], [pi2, z]]], None, "general")
         assert T.det_orders == [4] and T.entry_orders == [None]
-        with pytest.raises(PrecisionError):
+        with pytest.raises(PrecisionError) as exc:
             lie_type(T)
+        assert exc.value.lower_bound == 1
         with pytest.raises(PrecisionError):
             chain_ring_invariants(T)
 
@@ -751,7 +767,7 @@ class TestStoredValuations:
     @given(modules())
     def test_match_the_entries(self, case):
         M, rng = case
-        presentations = [M, base_change(M, rng), truncated(M, rng),
+        presentations = [M, base_changed(M, rng), truncated(M, rng),
                          truncated(M, rng, low=True, delta=True)]
         try:
             presentations.append(M.dual())

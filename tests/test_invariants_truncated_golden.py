@@ -1,10 +1,12 @@
 """Byte-identical invariants of truncated-precision modules.
 
 The CLI golden file holds only family modules, whose entries all carry full
-precision.  The dual of a module is built through p * A^(-1), whose unit
-division spends certified digits, so `M.dual()` of each CLI golden family
-gives entries of lower precision.  For each one the golden file records
-`invariant_report` and both Newton methods, or the error that each raised.
+precision.  The dual of a module is built through p * A^(-1) =
+pi^(e-v) * adj(A) * u^(-1), det A = pi^v u.  The pi-shift is exact for
+v <= e, and only the division by the det's unit part u spends certified
+digits, so `M.dual()` of each CLI golden family gives entries of lower
+precision.  For each one the golden file records `invariant_report` and
+both Newton methods, or the error that each raised.
 
 Regenerate the golden file (only when the output is meant to change) with
 

@@ -2,15 +2,19 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dieumod import (
     CoeffTower, DModule, DomainError, PrecisionError, lie_type, a_type, newton_point,
+    dual_invariants,
 )
 from dieumod.modules import mat_sigma
 from dieumod.wittring import RamElem, WittElem
 from dieumod import families as fam
 import chainref
+import dualref
 from conftest import mat_mul, random_unit, tower
+from test_invariants import modules, truncated
 from validationref import mat_det
 
 
@@ -344,6 +348,81 @@ class TestDual:
         M = fam.superspecial(t, 0, 1, "general")  # pi-power pairing scalars
         with pytest.raises(DomainError, match="unit"):
             M.dual()
+
+
+@st.composite
+def adjugate_modules(draw):
+    """A family or general-mode module, possibly its dual, possibly with
+    entries (and pairing scalars) truncated to fewer digits."""
+    M, rng = draw(modules())
+    if draw(st.booleans()):
+        M = truncated(M, rng, low=draw(st.booleans()), delta=draw(st.booleans())) or M
+    return M
+
+
+def outcome(route, *args):
+    try:
+        return route(*args)
+    except (DomainError, PrecisionError) as exc:
+        return exc
+
+
+def entries(A):
+    return [x for row in A for x in row]
+
+
+def agrees(new, old):
+    """new is certified to at least old's digits and equals old on them."""
+    return new.prec >= old.prec and RamElem(new.tower, new.coeffs, old.prec) == old
+
+
+class TestExactAdjugate:
+    """`_p_adjugate` forms pi^(e-v) adj(A) by one pi-shift per entry;
+    `dualref` forms p adj(A) / pi^v, which spends v digits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(adjugate_modules())
+    def test_matches_multiply_then_divide(self, M):
+        full = M.tower.pi_precision
+        for i in range(M.f):
+            v = M.det_orders[i]
+            new, old = outcome(M._p_adjugate, i), outcome(dualref.p_adjugate, M, i)
+            if isinstance(new, Exception):
+                # only an entry certified to exactly v - e digits runs out
+                assert isinstance(new, PrecisionError) and isinstance(old, PrecisionError)
+                continue
+            (a, b), (c, d) = M.matrices[i]
+            for x, y in zip(entries(new), (d, b, c, a)):
+                # the shift spends the digits of pi^(v - e) only when v > e
+                assert x.prec == min(y.prec + M.e - v, full)
+            if not isinstance(old, Exception):
+                assert all(map(agrees, entries(new), entries(old)))
+        old = outcome(dualref.dual, M)
+        new = outcome(M.dual)
+        if isinstance(old, DomainError):
+            assert isinstance(new, DomainError) and new.code == old.code
+        elif isinstance(old, DModule):
+            assert isinstance(new, DModule), new  # builds wherever the old route did
+            assert (new.mode, new.delta) == (old.mode, old.delta)
+            for A, B in zip(new.matrices, old.matrices):
+                assert all(map(agrees, entries(A), entries(B)))
+
+    @pytest.mark.parametrize("build", [
+        fam.ordinary_module, lambda t: fam.slope_family(t, 1),
+        lambda t: fam.normal_form(t, (0,), {0: t.ram([[1, 2], [3, 4]])}),
+        lambda t: fam.superspecial(t, variant="rapoport")])
+    def test_builds_where_multiply_then_divide_ran_out(self, build):
+        # e*N = 4: p * x caps at 4 digits and the division by pi^2 leaves 2,
+        # too few for the unit division; the shift spends none of them
+        t = tower(5, 1, 2, ext=2)
+        M = build(t)
+        with pytest.raises(PrecisionError):
+            dualref.dual(M)
+        D = M.dual()
+        L, a = dual_invariants(lie_type(M), a_type(M))
+        assert lie_type(D).pairs == L.pairs and a_type(D).pairs == a.pairs
+        DD = D.dual()
+        assert lie_type(DD).pairs == lie_type(M).pairs and a_type(DD).pairs == a_type(M).pairs
 
 
 class TestSerialization:

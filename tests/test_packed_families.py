@@ -217,3 +217,35 @@ class TestReportsFormNoRamElem:
         for M in tied:
             inv.invariant_report(M)
             assert M._matrices is None and made == [] and products == [], M
+
+
+class TestPrecisionForm:
+    """Every PackedMatrix carries its four entry precisions as a tuple, and
+    it is the tower's shared full-precision tuple exactly when all four are
+    eN, which `mat_product` and `pair_sum` test by identity."""
+
+    @staticmethod
+    def check(P):
+        t = P.tower
+        assert type(P.precs) is tuple and len(P.precs) == 4
+        assert all(type(q) is int and 0 <= q <= t.pi_precision for q in P.precs)
+        assert (P.precs is t._full_precs) == (min(P.precs) == t.pi_precision)
+
+    @settings(max_examples=150, deadline=None)
+    @given(builder_calls(), st.booleans())
+    def test_builders_packed_products_and_sigma(self, call, dual):
+        name, args = call
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # nonrapoport_module warns at p = 3
+                M = getattr(fam, name)(*args)
+            if dual:
+                M = M.dual()  # entries below full precision
+        except (DomainError, PrecisionError):
+            return
+        t = M.tower
+        Ps = list(M.packed_matrices) + [t.packed(A) for A in M.matrices]
+        Ps += [P.sigma(n) for P in Ps for n in (1, -1)]
+        Ps += [t.mat_product(P, Q) for P in Ps[:4] for Q in (P, Ps[-1])]
+        for P in Ps:
+            self.check(P)

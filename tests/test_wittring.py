@@ -401,7 +401,7 @@ class TestRingMismatch:
         for B in others:
             y, v = B.ram([B.witt([1] * B.d)]), B.witt([1] * B.d)
             for op in self.OPS:
-                for a, b in ((x, y), (y, x), (x, v), (w, v), (v, w)):
+                for a, b in ((x, y), (y, x), (x, v), (v, x), (w, y), (y, w), (w, v), (v, w)):
                     self.mismatch(lambda: op(a, b))
             for make in (lambda: A.ram(y), lambda: A.ram(v), lambda: A.ram([v]),
                          lambda: A.witt(v), lambda: A.teichmuller(B.residue_field.one())):
@@ -441,6 +441,41 @@ class TestRingMismatch:
         M = DModule(A, [[[A2.one(), A2.zero()], [A2.zero(), A2.ram(3)]]], [A2.one()])
         assert M.det_orders == [1]
         assert fam.normal_form(A, (0,), {0: A2.zero()}).tower is A
+
+
+def test_every_precision_error_carries_a_bound():
+    # every `raise PrecisionError(...)` in the package passes lower_bound=
+    import ast
+    from pathlib import Path
+    sites = []
+    for path in sorted((Path(__file__).parent.parent / "src" / "dieumod").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "PrecisionError"):
+                sites.append((path.name, node.lineno,
+                              any(k.arg == "lower_bound" for k in node.exc.keywords)))
+    assert sites and all(bound for *_, bound in sites), [s for s in sites if not s[2]]
+
+
+class TestMixedOperands:
+    """+, - and * take a WittElem, a RamElem or an int on either side: a
+    Witt element on the left of a ramified one answers through RamElem's
+    reflected operator, with the value of the ramified operation."""
+
+    OPS = (operator.add, operator.sub, operator.mul)
+
+    @pytest.mark.parametrize("shape", [(3, 1, 2, 2), (2, 2, 3, 1), (5, 1, 1, 1)])
+    def test_both_orders(self, rng, shape):
+        t = tower(*shape)
+        w, x = t.random_witt(rng), t.random_ram(rng)
+        cut = RamElem(t, x.coeffs, t.e + 1)
+        for op in self.OPS:
+            for y in (x, cut):
+                for a, b in ((w, y), (y, w), (2, y), (y, 2)):
+                    assert op(a, b) == op(t.ram(a), t.ram(b)), (op, a, b)
+            for a, b in ((2, w), (w, 2)):
+                assert op(a, b) == op(t.witt(a), t.witt(b)), (op, a, b)
+        assert 2 - t.witt(5) == t.witt(-3) and 2 - t.ram(5) == t.ram(-3)
 
 
 class TestPower:
