@@ -301,9 +301,9 @@ class CoeffTower:
 
     def _product_precs(self, P, Q, pairs):
         """The least `product_prec` of P[i] Q[j] over each list of flat
-        index pairs (i, j), as a tuple; when P and Q are both at full
-        precision, the tower's `_full_precs`, eN in every place whatever the
-        number of lists."""
+        index pairs (i, j), as a tuple; the tower's `_full_precs` (eN four
+        times, whatever the number of lists) when P and Q are both at full
+        precision."""
         if P.precs is Q.precs is self._full_precs:
             return self._full_precs
         full = self.pi_precision

@@ -226,8 +226,7 @@ def test_out_of_range_tau_slot_is_named(capsys, tau, values, slot):
 
 @pytest.mark.parametrize("avals,bad", [("0", 0), ("3", 3), ("-1", -1), ("1,0", 0)])
 def test_out_of_range_aval_is_named(capsys, avals, bad):
-    # an a-value is ord(c * pi) for the slot's c = pi^(a-1), so 1..e; a = 0
-    # once built c = 1 (a-value 1) and a = 3 > e the a-value e = 2
+    # an a-value is ord(c * pi) for the slot's c = pi^(a-1), so it lies in 1..e
     tau = ",".join(str(i) for i in range(len(avals.split(","))))
     exit_code, out = run_cli(capsys, "construct", "--family", "normal", "--p", "3",
                              "--f", "2", "--e", "2", "--tau", tau, "--avals", avals)

@@ -20,6 +20,7 @@ from dieumod import invariants as inv
 from dieumod import modules
 from dieumod.wittring import CoeffTower, RamElem
 from conftest import tower
+from test_fibers import specializations
 from test_invariants import base_change, family_module
 import familyref
 
@@ -225,15 +226,21 @@ class TestPrecisionForm:
     eN, which `mat_product` and `pair_sum` test by identity."""
 
     @staticmethod
-    def check(P):
-        t = P.tower
-        assert type(P.precs) is tuple and len(P.precs) == 4
-        assert all(type(q) is int and 0 <= q <= t.pi_precision for q in P.precs)
-        assert (P.precs is t._full_precs) == (min(P.precs) == t.pi_precision)
+    def check(M):
+        """The slots of M, their repacked RamElem matrices, sigma images and
+        products."""
+        t = M.tower
+        Ps = list(M.packed_matrices) + [t.packed(A) for A in M.matrices]
+        Ps += [P.sigma(n) for P in Ps for n in (1, -1)]
+        Ps += [t.mat_product(P, Q) for P in Ps[:4] for Q in (P, Ps[-1])]
+        for P in Ps:
+            assert type(P.precs) is tuple and len(P.precs) == 4
+            assert all(type(q) is int and 0 <= q <= t.pi_precision for q in P.precs)
+            assert (P.precs is t._full_precs) == (min(P.precs) == t.pi_precision)
 
     @settings(max_examples=150, deadline=None)
     @given(builder_calls(), st.booleans())
-    def test_builders_packed_products_and_sigma(self, call, dual):
+    def test_builders_and_duals(self, call, dual):
         name, args = call
         try:
             with warnings.catch_warnings():
@@ -243,9 +250,13 @@ class TestPrecisionForm:
                 M = M.dual()  # entries below full precision
         except (DomainError, PrecisionError):
             return
-        t = M.tower
-        Ps = list(M.packed_matrices) + [t.packed(A) for A in M.matrices]
-        Ps += [P.sigma(n) for P in Ps for n in (1, -1)]
-        Ps += [t.mat_product(P, Q) for P in Ps[:4] for Q in (P, Ps[-1])]
-        for P in Ps:
-            self.check(P)
+        self.check(M)
+
+    @settings(max_examples=100, deadline=None)
+    @given(specializations())
+    def test_fibers(self, case):
+        try:
+            M = fam.deform_specialize(*case)
+        except (DomainError, PrecisionError):
+            return
+        self.check(M)
