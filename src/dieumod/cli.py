@@ -30,6 +30,19 @@ def _ints(text):
     return tuple(int(x) for x in text.split(",")) if text else ()
 
 
+def _tau_slots(text, tower):
+    """The --tau slots, each in 0..f-1 and listed once: the builders key
+    their coefficient maps by the slots as given, so a slot past f - 1
+    would alias slot (tau mod f)."""
+    tau = _ints(text)
+    for i in tau:
+        if not 0 <= i < tower.f:
+            raise DomainError("usage", f"--tau slot {i} is out of range 0..{tower.f - 1}")
+        if tau.count(i) > 1:
+            raise DomainError("usage", f"--tau repeats slot {i}")
+    return tau
+
+
 def cmd_invariants(args):
     if args.module == "-":
         data = json.load(sys.stdin)
@@ -53,12 +66,7 @@ def cmd_construct(args):
             raise DomainError("usage", "--a is required for the slope family")
         M = fam.slope_family(tower, args.a)
     elif args.family == "normal":
-        tau = _ints(args.tau or "")
-        for i in tau:  # the coefficient map is keyed by the slots as given
-            if not 0 <= i < tower.f:
-                raise DomainError("usage", f"--tau slot {i} is out of range 0..{tower.f - 1}")
-            if tau.count(i) > 1:
-                raise DomainError("usage", f"--tau repeats slot {i}")
+        tau = _tau_slots(args.tau or "", tower)
         if args.cjson:
             raw = json.loads(args.cjson)
             if not (isinstance(raw, dict) and all(map(is_json_ram, raw.values()))):
@@ -116,7 +124,7 @@ def cmd_hecke(args):
 def cmd_sample_deform(args):
     import random
     tower = _tower_from_args(args)
-    tau = _ints(args.tau)
+    tau = _tau_slots(args.tau, tower)
     target = _ints(args.target)
     rng = random.Random(args.seed)
     out = fam.sample_deform(tower, tau, target, args.trials, rng)

@@ -28,14 +28,13 @@ The check is one array pass: a point of F_q^3 is its flat index
 chart points lie inside the variety's.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import fppoly
 from .modp import LOG_TABLE_MAX_ORDER, log_table
-from .wittring import DomainError
+from .wittring import DomainError, Frozen
 
 
 class SmallField:
@@ -91,10 +90,24 @@ class SmallField:
         return np.arange(self.q, dtype=self.dtype)
 
 
-@dataclass(frozen=True)
-class StablePlane:
-    rref: tuple  # 2x4 integer-encoded reduced row echelon matrix
-    chart: tuple | None  # (t11, t12, t21, t22) when the plane is in the chart
+class StablePlane(Frozen):
+    """A stable plane: its 2x4 integer-encoded reduced row echelon matrix
+    `rref`, and its chart point (t11, t12, t21, t22) when it lies in the
+    chart, else None."""
+
+    __slots__ = _fields = ("rref", "chart")
+
+    def __init__(self, rref, chart):
+        object.__setattr__(self, "rref", rref)
+        object.__setattr__(self, "chart", chart)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rref, self.chart) == (other.rref, other.chart)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rref, self.chart))
 
 
 def _field_order(p, s):

@@ -20,12 +20,11 @@ exact on the normal-form families) or by a bracketing limit of minimal
 entry valuations of iterated twisted powers (the independent oracle).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from math import gcd
 
-from .wittring import PrecisionError, DomainError, INF, product_prec
+from .wittring import PrecisionError, DomainError, Frozen, INF, product_prec
 
 # doubling budget of the Newton oracle: twisted powers up to the 2^7-fold
 _MAX_DOUBLINGS = 7
@@ -40,25 +39,33 @@ def admissible_indices(g):
     return out
 
 
-@dataclass(frozen=True)
-class NewtonPoint:
+class NewtonPoint(Frozen):
     """A point s(index) of S(g).  The index is a Fraction n/d in lowest
     terms with d in {1, 2}, or an int, which is kept as a Fraction; the
     flags and the JSON form run on n and d as plain integers, and only
     `sequence` forms Fractions."""
 
-    g: int
-    index: Fraction
+    __slots__ = _fields = ("g", "index")
 
-    def __post_init__(self):
-        if type(self.index) is int:
-            object.__setattr__(self, "index", Fraction(self.index))
-        elif not isinstance(self.index, Fraction):
-            raise DomainError("bad-slope", f"index {self.index!r} is not a Fraction or an int")
+    def __init__(self, g, index):
+        if type(index) is int:
+            index = Fraction(index)
+        elif not isinstance(index, Fraction):
+            raise DomainError("bad-slope", f"index {index!r} is not a Fraction or an int")
         # S(g) holds the integers in [0, g/2] and g/2 itself (n/d in lowest terms)
-        n, d = self.index.numerator, self.index.denominator
-        if not (d == 1 and 0 <= 2 * n <= self.g or d == 2 and n == self.g):
-            raise DomainError("bad-slope", f"{self.index} is not in S({self.g})")
+        n, d = index.numerator, index.denominator
+        if not (d == 1 and 0 <= 2 * n <= g or d == 2 and n == g):
+            raise DomainError("bad-slope", f"{index} is not in S({g})")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.g, self.index) == (other.g, other.index)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.g, self.index))
 
     @property
     def sequence(self):
@@ -92,15 +99,25 @@ class NewtonPoint:
         }
 
 
-@dataclass(frozen=True)
-class LieType:
-    e: int
-    pairs: tuple  # per-slot sorted (e1, e2)
+class LieType(Frozen):
+    """Per-slot sorted pairs (e1, e2), 0 <= e1 <= e2 <= e."""
 
-    def __post_init__(self):
-        for a, b in self.pairs:
-            if not (0 <= a <= b <= self.e):
-                raise DomainError("bad-shape", f"Lie pair {(a, b)} out of [0, {self.e}]")
+    __slots__ = _fields = ("e", "pairs")
+
+    def __init__(self, e, pairs):
+        for a, b in pairs:
+            if not (0 <= a <= b <= e):
+                raise DomainError("bad-shape", f"Lie pair {(a, b)} out of [0, {e}]")
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "pairs", pairs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.e, self.pairs) == (other.e, other.pairs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.e, self.pairs))
 
     @property
     def f(self):
@@ -122,20 +139,30 @@ class LieType:
         return [list(pair) for pair in self.pairs]
 
 
-@dataclass(frozen=True)
-class AType:
-    e: int
-    pairs: tuple  # per-slot sorted (a1, a2)
+class AType(Frozen):
+    """Per-slot sorted pairs (a1, a2) and their sum, the a-number, which is
+    a slot but not a field: equality, hashing and the repr read e and pairs
+    only."""
+
+    _fields = ("e", "pairs")
+    __slots__ = (*_fields, "a_number")
+
+    def __init__(self, e, pairs):
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "a_number", sum(a + b for a, b in pairs))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.e, self.pairs) == (other.e, other.pairs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.e, self.pairs))
 
     @property
     def f(self):
         return len(self.pairs)
-
-    @cached_property
-    def a_number(self):
-        # kept in the instance's __dict__, not a field: equality and hashing
-        # still read e and pairs only
-        return sum(a + b for a, b in self.pairs)
 
     @property
     def rapoport_form(self):
@@ -279,7 +306,9 @@ def newton_point(M, method="fast"):
     oracle: bracket m_n / n (minimal entry valuation of the n-fold twisted
             power) onto S(g) under doubling until the bracket stabilizes.
             Its stop (no change over three doublings past n = 16) gives a
-            certified lower bound on the index, not a certified value.
+            certified lower bound on the index, not a certified value.  When
+            working precision runs out first, a bracket of g/2, the top of
+            S(g), is the index; a lower one is raised as PrecisionError.
     """
     if M.det_sum != M.g:
         raise DomainError("det-budget",
@@ -334,7 +363,9 @@ def _newton_oracle(M):
     """Bracket the index from below.  Superadditivity of the minimal entry
     valuations gives m_n/n <= index for every n (Fekete), so the ceiling of
     m_n/n in S(g) is a certified lower bound that converges to the index;
-    we accept it once it hits g/2 or freezes over three doublings past n=16."""
+    we accept it once it hits g/2 or freezes over three doublings past n=16.
+    A step that runs out of digits still certifies its entries' lower bound,
+    which brackets the index in turn."""
     g = M.g
     history = []  # twice each bracket
     n = 0
@@ -346,7 +377,12 @@ def _newton_oracle(M):
                           and history[-1] == history[-2] == history[-3]):
                 return NewtonPoint(g, Fraction(t, 2))
     except PrecisionError as exc:
-        bound = Fraction(_bracket(g, exc.lower_bound, max(2 * n, 1)), 2)
+        # the entries' certified lower bound still brackets the index; at
+        # the top of S(g) that bracket is the index itself
+        t = _bracket(g, exc.lower_bound, max(2 * n, 1))
+        if t == g:
+            return NewtonPoint(g, Fraction(g, 2))
+        bound = Fraction(t, 2)
         raise PrecisionError(
             "oracle exhausted working precision before the bracket stabilized; "
             f"certified lower bound s({bound})", lower_bound=bound) from exc

@@ -11,12 +11,11 @@ directions' coefficients packed into one integer v.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from math import factorial
 
-from .wittring import DomainError, count_text
+from .wittring import DomainError, Frozen, count_text
 from .invariants import NewtonPoint, admissible_indices
 
 
@@ -74,14 +73,33 @@ def spaced_bound_exhaustive(a, cap=10 ** 6):
     return best
 
 
-@dataclass(frozen=True)
-class StratumRecord:
-    a: tuple
-    dim: int
-    spaced: bool
-    lam: int
-    generic_slope_lower: NewtonPoint
-    generic_slope_exact: NewtonPoint | None
+class StratumRecord(Frozen):
+    """One a-type of the poset: its dimension, whether it is spaced, its
+    spaced bound lambda, and the generic Newton point's lower bound and,
+    when known, exact value (a NewtonPoint or None)."""
+
+    __slots__ = _fields = ("a", "dim", "spaced", "lam", "generic_slope_lower",
+                           "generic_slope_exact")
+
+    def __init__(self, a, dim, spaced, lam, generic_slope_lower, generic_slope_exact):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "spaced", spaced)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "generic_slope_lower", generic_slope_lower)
+        object.__setattr__(self, "generic_slope_exact", generic_slope_exact)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.a, self.dim, self.spaced, self.lam, self.generic_slope_lower,
+                     self.generic_slope_exact)
+                    == (other.a, other.dim, other.spaced, other.lam, other.generic_slope_lower,
+                        other.generic_slope_exact))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.dim, self.spaced, self.lam, self.generic_slope_lower,
+                     self.generic_slope_exact))
 
     def to_json(self):
         return {

@@ -128,6 +128,37 @@ class DomainError(ValueError):
         self.info = info
 
 
+class Frozen:
+    """Base of the immutable value types (Newton point, Lie type, a-type,
+    stratum record, stable plane).  A subclass keeps its `_fields` in
+    `__slots__`, sets each slot once in its own `__init__` with
+    `object.__setattr__`, and writes out `__eq__` (same class, equal
+    fields) and `__hash__` (of the field tuple).  The base gives the repr
+    `Name(field=value, ...)`, refuses assignment and deletion with
+    AttributeError, and pickles and copies through `__init__`."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen "
+                             f"{type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen "
+                             f"{type(self).__name__}")
+
+    def __reduce__(self):
+        # rebuilt through __init__, which validates and fills derived slots
+        return type(self), self._values()
+
+
 def count_text(n):
     """A search or set size for a size-guard message: n in decimal below
     2^64, else "at least 2^k", which never needs a huge decimal string."""

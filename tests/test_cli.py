@@ -258,6 +258,37 @@ def test_bad_slot_maps_are_named(capsys, tau, values, message):
     assert json.loads(out)["error"] == {"code": "usage", "message": message}
 
 
+@pytest.mark.parametrize("tau,message", [
+    ("3", "--tau slot 3 is out of range 0..1"), ("2", "--tau slot 2 is out of range 0..1"),
+    ("-1", "--tau slot -1 is out of range 0..1"), ("0,2", "--tau slot 2 is out of range 0..1"),
+    ("1,1", "--tau repeats slot 1"), ("0,1,0", "--tau repeats slot 0")],
+    ids=["3", "2", "-1", "0,2", "1,1", "0,1,0"])
+def test_sample_deform_checks_tau_as_construct_does(capsys, tau, message):
+    # a slot past f - 1 used to alias slot (tau mod f), and a repeat to collapse
+    error = {"error": {"code": "usage", "message": message}}
+    avals = ",".join("1" for _ in tau.split(","))
+    for argv in (("sample-deform", "--tau", tau, "--target", "1,0", "--trials", "2"),
+                 ("construct", "--family", "normal", "--tau", tau, "--avals", avals)):
+        exit_code, out = run_cli(capsys, *argv, "--p", "3", "--f", "2")
+        assert exit_code == 1 and json.loads(out) == error, argv
+
+
+@pytest.mark.parametrize("p", ["2", "3", "5"])
+def test_oracle_answers_the_top_of_its_bracket(capsys, tmp_path, p):
+    # g = 4: the oracle runs out of digits with certified bound s(2) = s(g/2),
+    # which is the index
+    exit_code, out = run_cli(capsys, "construct", "--p", p, "--f", "2", "--e", "2",
+                             "--family", "normal", "--tau", "0", "--avals", "2")
+    assert exit_code == 0
+    path = tmp_path / "m.json"
+    path.write_text(out)
+    exit_code, out = run_cli(capsys, "invariants", "--module", str(path), "--method", "oracle")
+    assert exit_code == 0
+    report = json.loads(out)
+    assert report["newton_oracle"] == report["newton"]
+    assert (report["newton"]["index_num"], report["newton"]["index_den"]) == (2, 1)
+
+
 def test_sample_deform_on_degree_one_tower(capsys):
     # d = f * ext = 1: Teichmuller lifts of sampled units need T mod the modulus
     code, out = run_cli(capsys, "sample-deform", "--p", "5", "--f", "1", "--e", "2",

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -6,7 +5,7 @@ from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dieumod import (
     DModule, DomainError, PrecisionError, lie_type, a_type, a_index, newton_point, classify,
@@ -208,13 +207,16 @@ class TestIntegerNewtonArithmetic:
         assert exc.value.code == "bad-slope"
 
     def test_a_number_is_the_pair_sum_and_not_a_field(self):
-        assert "a_number" not in {f.name for f in dataclasses.fields(AType)}
+        # not a field: no constructor argument, and outside equality, the
+        # hash, the repr and the pickled form
+        with pytest.raises(TypeError):
+            AType(3, ((0, 1),), 1)
         for pairs in (((0, 0),), ((0, 1), (1, 2)), ((2, 3), (0, 0), (1, 1))):
             a, b = AType(3, pairs), AType(3, pairs)
             assert a.a_number == sum(x + y for x, y in pairs)
-            # one has read a_number, the other not: still equal, same hash
-            assert a == b and hash(a) == hash(b)
+            assert a == b and hash(a) == hash(b) == hash((3, pairs))
             assert repr(a) == f"AType(e=3, pairs={pairs!r})"
+            assert a.__reduce__() == (AType, (3, pairs))
             assert a.to_json()["a_number"] == a.a_number
 
     def test_inconsistent_refusals_keep_their_messages(self):
@@ -1002,3 +1004,41 @@ class TestConsistencyGuards:
                         wrong.append((p, f, e, a))
         assert not wrong
         assert sorted(refused) == [(2, 2, 2, 1)] * 2 + [(3, 2, 2, 0)] + [(3, 2, 2, 1)] * 3
+
+
+@st.composite
+def normal_families(draw):
+    """(tower shape, tau, a-values) of a normal-form family at the policy
+    precision, c_i = pi^(a_i - 1) on each slot i of tau."""
+    shape = draw(st.sampled_from(READ_OFF_SHAPES))
+    tau = tuple(i for i in range(shape[1]) if draw(st.booleans()))
+    return shape, tau, tuple(draw(st.integers(1, shape[2])) for _ in tau)
+
+
+def normal_family(shape, tau, avals):
+    t = tower(*shape)
+    return fam.normal_form(t, tau, {i: t.pi_pow(a - 1) for i, a in zip(tau, avals)})
+
+
+class TestOracleTop:
+    """When the oracle runs out of digits, the certified bound it has still
+    brackets the index; at g/2, the top of S(g), that bracket is the index."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_top_bracket_is_the_answer(self, p):
+        # construct --p P --f 2 --e 2 --family normal --tau 0 --avals 2 (g = 4)
+        M = normal_family((p, 2, 2, 2), (0,), (2,))
+        assert newton_point(M, "oracle") == newton_point(M, "fast") == NewtonPoint(4, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(normal_families())
+    @example(((3, 1, 4, 1), (0,), (2,)))
+    @example(((2, 2, 3, 1), (0, 1), (2, 1)))
+    def test_refusals_lie_below_the_top(self, case):
+        M = normal_family(*case)
+        try:
+            s = newton_point(M, "oracle")
+        except PrecisionError as exc:
+            assert 2 * exc.lower_bound < M.g
+        else:
+            assert s == newton_point(M, "fast")
