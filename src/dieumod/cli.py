@@ -31,9 +31,9 @@ def _ints(text):
 
 
 def _tau_slots(text, tower):
-    """The --tau slots, each in 0..f-1 and listed once: the builders key
-    their coefficient maps by the slots as given, so a slot past f - 1
-    would alias slot (tau mod f)."""
+    """The --tau slots, each in 0..f-1 and listed once.  The builders
+    refuse any other tau too (`bad-shape`); this check answers first, with
+    the usage error."""
     tau = _ints(text)
     for i in tau:
         if not 0 <= i < tower.f:

@@ -89,6 +89,17 @@ def _slot(tower, entries, precs=None):
                         tuple([v for _, v in entries]))
 
 
+def _tau_slots(tower, tau):
+    """The slots of tau in ascending order, given in any order; a slot
+    outside 0..f-1 or listed twice is refused, since the coefficient map
+    and the stratum are keyed by the slots as given."""
+    slots = tuple(sorted(tau))
+    if any(not 0 <= i < tower.f for i in slots) or len(set(slots)) < len(slots):
+        raise DomainError("bad-shape", f"tau slots must be distinct and in 0..{tower.f - 1}, "
+                          f"not {list(tau)}")
+    return slots
+
+
 def _attach(module, family, deltas_note):
     module.family = family
     module.pairing_note = deltas_note
@@ -133,11 +144,12 @@ def normal_form(tower, tau, c=None):
 
     For i in tau the slot matrix is [[c_i * pi, 1], [pi^e, 0]] and the slot
     a-invariant is a^i = min(e, ord_pi(c_i * pi)); other slots are
-    diag(1, pi^e).  c maps tau to ring elements (0 allowed, giving a^i = e);
-    an empty tau yields the split ordinary module.
+    diag(1, pi^e).  tau lists distinct slots in 0..f-1, in any order
+    (`bad-shape` otherwise); c maps tau to ring elements (0 allowed, giving
+    a^i = e); an empty tau yields the split ordinary module.
     """
     e, f = tower.e, tower.f
-    tau = tuple(sorted(set(i % f for i in tau)))
+    tau = _tau_slots(tower, tau)
     c = {} if c is None else dict(c)
     if set(c) != set(tau):
         raise DomainError("bad-shape", "coefficient map must have exactly the slots of tau")
@@ -303,13 +315,14 @@ def nonrapoport_module(tower):
 
 def sample_deform(tower, tau, target, trials, rng):
     """Random Teichmuller specializations over the target stratum; returns a
-    histogram {newton index: count} plus the builder inputs echoed back."""
+    histogram {newton index: count} plus the builder inputs echoed back.
+    tau is taken as `normal_form` takes it."""
     from .invariants import newton_point
 
     e, f = tower.e, tower.f
     if trials < 0:
         raise DomainError("bad-shape", f"trials must be >= 0, not {trials}")
-    tau = tuple(sorted(set(i % f for i in tau)))
+    tau = _tau_slots(tower, tau)
     target = _target_atype(target, e, f)
     c = {}
     for i in tau:

@@ -16,15 +16,17 @@ lift y: `teichmuller_modulus` lifts the residue of x by it, and
 
 The kernel does no per-slot work on slots that hold nothing, and each
 shortcut returns what the slot loop would: a constant, zero included, is
-its own packed integer (slot 0 holds it, the others 0); `reduce` returns
-the shared `zero` for a zero product, and folds nothing when the d-1 high
-slots are empty (every fold term would be 0 * x^(d+k)).  `mul_packed`
-runs the same fold and keeps the reduced product packed, for chains of Witt
-products (the Teichmuller window power) that split only their result;
-`split` of an
-integer below 2^bits is (acc mod m, 0, ..., 0), since every higher slot of
-it is 0.  Most values of the ramified families are sparse (0, 1, -p, pi^r),
-so most calls take one of these.
+its own packed integer (slot 0 holds it, the others 0); a reduction
+returns the shared `zero` for a zero product, folds nothing when the d-1
+high slots are empty (every fold term would be 0 * x^(d+k)), and reads an
+integer below 2^bits as (acc mod m, 0, ..., 0), since every higher slot of
+it is 0.  `reduce_segments` is the one fold-and-split loop: `reduce` runs
+it on one product, the tower's ramified reduction on the e pi-degrees of
+one packed product, and `reduce` of an integer of d slots is its split.
+`mul_packed` runs the same fold and keeps the reduced product packed, for
+chains of Witt products (the Teichmuller window power) that split only
+their result.  Most values of the ramified families are sparse (0, 1, -p,
+pi^r), so most calls take one of these shortcuts.
 
 Set-up runs on the same kernel.  `is_primitive` is the one test of a
 modulus: a monic f with f(0) != 0 is primitive iff x has order p^d - 1
@@ -52,9 +54,9 @@ class PackedQuotient:
     of reduced elements (a slot holds at most d*(m-1)^2 and `reduce` adds
     at most (d-1)*(m-1)^2 to a low slot) and a `substitute`; a caller that
     sums products before reducing passes a wider `bits`.  `zero`, `one` and
-    `x` are the coefficient tuples of 0, 1 and the residue of x.  `pack`,
-    `split` and `reduce` skip the slots of zero and constant values (module
-    docstring); `pack` takes lists as well as tuples."""
+    `x` are the coefficient tuples of 0, 1 and the residue of x.  `pack`
+    and `reduce_segments` skip the slots of zero and constant values
+    (module docstring); `pack` takes lists as well as tuples."""
 
     def __init__(self, modulus, m, bits=None):
         self.d = d = len(modulus) - 1
@@ -75,6 +77,7 @@ class PackedQuotient:
         self.zero = (0,) + self._tail
         self.one = (1,) + self._tail
         self.x = (0, 1) + (0,) * (d - 2) if d > 1 else tuple(low)
+        self._consts = (m, bits, self._mask, self._lowbits, d, self.zero, self._tail)
 
     def pack(self, coeffs):
         """Packed integer of a coefficient sequence (tuple or list) of at
@@ -85,18 +88,6 @@ class PackedQuotient:
         for c in reversed(coeffs):
             acc = (acc << self.bits) | c
         return acc
-
-    def split(self, acc):
-        """Coefficient tuple of the d low slots of a packed integer, each
-        reduced mod m; one below 2^bits fills slot 0 alone."""
-        m, bits, mask = self.m, self.bits, self._mask
-        if acc <= mask:
-            return (acc % m,) + self._tail
-        out = []
-        for _ in range(self.d):
-            out.append((acc & mask) % m)
-            acc >>= bits
-        return tuple(out)
 
     def _fold(self, conv, high):
         """The d low slots of a packed product of 2d-1 slots whose high
@@ -111,14 +102,42 @@ class PackedQuotient:
             high >>= bits
         return acc
 
+    def reduce_segments(self, acc, count=1, stride=0):
+        """Coefficient tuples mod (modulus, m) of `count` packed products of
+        2d-1 slots, product k in bits [k*stride, (k+1)*stride) of acc (all
+        of acc when count is 1), as a list: `zero` for an empty segment, no
+        fold when its d-1 high slots are empty, and one below 2^bits fills
+        slot 0 alone.  The ring's constants are read once per call."""
+        m, bits, mask, lowbits, d, zero, tail = self._consts
+        seg, out = (1 << stride) - 1, []
+        while True:
+            conv = acc & seg if count > 1 else acc
+            if not conv:
+                out.append(zero)
+            else:
+                high = conv >> lowbits
+                if high:
+                    conv = self._fold(conv, high)
+                if conv <= mask:
+                    out.append((conv % m,) + tail)
+                else:
+                    cs = []
+                    for _ in range(d):
+                        cs.append((conv & mask) % m)
+                        conv >>= bits
+                    out.append(tuple(cs))
+            count -= 1
+            if not count:
+                return out
+            acc >>= stride
+
     def reduce(self, conv):
         """Coefficient tuple mod (modulus, m) of a packed product of 2d-1
-        slots: `zero` for 0, and no fold when the d-1 high slots are
-        empty."""
-        if not conv:
-            return self.zero
-        high = conv >> self._lowbits
-        return self.split(self._fold(conv, high) if high else conv)
+        slots (`reduce_segments` of one, after its zero and constant
+        shortcuts); of an integer of d slots, its slots each reduced mod m."""
+        if conv <= self._mask:
+            return (conv % self.m,) + self._tail if conv else self.zero
+        return self.reduce_segments(conv)[0]
 
     def mul_packed(self, a, b):
         """`pack(reduce(a * b))` for packed reduced a and b, with no
@@ -152,12 +171,13 @@ class PackedQuotient:
 
     def substitute(self, rows, a):
         """a(y) for the rows of `power_rows(y)`: one linear combination of
-        the packed rows (a slot holds at most d*(m-1)^2), then `split`."""
+        the packed rows (a slot holds at most d*(m-1)^2), then `reduce`,
+        which splits it."""
         acc = 0
         for c, row in zip(a, rows):
             if c:
                 acc += c * row
-        return self.split(acc)
+        return self.reduce(acc)
 
 
 def window_table(base, max_exp, mul, one):

@@ -189,7 +189,7 @@ def _entry_order(M, i):
         raise PrecisionError(
             f"slot {i}: the minimum entry valuation of A[{i}] is attained only "
             "by entries that vanish to working precision; raise N",
-            lower_bound=min(map(min, P.ords, P.precs)))
+            lower_bound=min(map(min, P.ords, P.precs)), bound_kind="valuation")
     return m
 
 
@@ -266,7 +266,7 @@ def _a_pair(M, i):
                 raise PrecisionError(
                     f"slot {i}: a mixed minor of the a-type vanishes to working "
                     f"precision below {s}; it is certified only >= {lo + off}; "
-                    "raise N", lower_bound=lo + off)
+                    "raise N", lower_bound=lo + off, bound_kind="valuation")
             s = lo + off
             if s == floor:
                 return d1, s - d1
@@ -385,11 +385,12 @@ def _newton_oracle(M):
         bound = Fraction(t, 2)
         raise PrecisionError(
             "oracle exhausted working precision before the bracket stabilized; "
-            f"certified lower bound s({bound})", lower_bound=bound) from exc
+            f"certified lower bound s({bound})", lower_bound=bound,
+            bound_kind="index") from exc
     bound = Fraction(history[-1], 2)
     raise PrecisionError(
         "oracle bracket did not stabilize within the doubling budget; "
-        f"last bracket s({bound})", lower_bound=bound)
+        f"last bracket s({bound})", lower_bound=bound, bound_kind="index")
 
 
 def classify(M):

@@ -167,7 +167,8 @@ class DModule:
             if v == INF:
                 # zero in O/pi^(eN) certifies only valuation >= eN, not a zero of O
                 raise PrecisionError(f"det A[{i}] is divisible by pi^{full}, the working "
-                                     f"precision", lower_bound=full)
+                                     f"precision", lower_bound=full,
+                                     bound_kind="valuation")
             ords = list(map(min, P.ords, P.precs))  # ord_lower
             m = min(ords)  # adj(A) has the entries of A up to sign
             if m + e < v:
@@ -295,7 +296,8 @@ class DModule:
         if all(map(operator.ge, C.ords, C.precs)):
             raise PrecisionError(
                 f"all entries of the {n}-fold twisted power vanish to working "
-                f"precision; raise N or accept the bound", lower_bound=m)
+                f"precision; raise N or accept the bound", lower_bound=m,
+                bound_kind="valuation")
         return m
 
     def min_valuation_doublings(self, max_doublings):

@@ -26,37 +26,46 @@ the tower's `_ram_pack`/`_ram_reduce`.
   x^(d+k) from a table).  A constant packs as itself, a zero product
   reduces to the shared zero tuple, and a product with empty high slots
   is split without the fold (`fppoly` module docstring).  The tower binds
-  the kernel's `pack` and `reduce` as `_pack` and `_reduce`, and `witt`
-  returns its one WittElem of 0 and of 1 for those values.
+  the kernel's `pack` as `_pack`, and `witt` returns its one WittElem of 0
+  and of 1 for those values.
 * `RamElem * int` and `RamElem * WittElem` scale each pi-coefficient.  Any
   other ramified product is one bivariate Kronecker product: `_ram_pack`
   packs each operand, 2d-1 slots per pi-degree, one big-int product is
   taken, and `_ram_reduce` folds pi^(e+k) = p * pi^k (only when the
-  product has a pi-degree >= e) and reduces each of the e results once.
+  product has a pi-degree >= e) and reduces the e pi-degrees in one
+  `PackedQuotient.reduce_segments`.  A RamElem keeps its Kronecker integer
+  after its first product (`RamElem._kron`), so an element used in k
+  products is packed once.
 * A product of 2x2 matrices runs on `PackedMatrix`, a matrix kept in the
-  kernel's formats: each entry's e reduced coefficient tuples and, formed
-  once when first read, its bivariate Kronecker integer.  The one 2x2
-  kernel, `CoeffTower.mat_product`, sums the two big-int products of each
-  output entry while still packed and folds and reduces that sum once: 4e
-  reductions and no WittElem or RamElem.  A square takes five big-int
-  products, a^2 + bc, b(a+d), c(a+d), d^2 + bc, whose sums are the same
-  integers as the eight-product ones.  `pair_sum` is the one signed-pairs
-  kernel: it sums the big-int products P[i] Q[j] of given index pairs, a
-  minus sign multiplying by the packed negation of Q[j] (x -> -x mod p^N,
-  so no slot goes negative), and folds and reduces the sum once (e
-  reductions).  `mat_trace` (the four diagonal products of P Q) and `det`
+  kernel's formats: each entry's e reduced coefficient tuples and its
+  bivariate Kronecker integer, packed when that entry is first read.  The
+  one 2x2 kernel, `CoeffTower.mat_product`, sums the two big-int products
+  of each output entry while still packed and folds and reduces that sum
+  once (e reductions), and builds no WittElem or RamElem.  Only new values
+  are reduced: an entry whose two products both have a zero factor is the
+  tower's shared zero, and a copy entry, one product a factor times
+  exactly 1 and the other zero, takes that factor's tuples and integer.
+  A square takes five big-int products, a^2 + bc, b(a+d), c(a+d),
+  d^2 + bc, whose sums are the same integers as the eight-product ones.
+  `pair_sum` is the one signed-pairs kernel: it sums the big-int products
+  P[i] Q[j] of given index pairs, a minus sign multiplying by the packed
+  negation of Q[j] (x -> -x mod p^N, so no slot goes negative), and folds
+  and reduces the sum once (e reductions); a product with a zero factor,
+  read off the valuations `ords` when a builder gave them, packs neither
+  factor.  `mat_trace` (the four diagonal products of P Q) and `det`
   (ad - bc) are calls to it.  Chains of products (twisted powers and their
   doublings, `modules`) stay packed from link to link.
-* `DModule` validation runs on the same formats: each slot matrix is
-  packed once, its determinant is `det`, and the pairing identity
+* `DModule` validation runs on the same formats: its determinant is
+  `det`, which packs only the entries of products without a zero factor
+  (a deformation fiber's dense entry meets a zero), and the pairing identity
   det(A_i) delta_i = p sigma(delta_(i-1)) is compared on the reduced
   tuples, its right-hand sides formed once per set of scalars
   (`modules.PackedPairing`).
 * A Teichmuller point T**k (`teichmuller_power`, the lift of gen()**k) is
   one window power on packed integers of the tower's ring: the window
   table of T holds packed ints, each product is `PackedQuotient.mul_packed`
-  (reduced, and kept packed), and the lift is one split of the power, with
-  no WittElem per product.  Random units are drawn as k and lifted so; a
+  (reduced, and kept packed), and the lift is one split (`reduce`) of the
+  power, with no WittElem per product.  Random units are drawn as k and lifted so; a
   residue-field element lifts through its log table entry k, or in closed
   form when the field has no table (`fppoly.teichmuller_point`).
 * `RamElem.mul_pi(k)` and `div_pi(k)` are exact shifts in closed form, no
@@ -71,11 +80,11 @@ the tower's `_ram_pack`/`_ram_reduce`.
   when it fixes every coefficient, a matrix when n = 0 mod d).  A ramified
   sum or difference keeps each coefficient whose other summand is zero.
 
-Slot width: before `_reduce` a slot holds at most 4*(p+1)*e*d*(p^N-1)^2
+Slot width: before a reduction a slot holds at most 4*(p+1)*e*d*(p^N-1)^2
 (the folded sum of four dense ramified products in a trace; a matrix entry
 or a determinant sums two, a single folded product holds a quarter of that,
 a Witt product or a Frobenius image at most d*(p^N-1)^2; a negated factor
-is reduced, so its slots lie in [0, p^N) like any other), and `_reduce`
+is reduced, so its slots lie in [0, p^N) like any other), and a reduction
 adds at most (d-1)*(p^N-1)^2 to a low slot.  The tower's slot width is the
 bit length of (4*(p+1)*e + 1)*d*(p^N-1)^2, so no slot carries into the
 next.
@@ -109,14 +118,19 @@ MAX_PN_BITS = 1024
 _ENTRY_PAIRS = (((0, 0), (1, 2)), ((0, 1), (1, 3)), ((2, 0), (3, 2)), ((2, 1), (3, 3)))
 _TRACE_PAIRS = ((0, 0), (1, 2), (2, 1), (3, 3))
 _DET_PAIRS = ((0, 3), (1, 2))
+_UNKNOWN = (None,) * 4  # the `ints` and `ords` of a PackedMatrix before any is read
 
 
 class PrecisionError(ArithmeticError):
-    """A value is needed beyond the digits that are certified."""
+    """A value is needed beyond the digits that are certified.
+    `lower_bound` is what is still certified, and `bound_kind` says what it
+    bounds: "valuation", a pi-adic valuation, or "index", a Newton slope
+    index (where the oracle gives up)."""
 
-    def __init__(self, message, lower_bound=None):
+    def __init__(self, message, lower_bound=None, bound_kind=None):
         super().__init__(message)
         self.lower_bound = lower_bound
+        self.bound_kind = bound_kind
 
 
 class DomainError(ValueError):
@@ -242,8 +256,9 @@ class CoeffTower:
         self._ring = ring = fppoly.PackedQuotient(modulus, self.pN, bits)
         if fppoly.power(ring.x, self.q - 1, ring.mul, ring.one) != ring.one:
             raise DomainError("bad-modulus", "T is not a (q-1)-th root of unity mod modulus")
-        self._pack, self._reduce = ring.pack, ring.reduce
+        self._pack = ring.pack
         self._stride = (2 * self.d - 1) * bits  # bits per pi-degree
+        self._zero_cs = (ring.zero,) * e  # the tuples of a zero entry
         self._sigma_maps = {}
         self._gen_rows = None  # window table of T, built on the first teichmuller_power
         # the one WittElem of 0 and of 1, which `witt` returns for them
@@ -265,17 +280,13 @@ class CoeffTower:
     def _ram_reduce(self, prod):
         """e reduced coefficient tuples of a packed ramified product (or sum
         of products): the fold pi^(e+k) = p * pi^k on the packed parts when
-        some pi-degree is >= e, then one reduction per pi-degree."""
+        some pi-degree is >= e, then `PackedQuotient.reduce_segments` of the
+        e pi-degrees."""
         width = self.e * self._stride
         high = prod >> width
         if high:
             prod = (prod & ((1 << width) - 1)) + self.p * high
-        seg = (1 << self._stride) - 1
-        out = []
-        for _ in range(self.e):
-            out.append(self._reduce(prod & seg))
-            prod >>= self._stride
-        return out
+        return self._ring.reduce_segments(prod, self.e, self._stride)
 
     def _repr_ord(self, cs):
         """Valuation of the element with pi-coefficient tuples cs (eN if it
@@ -304,7 +315,7 @@ class CoeffTower:
         if prec == self.pi_precision:
             return INF
         raise PrecisionError(f"valuation >= {prec} but element only certified to pi^{prec}",
-                             lower_bound=prec)
+                             lower_bound=prec, bound_kind="valuation")
 
     def truncated(self, cs, prec):
         """The coefficient tuples cs with every pi-adic digit at or above
@@ -321,7 +332,8 @@ class CoeffTower:
         """The 2x2 matrix A of RamElems of this tower as a PackedMatrix."""
         entries = [x for row in A for x in row]
         return PackedMatrix(self, tuple([tuple([c.coeffs for c in x.coeffs]) for x in entries]),
-                            tuple([x.prec for x in entries]))
+                            tuple([x.prec for x in entries]),
+                            ints=tuple([x._int for x in entries]))
 
     def ram_matrix(self, P):
         """The PackedMatrix P as a 2x2 matrix of RamElems (truncated to their
@@ -346,35 +358,62 @@ class CoeffTower:
         """P Q for PackedMatrices of this tower: the 2x2 kernel.
 
         Each output entry is the packed sum of its two big-int products,
-        folded and reduced once (4e reductions).  A square (`Q is P`) takes
-        five products instead of eight, with a + d summed packed; the packed
-        sums, and so the outputs, are the same.  The precision is that of the
-        entrywise products and sum: full when the four factors of an entry
-        are, else the minimum of `product_prec` over its two products."""
-        a00, a01, a10, a11 = P.ints
+        folded and reduced once (e reductions), unless its value is not
+        new: an entry whose two products are both zero is the shared zero
+        (Kronecker integer 0), and a copy entry, one product a factor times
+        exactly 1 (integer 1) and the other zero, takes that factor's
+        tuples and Kronecker integer; neither is reduced.  A square
+        (`Q is P`) takes five products instead of eight, with a + d summed
+        packed; the packed sums, and so the outputs, are the same, and only
+        a zero sum is not reduced.  The precision is that of the entrywise
+        products and sum: full when the four factors of an entry are, else
+        the minimum of `product_prec` over its two products."""
+        precs, zero = self._product_precs(P, Q, _ENTRY_PAIRS), self._zero_cs
+        a = P.ints
         if Q is P:  # five products: a^2 + bc, b(a + d), c(a + d), d^2 + bc
-            bc, t = a01 * a10, a00 + a11
-            sums = (a00 * a00 + bc, a01 * t, a10 * t, a11 * a11 + bc)
-        else:
-            b00, b01, b10, b11 = Q.ints
-            sums = (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-                    a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
-        return PackedMatrix(self, [self._ram_reduce(x) for x in sums],
-                            self._product_precs(P, Q, _ENTRY_PAIRS))
+            bc, t = a[1] * a[2], a[0] + a[3]
+            sums = (a[0] * a[0] + bc, a[1] * t, a[2] * t, a[3] * a[3] + bc)
+            return PackedMatrix(self, [self._ram_reduce(x) if x else zero for x in sums],
+                                precs)
+        b, cs, ints = Q.ints, [], []
+        for (i, j), (k, l) in _ENTRY_PAIRS:
+            x, y, u, v = a[i], b[j], a[k], b[l]
+            if x and y and u and v:
+                c, n = self._ram_reduce(x * y + u * v), None
+            else:
+                if u and v:  # the second product is the one that is not zero
+                    i, j, x, y = k, l, u, v
+                if not (x and y):
+                    c, n = zero, 0
+                elif x == 1:
+                    c, n = Q.cs[j], y
+                elif y == 1:
+                    c, n = P.cs[i], x
+                else:
+                    c, n = self._ram_reduce(x * y), None
+            cs.append(c)
+            ints.append(n)
+        return PackedMatrix(self, cs, precs, ints=tuple(ints))
 
     def pair_sum(self, P, Q, pairs, signs=(1, 1, 1, 1)):
         """The sum of s P[i] Q[j] over the flat index pairs (i, j) and the
         signs s = +-1, for PackedMatrices of this tower: the big-int products
-        summed packed, folded and reduced once (e reductions).  A minus sign
-        multiplies by the packed negation of Q[j]'s tuples (x -> -x mod
+        summed packed, folded and reduced once (e reductions).  A product
+        with a zero factor adds nothing and packs neither factor: the zero
+        is read off `ords` (eN) when they are known, else off the factor's
+        Kronecker integer, which `PackedMatrix.int_at` packs alone.  A minus
+        sign multiplies by the packed negation of Q[j]'s tuples (x -> -x mod
         p^N), so no slot goes negative.  Returns (coefficient tuples,
         precision), the precision being the least `product_prec` of the
         products (eN when the factors are all at full precision)."""
-        a, b = P.ints, Q.ints
-        acc = 0
+        full, acc = self.pi_precision, 0
+        ra, rb = P._ords or _UNKNOWN, Q._ords or _UNKNOWN
         for (i, j), s in zip(pairs, signs):
-            if a[i] and b[j]:  # a zero factor adds nothing, and is not negated
-                acc += a[i] * (b[j] if s > 0 else self._ram_pack(self._negated(Q.cs[j])))
+            if ra[i] == full or rb[j] == full:
+                continue
+            x = P.int_at(i)
+            if x:
+                acc += x * (Q.int_at(j) if s > 0 else self._ram_pack(self._negated(Q.cs[j])))
         return self._ram_reduce(acc), self._product_precs(P, Q, (pairs,))[0]
 
     def _negated(self, cs):
@@ -489,12 +528,13 @@ class CoeffTower:
         """T**k for any integer k, the Teichmuller point above gen()**k: read
         off a fixed-base window table of T built on first use, one product
         per nonzero base-16 digit of k mod q - 1, each kept packed
-        (`PackedQuotient.mul_packed`), and one split of the result."""
+        (`PackedQuotient.mul_packed`), and one split (`reduce`) of the
+        result."""
         ring = self._ring
         if self._gen_rows is None:
             self._gen_rows = fppoly.window_table(ring.pack(ring.x), self.q - 1,
                                                  ring.mul_packed, 1)
-        return WittElem(self, ring.split(fppoly.window_pow(
+        return WittElem(self, ring.reduce(fppoly.window_pow(
             self._gen_rows, k % (self.q - 1), ring.mul_packed, 1)))
 
     def random_witt(self, rng):
@@ -537,11 +577,14 @@ class PackedMatrix:
     entry's e reduced coefficient tuples, row-major, and `precs` their four
     precisions, always a tuple: the tower's one shared (eN, eN, eN, eN),
     the default, whenever all are eN, so that `mat_product` and `pair_sum`
-    tell two full-precision factors by identity.  `ints` (the entries'
-    Kronecker integers) and `ords` (the valuations of their stored
+    tell two full-precision factors by identity.  Each entry's Kronecker
+    integer is packed when that entry is first read (`int_at`; `ints`
+    reads all four), unless `ints` gives it (None where it is not known:
+    `mat_product` passes those of its copy and zero entries, `packed`
+    those its RamElems hold); `ords` (the valuations of the stored
     representatives, eN for 0, as `RamElem._repr_ord`) are formed on first
-    read, as tuples, unless `ords` is given; `packed` builds `cs` of tuples
-    too, since `DModule` keeps one PackedMatrix per slot.
+    read unless given.  Both are kept as tuples.  `packed` builds `cs` of
+    tuples too, since `DModule` keeps one PackedMatrix per slot.
 
     Entries are not truncated to their precisions, as RamElems are: a digit
     at or above an entry's precision changes no certified digit of a
@@ -550,17 +593,30 @@ class PackedMatrix:
 
     __slots__ = ("tower", "cs", "precs", "_ints", "_ords")
 
-    def __init__(self, tower, cs, precs=None, ords=None):
+    def __init__(self, tower, cs, precs=None, ords=None, ints=_UNKNOWN):
         full = tower._full_precs
         self.tower, self.cs, self.precs = tower, cs, precs if precs and precs != full else full
-        self._ints = None
+        self._ints = ints
         self._ords = ords
 
     @property
     def ints(self):
-        if self._ints is None:
-            self._ints = tuple([self.tower._ram_pack(c) for c in self.cs])
-        return self._ints
+        """The four Kronecker integers, row-major."""
+        ints = self._ints
+        if None in ints:
+            pack = self.tower._ram_pack
+            ints = self._ints = tuple([pack(c) if n is None else n
+                                       for c, n in zip(self.cs, ints)])
+        return ints
+
+    def int_at(self, i):
+        """The Kronecker integer of entry i alone."""
+        n = self._ints[i]
+        if n is None:
+            n = self.tower._ram_pack(self.cs[i])
+            ints = self._ints
+            self._ints = ints[:i] + (n,) + ints[i + 1:]
+        return n
 
     @property
     def ords(self):
@@ -673,12 +729,15 @@ class WittElem:
 
 
 class RamElem:
-    """Element of W_N[pi]/(pi^e - p) with a certified pi-adic precision."""
+    """Element of W_N[pi]/(pi^e - p) with a certified pi-adic precision.
+    `_int` keeps the Kronecker integer of its coefficients once a product
+    has packed it (`_kron`); equality, hash and repr do not read it."""
 
-    __slots__ = ("tower", "coeffs", "prec")
+    __slots__ = ("tower", "coeffs", "prec", "_int")
 
     def __init__(self, tower, coeffs, prec=None):
         self.tower = tower
+        self._int = None
         full = tower.pi_precision
         self.prec = full if prec is None else min(prec, full)
         if self.prec < 0:
@@ -725,6 +784,14 @@ class RamElem:
         """Valuation of the stored representative (full pi_precision if 0)."""
         return self.tower._repr_ord([c.coeffs for c in self.coeffs])
 
+    def _kron(self):
+        """The Kronecker integer of the coefficients, packed on the first
+        call and kept."""
+        n = self._int
+        if n is None:
+            n = self._int = self.tower._ram_pack([c.coeffs for c in self.coeffs])
+        return n
+
     def __mul__(self, other):
         if isinstance(other, FqElem):
             raise TypeError("lift residue elements before multiplying")
@@ -736,9 +803,7 @@ class RamElem:
                 prec = min(prec + t.e * t.witt(other).ord_p(), full)
             return RamElem(t, [c * other if c else c for c in self.coeffs], prec)
         other = t.ram(other)
-        coeffs = [WittElem(t, c) for c in t._ram_reduce(
-            t._ram_pack([c.coeffs for c in self.coeffs])
-            * t._ram_pack([c.coeffs for c in other.coeffs]))]
+        coeffs = [WittElem(t, c) for c in t._ram_reduce(self._kron() * other._kron())]
         prec = full
         if self.prec < full or other.prec < full:
             prec = product_prec(self._repr_ord(), self.prec, other._repr_ord(),
@@ -783,7 +848,7 @@ class RamElem:
         """Reduction mod p as a PiPoly over the residue field."""
         if self.prec < self.tower.e:
             raise PrecisionError("mod-p reduction needs e certified digits",
-                                 lower_bound=self.prec)
+                                 lower_bound=self.prec, bound_kind="valuation")
         return PiPoly(self.tower.residue_field, self.tower.e,
                       [c.residue() for c in self.coeffs])
 
@@ -819,7 +884,8 @@ class RamElem:
                 c = WittElem(t, tuple([x // m for x in c.coeffs]))
             out[(j - v) % e] = c
         if self.prec - v <= 0:
-            raise PrecisionError("no certified digits left after pi-division", lower_bound=0)
+            raise PrecisionError("no certified digits left after pi-division", lower_bound=0,
+                                 bound_kind="valuation")
         return RamElem(t, out, self.prec - v)
 
     def unit_part(self):
@@ -828,7 +894,7 @@ class RamElem:
         v = self._repr_ord()
         if v >= self.prec:
             raise PrecisionError("cannot split a value that is zero to working precision",
-                                 lower_bound=self.prec)
+                                 lower_bound=self.prec, bound_kind="valuation")
         return v, self.div_pi(v)
 
     def inverse(self):

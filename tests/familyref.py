@@ -11,7 +11,7 @@ library raises, with the same code and message.
 
 import warnings
 
-from dieumod.families import _attach, _pairing_scalars
+from dieumod.families import _attach, _pairing_scalars, _tau_slots
 from dieumod.modules import DModule
 from dieumod.wittring import DomainError
 
@@ -56,7 +56,7 @@ def normal_form(tower, tau, c=None):
     an empty tau yields the split ordinary module.
     """
     e, f = tower.e, tower.f
-    tau = tuple(sorted(set(i % f for i in tau)))
+    tau = _tau_slots(tower, tau)
     c = {} if c is None else dict(c)
     if set(c) != set(tau):
         raise DomainError("bad-shape", "coefficient map must have exactly the slots of tau")

@@ -1,5 +1,6 @@
 """The packed kernel without its zero and constant shortcuts, as the
-reference for `fppoly.PackedQuotient.pack`, `split` and `reduce` and for
+reference for `fppoly.PackedQuotient.pack` and `reduce` (`split` is the
+reference for `reduce` of an integer of d slots) and for
 `wittring.CoeffTower._ram_reduce` and `_ram_pack`.
 
 Every function walks every slot: `pack` shifts in each coefficient,

@@ -69,6 +69,28 @@ class TestNormalForm:
         with pytest.raises(DomainError, match="tau"):
             fam.normal_form(t, (0,), {1: t.pi()})
 
+    def test_tau_slots_are_checked_as_the_cli_checks_them(self):
+        # a slot past f - 1, or one listed twice, is refused before the
+        # coefficient map is read, whatever its keys; unsorted slots are
+        # taken in ascending order
+        import random
+        t = CoeffTower(3, 2, 1, 2)
+        c = t.pi()
+        for tau, cmap in (((3,), {3: c}), ((3,), {1: c}), ((1, 1), {1: c}), ((-1,), {1: c})):
+            with pytest.raises(DomainError, match="tau slots") as exc:
+                fam.normal_form(t, tau, cmap)
+            assert exc.value.code == "bad-shape"
+        for tau in ((3,), (1, 1)):
+            with pytest.raises(DomainError, match="tau slots") as exc:
+                fam.sample_deform(t, tau, (0, 1), 2, random.Random(0))
+            assert exc.value.code == "bad-shape"
+        M = fam.normal_form(t, (1, 0), {0: c, 1: t.one()})
+        assert M.family["tau"] == (0, 1)
+        assert M.dumps() == fam.normal_form(t, (0, 1), {0: c, 1: t.one()}).dumps()
+        out = fam.sample_deform(t, (1, 0), (1, 1), 2, random.Random(0))
+        assert out == fam.sample_deform(t, (0, 1), (1, 1), 2, random.Random(0))
+        assert out["tau"] == [0, 1]
+
     def test_pairing_note_when_no_scalar_exists(self):
         # odd reduced a-number needs sigma^f(z) = -z, impossible at ext = 1
         t = tower(3, 2, 1, ext=1)

@@ -543,7 +543,7 @@ class TestReadOffPrecision:
         assert lie_type(T).pairs == ((0, 2),)
         with pytest.raises(PrecisionError) as exc:
             a_type(T)
-        assert exc.value.lower_bound == 1
+        assert exc.value.lower_bound == 1 and exc.value.bound_kind == "valuation"
         with pytest.raises(PrecisionError):
             chain_ring_invariants(T)
         # one more certified digit reaches the cap: a-type (0, 2)
@@ -560,7 +560,7 @@ class TestReadOffPrecision:
         assert T.det_orders == [4] and T.entry_orders == [None]
         with pytest.raises(PrecisionError) as exc:
             lie_type(T)
-        assert exc.value.lower_bound == 1
+        assert exc.value.lower_bound == 1 and exc.value.bound_kind == "valuation"
         with pytest.raises(PrecisionError):
             chain_ring_invariants(T)
 
@@ -1039,6 +1039,6 @@ class TestOracleTop:
         try:
             s = newton_point(M, "oracle")
         except PrecisionError as exc:
-            assert 2 * exc.lower_bound < M.g
+            assert 2 * exc.lower_bound < M.g and exc.bound_kind == "index"
         else:
             assert s == newton_point(M, "fast")

@@ -1,8 +1,9 @@
 """The packed kernel's zero and constant shortcuts against `kernelref`,
 the same functions walking every slot.
 
-`pack`, `split`, `reduce` and `mul_packed` (against `pack` of the
-reference `reduce`) run on quotient rings built here with any
+`pack`, `reduce` (on products, and on integers of d slots against the
+reference `split`) and `mul_packed` (against `pack` of the reference
+`reduce`) run on quotient rings built here with any
 monic modulus (the reduction needs no primitivity), over Z/p with the
 default slot width and over Z/p^N with a tower's width, so the
 comparison does not depend on tower set-up, which itself runs on the
@@ -52,7 +53,7 @@ def operand(draw, d, m):
 
 
 def packed_slots(draw, ring):
-    """A packed integer of d slots below 2^bits, as `split` receives it:
+    """A packed integer of d slots below 2^bits, as `reduce` splits it:
     zero, slot 0 alone (at or above m too), slot d-1 alone, dense, or every
     slot full."""
     top = ring._mask
@@ -75,7 +76,7 @@ def check_ring(draw, ring, wide):
         assert ring.pack(a) == kernelref.pack(ring, a)
     for _ in range(3):
         acc = packed_slots(draw, ring)
-        assert ring.split(acc) == kernelref.split(ring, acc)
+        assert ring.reduce(acc) == kernelref.split(ring, acc)
     convs = [ring.pack(a) * ring.pack(b) for a in ops for b in ops]
     if wide:  # a tower's width fits sums of products
         convs.append(sum(convs[:4]))
@@ -135,7 +136,7 @@ class TestPackedKernel:
                     assert ring.mul_packed(ring.pack(a), ring.pack(b)) == \
                         kernelref.pack(ring, kernelref.reduce(ring, conv))
             for acc in (0, 1, m, ring._mask, ring._mask + 1, 1 << (d - 1) * ring.bits):
-                assert ring.split(acc) == kernelref.split(ring, acc)
+                assert ring.reduce(acc) == kernelref.split(ring, acc)
 
     @pytest.mark.parametrize("e", [1, 2, 3])
     def test_pi_monomial_pairs(self, e):

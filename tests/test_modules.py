@@ -168,32 +168,70 @@ class TestTwistedPower:
             assert list(M.min_valuation_doublings(3)) == want, M
 
 
+def new_entries(P, Q):
+    """The output entries of the packed product P Q that `mat_product`
+    reduces, read off the operands' tuples: those that are not zero and,
+    off the squaring route (Q is P), not a copy, whose one product that is
+    not zero has a factor exactly 1.  A packed product or sum of packed
+    products is zero exactly when each of its products has a zero factor."""
+    def zero(x):
+        return not any(map(any, x))
+
+    def one(x):
+        return x[0][0] == 1 and not any(x[0][1:]) and zero(x[1:])
+
+    a, b = P.cs, Q.cs
+    n = 0
+    for r in (0, 1):
+        for c in (0, 1):
+            live = [(x, y) for x, y in ((a[2 * r], b[c]), (a[2 * r + 1], b[2 + c]))
+                    if not (zero(x) or zero(y))]
+            if Q is P:
+                # squaring route: b(a + d) and c(a + d) sum a + d first
+                if r != c:
+                    live = [] if zero(a[1 + r]) or zero(a[0]) and zero(a[3]) else [0]
+                n += bool(live)
+            else:
+                n += bool(live) and not (len(live) == 1 and (one(live[0][0]) or one(live[0][1])))
+    return n
+
+
 class TestMatMul:
     @pytest.mark.parametrize("e", [1, 2, 3])
     def test_dense_product_is_one_kernel_call(self, e, rng, monkeypatch):
-        # no entrywise RamElem products or sums, one reduction per
-        # pi-degree of each of the four output entries
+        # no entrywise RamElem products or sums, and one reduction per
+        # pi-degree of each output entry that is neither zero nor a copy:
+        # all four of a dense product, fewer with zero and one entries
         t = tower(3, 2, e, ext=2)
-        A, B = (tuple(tuple(t.random_ram(rng) for _ in range(2)) for _ in range(2))
-                for _ in range(2))
         calls = {}
-        for owner, name in ((RamElem, "__mul__"), (RamElem, "__add__"), (t, "_reduce")):
-            calls[name] = 0
-
+        for owner, name in ((RamElem, "__mul__"), (RamElem, "__add__"), (t, "_ram_reduce")):
             def counting(*args, _orig=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _orig(*args)
 
             monkeypatch.setattr(owner, name, counting)
-        mat_mul(A, B)
-        assert calls == {"__mul__": 0, "__add__": 0, "_reduce": 4 * e}
+        values = (t.zero, t.one, t.pi, lambda: t.random_ram(rng))
+        for k in range(40):
+            if k < 3:  # dense
+                A, B = (tuple(tuple(t.random_ram(rng) for _ in range(2)) for _ in range(2))
+                        for _ in range(2))
+            else:
+                A, B = (tuple(tuple(rng.choice(values)() for _ in range(2)) for _ in range(2))
+                        for _ in range(2))
+            P, Q = t.packed(A), t.packed(B)
+            calls.update(__mul__=0, __add__=0, _ram_reduce=0)
+            t.mat_product(P, Q)
+            assert calls == {"__mul__": 0, "__add__": 0, "_ram_reduce": new_entries(P, Q)}
+            if k < 3:
+                assert calls["_ram_reduce"] == 4
 
     @pytest.mark.parametrize("e", [1, 2, 3])
     def test_chain_links_stay_packed(self, e, rng, monkeypatch):
-        # a doubling step is one packed product, 4e reductions, and builds
-        # no WittElem or RamElem; the fast Newton point forms f - 2 full
-        # links and only the trace of the last (e reductions), with
-        # truncated entries as well
+        # a doubling step is one packed product, e reductions per output
+        # entry that is neither zero nor a copy, and builds no WittElem or
+        # RamElem; the fast Newton point forms f - 2 full links and only
+        # the trace of the last (e reductions), with truncated entries as
+        # well
         calls = Counter()
 
         def count(owner, name):
@@ -213,18 +251,26 @@ class TestMatMul:
             M = fam.normal_form(t, (0,), {0: t.random_ram(rng)})
             T = DModule(t, [[[RamElem(t, x.coeffs, t.pi_precision - 1) for x in row]
                              for row in A] for A in M.matrices], M.delta)
-            count(t, "_reduce")
+            count(t, "_ram_reduce")
+            links = []
+            product = t.mat_product
+            monkeypatch.setattr(t, "mat_product", lambda P, Q: links.append((P, Q))
+                                or product(P, Q))
             for X in (M, T):
                 steps = X.min_valuation_doublings(3)
                 next(steps)
                 for _ in range(3):
                     calls.clear()
+                    links.clear()
                     next(steps)
-                    assert calls == {"tower._reduce": 4 * e}
+                    assert len(links) == 1
+                    assert calls == {"tower._ram_reduce": new_entries(*links[0])}
                 calls.clear()
+                links.clear()
                 newton_point(X, "fast")
                 assert calls["CoeffTower.mat_trace"] == 1
-                assert calls["tower._reduce"] == 4 * e * (f - 2) + e
+                assert len(links) == f - 2
+                assert calls["tower._ram_reduce"] == sum(new_entries(*x) for x in links) + 1
 
     def test_mat_sigma_returns_its_argument_only_for_the_identity(self, rng):
         t = tower(3, 2, 2, ext=2)

@@ -65,7 +65,9 @@ def builder_calls(draw):
     if name == "slope_family":
         return name, (t, rng.randrange(-1, t.g // 2 + 2))
     if name == "normal_form":
-        tau = tuple(i for i in range(f + 1) if rng.random() < .5)  # slot f aliases 0
+        tau = tuple(i for i in range(f) if rng.random() < .5)
+        if rng.random() < .1:  # a slot past f - 1 or a repeated one: refused
+            tau += (rng.choice((f, *tau)),)
         c = {i % f: coefficient(t, rng) for i in tau}
         if c and rng.random() < .05:
             del c[rng.choice(sorted(c))]

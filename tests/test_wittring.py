@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dieumod import CoeffTower, DomainError, PrecisionError, INF
-from dieumod.wittring import WittElem, RamElem
+from dieumod.wittring import PackedMatrix, RamElem, WittElem
 from dieumod import DModule, families as fam
 from dieumod import fppoly, modp
 from conftest import mat_mul, random_unit, tower
@@ -273,12 +273,13 @@ class TestTeichmuller:
 
     def test_logged_lift_costs_one_product_per_window_digit(self, monkeypatch):
         # T**k from the log k: each product stays packed (`mul_packed`),
-        # the lift splits once and multiplies no WittElem
+        # the lift is split once (`reduce` of d slots) and multiplies no
+        # WittElem
         t = CoeffTower(3, 1, 2, 16, 2)
         ring = t._ring
         t.teichmuller_power(1)  # the power table is built on first use
         calls = []
-        for owner, name in ((ring, "mul_packed"), (ring, "split"), (WittElem, "__mul__")):
+        for owner, name in ((ring, "mul_packed"), (ring, "reduce"), (WittElem, "__mul__")):
             orig = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *a, orig=orig, name=name:
                                 calls.append(name) or orig(*a))
@@ -286,7 +287,7 @@ class TestTeichmuller:
             calls.clear()
             t.teichmuller_power(k)
             digits = sum(1 for i in range(0, k.bit_length(), 4) if k >> i & 15)
-            assert calls == ["mul_packed"] * (digits - 1) + ["split"]
+            assert calls == ["mul_packed"] * (digits - 1) + ["reduce"]
 
 
 class TestRamified:
@@ -445,16 +446,22 @@ class TestRingMismatch:
 
 def test_every_precision_error_carries_a_bound():
     # every `raise PrecisionError(...)` in the package passes lower_bound=
+    # and bound_kind=, a constant: "index" where the oracle raises (its
+    # bound is a slope index), "valuation" everywhere else
     import ast
     from pathlib import Path
-    sites = []
+    sites = {}  # (file, line): ok, judged in the innermost function
     for path in sorted((Path(__file__).parent.parent / "src" / "dieumod").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                    and getattr(node.exc.func, "id", None) == "PrecisionError"):
-                sites.append((path.name, node.lineno,
-                              any(k.arg == "lower_bound" for k in node.exc.keywords)))
-    assert sites and all(bound for *_, bound in sites), [s for s in sites if not s[2]]
+        tree = ast.parse(path.read_text())
+        for func in [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and getattr(node.exc.func, "id", None) == "PrecisionError"):
+                    kw = {k.arg: k.value for k in node.exc.keywords}
+                    kind = getattr(kw.get("bound_kind"), "value", None)
+                    want = "index" if func.name == "_newton_oracle" else "valuation"
+                    sites[path.name, node.lineno] = "lower_bound" in kw and kind == want
+    assert sites and all(sites.values()), [s for s, ok in sites.items() if not ok]
 
 
 class TestMixedOperands:
@@ -896,3 +903,121 @@ class TestMatMulKernel:
         assert mat_mul(A, A) == entrywise_mat_mul(A, A)
         P = t.packed(A)
         assert t.ram(*t.mat_trace(P, P)) == entrywise_trace(A, A)
+
+
+# -- values the kernel does not form again --------------------------------------
+#
+# `mat_product` reuses a copy entry's tuples and Kronecker integer and the
+# shared zero, `pair_sum` packs neither factor of a product with a zero
+# factor, and a RamElem keeps its Kronecker integer; values and precisions
+# must not change.
+
+
+def reuse_entry(draw, t):
+    """Exactly 1 and zero often (the entries that make copies and zero
+    products), else a constant, dense, monomial, dual or truncated entry;
+    a 1 or a zero is truncated one time in four."""
+    kind = draw(st.sampled_from(("one", "one", "zero", "zero", "other")))
+    if kind == "other":
+        return mat_entry(draw, t)
+    x = t.one() if kind == "one" else t.zero()
+    if draw(st.integers(0, 3)) == 0:
+        return RamElem(t, x.coeffs, draw(st.integers(1, t.pi_precision)))
+    return x
+
+
+class TestKernelReuse:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_entrywise_arithmetic(self, data):
+        # mat_product (general and squaring route, and a second link that
+        # reads the first one's copies), mat_trace, det and pair_sum equal
+        # the entrywise RamElem results, values and precisions, with the
+        # entries' valuations given (as the family builders do) or not
+        draw = data.draw
+        t = draw(towers())
+        A, B, C = (tuple(tuple(reuse_entry(draw, t) for _ in range(2)) for _ in range(2))
+                   for _ in range(3))
+        with_ords = draw(st.booleans())
+
+        def packed(X):
+            P = t.packed(X)
+            return PackedMatrix(t, P.cs, P.precs, tuple(map(t._repr_ord, P.cs))) \
+                if with_ords else P
+
+        P, Q, R = map(packed, (A, B, C))
+        assert t.ram_matrix(t.mat_product(t.mat_product(P, Q), R)) == \
+            entrywise_mat_mul(entrywise_mat_mul(A, B), C)
+        assert t.ram_matrix(t.mat_product(P, P)) == entrywise_mat_mul(A, A)
+        assert t.ram(*t.mat_trace(P, Q)) == entrywise_trace(A, B)
+        assert t.ram(*t.det(P)) == A[0][0] * A[1][1] - A[0][1] * A[1][0]
+        pairs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                              min_size=1, max_size=4))
+        signs = [draw(st.sampled_from((1, -1))) for _ in pairs]
+        a, b = [x for row in A for x in row], [x for row in B for x in row]
+        terms = [a[i] * b[j] if s > 0 else -(a[i] * b[j]) for (i, j), s in zip(pairs, signs)]
+        want = terms[0]
+        for x in terms[1:]:
+            want = want + x
+        assert t.ram(*t.pair_sum(P, Q, pairs, signs)) == want
+
+    def test_copy_entries_are_the_operands_own(self, rng, monkeypatch):
+        # 1 * Q[j] + 0 * Q[k] is Q[j] and P[i] * 1 + P[k] * 0 is P[i]: the
+        # output holds those very tuples and Kronecker integers, so reading
+        # the product's integers packs only its two new entries
+        t = tower(3, 2, 2, ext=2)
+        x, y = t.random_ram(rng), t.random_ram(rng)
+        one, zero = t.one(), t.zero()
+        P = t.packed(((one, zero), (x, y)))
+        Q = t.packed(((y, x), (zero, one)))
+        ints = Q.ints
+        S = t.mat_product(P, Q)
+        assert S.cs[0] is Q.cs[0] and S.cs[1] is Q.cs[1]
+        assert S.cs[2] is not Q.cs[0] and S.cs[3] is not Q.cs[1]
+        packs = []
+        pack = t._ram_pack
+        monkeypatch.setattr(t, "_ram_pack", lambda cs: packs.append(cs) or pack(cs))
+        assert S.ints[:2] == ints[:2] and S.ints[0] is ints[0]
+        assert len(packs) == 2
+        # the identity on the right: x and y are copied, and the zero is
+        # the tower's shared one
+        I = t.packed(((one, zero), (zero, one)))
+        T = t.mat_product(P, I)
+        assert T.cs[2] is P.cs[2] and T.cs[3] is P.cs[3] and T.cs[1] is t._zero_cs
+        assert t.ram_matrix(S) == entrywise_mat_mul(((one, zero), (x, y)), ((y, x), (zero, one)))
+
+    @pytest.mark.parametrize("tau", [(0,), (1,), (0, 1)])
+    def test_fiber_validation_packs_no_dense_entry(self, rng, monkeypatch, tau):
+        # the determinant of [[s, 1], [p, 0]] and of [[1, 0], [pT, p]] is
+        # read off their constant entries: the zero factor is known from
+        # the builder's valuations, so s and pT are never packed
+        t = tower(3, 2, 2, ext=2)
+        base = fam.normal_form(t, tau, {i: t.random_ram(rng) for i in tau})
+        want = {(i, j): t.teichmuller_power(rng.randrange(1, t.q - 1))
+                for i in range(t.f) for j in range(t.e)}
+        packs = []
+        pack = t._ram_pack
+        monkeypatch.setattr(t, "_ram_pack", lambda cs: packs.append(cs) or pack(cs))
+        M = fam.deform_specialize(base, (0,) * t.f, want)
+        dense = [P.cs[0] if i in tau else P.cs[2] for i, P in enumerate(M.packed_matrices)]
+        assert packs and not any(cs is x for cs in packs for x in dense)
+        assert all(any(map(any, x)) for x in dense)
+
+    def test_ramelem_is_packed_once(self, rng, monkeypatch):
+        import copy
+        import pickle
+        t = tower(3, 2, 2, ext=2)
+        x, *ys = (t.random_ram(rng) for _ in range(6))
+        before = (repr(x), hash(x))
+        packs = []
+        pack = t._ram_pack
+        monkeypatch.setattr(t, "_ram_pack", lambda cs: packs.append(cs) or pack(cs))
+        products = [x * y for y in ys] + [y * x for y in ys]
+        assert len(packs) == 1 + len(ys)  # x once, each y once
+        assert (repr(x), hash(x)) == before
+        monkeypatch.undo()
+        for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert clone == x and hash(clone) == hash(x) and repr(clone) == repr(x)
+            assert [clone * y for y in ys] == products[:len(ys)]
+        fresh = RamElem(t, x.coeffs, x.prec)
+        assert fresh == x and hash(fresh) == hash(x) and fresh * ys[0] == products[0]
