@@ -133,10 +133,8 @@ class PackedQuotient:
 
     def reduce(self, conv):
         """Coefficient tuple mod (modulus, m) of a packed product of 2d-1
-        slots (`reduce_segments` of one, after its zero and constant
-        shortcuts); of an integer of d slots, its slots each reduced mod m."""
-        if conv <= self._mask:
-            return (conv % self.m,) + self._tail if conv else self.zero
+        slots (`reduce_segments` of one); of an integer of d slots, its
+        slots each reduced mod m."""
         return self.reduce_segments(conv)[0]
 
     def mul_packed(self, a, b):
