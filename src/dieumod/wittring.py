@@ -65,9 +65,10 @@ the tower's `_ram_pack`/`_ram_reduce`.
   one window power on packed integers of the tower's ring: the window
   table of T holds packed ints, each product is `PackedQuotient.mul_packed`
   (reduced, and kept packed), and the lift is one split (`reduce`) of the
-  power, with no WittElem per product.  Random units are drawn as k and lifted so; a
-  residue-field element lifts through its log table entry k, or in closed
-  form when the field has no table (`fppoly.teichmuller_point`).
+  power, with no WittElem per product.  Random units are drawn as k and
+  lifted so; a residue-field element lifts through its log table entry k,
+  or in closed form when the field has no table
+  (`fppoly.teichmuller_point`).
 * `RamElem.mul_pi(k)` and `div_pi(k)` are exact shifts in closed form, no
   kernel product: coefficient j moves to j +- k mod e, times or divided by
   p per wrap past pi^e = p.  `families` writes every family module and
