@@ -101,14 +101,6 @@ class StablePlane(Frozen):
         object.__setattr__(self, "rref", rref)
         object.__setattr__(self, "chart", chart)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rref, self.chart) == (other.rref, other.chart)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rref, self.chart))
-
 
 def _field_order(p, s):
     """q = p^(2s), for an odd prime p and s >= 1, refused with size-guard

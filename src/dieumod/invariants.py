@@ -59,14 +59,6 @@ class NewtonPoint(Frozen):
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "index", index)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.g, self.index) == (other.g, other.index)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.g, self.index))
-
     @property
     def sequence(self):
         """The 2g slopes in increasing order (lam <= 1/2 <= 1 - lam)."""
@@ -111,14 +103,6 @@ class LieType(Frozen):
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "pairs", pairs)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.e, self.pairs) == (other.e, other.pairs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.e, self.pairs))
-
     @property
     def f(self):
         return len(self.pairs)
@@ -151,14 +135,6 @@ class AType(Frozen):
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "a_number", sum(a + b for a, b in pairs))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.e, self.pairs) == (other.e, other.pairs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.e, self.pairs))
 
     @property
     def f(self):

@@ -30,6 +30,7 @@ import json
 import operator
 from functools import reduce
 
+from .modp import PiPoly
 from .wittring import (INF, CoeffTower, PackedMatrix, PrecisionError, DomainError,
                        is_int_list, product_prec)
 
@@ -45,8 +46,16 @@ def mat_sigma(A, n):
     return tuple(tuple(x.sigma(n) for x in row) for row in A)
 
 
+def _residue_poly(x):
+    """Reduction mod p of a RamElem as a PiPoly over the residue field."""
+    if x.prec < x.tower.e:
+        raise PrecisionError("mod-p reduction needs e certified digits",
+                             lower_bound=x.prec, bound_kind="valuation")
+    return PiPoly(x.tower.residue_field, x.tower.e, [c.residue() for c in x.coeffs])
+
+
 def mat_mod_p(A):
-    return tuple(tuple(x.residue_poly() for x in row) for row in A)
+    return tuple(tuple(map(_residue_poly, row)) for row in A)
 
 
 def is_json_ram(x):
@@ -169,7 +178,9 @@ class DModule:
                 raise PrecisionError(f"det A[{i}] is divisible by pi^{full}, the working "
                                      f"precision", lower_bound=full,
                                      bound_kind="valuation")
-            ords = list(map(min, P.ords, P.precs))  # ord_lower
+            # ord_lower; at the tower's full precisions every ord is <= eN already
+            at_full = P.precs is tower._full_precs
+            ords = P.ords if at_full else list(map(min, P.ords, P.precs))
             m = min(ords)  # adj(A) has the entries of A up to sign
             if m + e < v:
                 # ord_lower is a certified lower bound, so a failure with an
@@ -186,7 +197,7 @@ class DModule:
             # m is exact once an entry attaining it is certified, which always
             # holds when the entries share one precision (2m <= v < prec)
             self.entry_orders.append(
-                m if any(o == m < q for o, q in zip(ords, P.precs)) else None)
+                m if at_full or any(o == m < q for o, q in zip(ords, P.precs)) else None)
         self.det_sum = sum(self.det_orders)
         g = tower.g
         if mode == "separable" and self.det_sum != g:

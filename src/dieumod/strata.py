@@ -89,18 +89,6 @@ class StratumRecord(Frozen):
         object.__setattr__(self, "generic_slope_lower", generic_slope_lower)
         object.__setattr__(self, "generic_slope_exact", generic_slope_exact)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.a, self.dim, self.spaced, self.lam, self.generic_slope_lower,
-                     self.generic_slope_exact)
-                    == (other.a, other.dim, other.spaced, other.lam, other.generic_slope_lower,
-                        other.generic_slope_exact))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.dim, self.spaced, self.lam, self.generic_slope_lower,
-                     self.generic_slope_exact))
-
     def to_json(self):
         return {
             "a": list(self.a),

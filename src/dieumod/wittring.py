@@ -95,7 +95,7 @@ import json
 import math
 import operator
 from . import fppoly
-from .modp import ResidueField, FqElem, PiPoly
+from .modp import ResidueField, FqElem
 
 INF = math.inf
 
@@ -145,17 +145,25 @@ class DomainError(ValueError):
 
 class Frozen:
     """Base of the immutable value types (Newton point, Lie type, a-type,
-    stratum record, stable plane).  A subclass keeps its `_fields` in
-    `__slots__`, sets each slot once in its own `__init__` with
-    `object.__setattr__`, and writes out `__eq__` (same class, equal
-    fields) and `__hash__` (of the field tuple).  The base gives the repr
-    `Name(field=value, ...)`, refuses assignment and deletion with
-    AttributeError, and pickles and copies through `__init__`."""
+    stratum record, stable plane).  The base compares (equal when of the
+    same class with equal `_fields`), hashes the field tuple, gives the
+    repr `Name(field=value, ...)`, refuses assignment and deletion with
+    AttributeError, and pickles and copies through `__init__`.  A subclass
+    keeps its `_fields` in `__slots__` and writes only its `__init__`,
+    which sets each slot once with `object.__setattr__`."""
 
     __slots__ = ()
 
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __repr__(self):
         args = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
@@ -844,14 +852,6 @@ class RamElem:
 
     def is_unit(self):
         return self.coeffs[0].is_unit()
-
-    def residue_poly(self):
-        """Reduction mod p as a PiPoly over the residue field."""
-        if self.prec < self.tower.e:
-            raise PrecisionError("mod-p reduction needs e certified digits",
-                                 lower_bound=self.prec, bound_kind="valuation")
-        return PiPoly(self.tower.residue_field, self.tower.e,
-                      [c.residue() for c in self.coeffs])
 
     def mul_pi(self, k=1):
         """self * pi^k without a kernel product, the inverse of `div_pi`:

@@ -11,6 +11,7 @@ import pytest
 from dieumod import AType, LieType, NewtonPoint, StratumRecord
 from dieumod.hecke import StablePlane
 from dieumod.strata import stratum_record
+from dieumod.wittring import Frozen
 
 RREF = ((1, 0, 2, 3), (0, 1, 4, 5))
 
@@ -83,3 +84,30 @@ def test_stratum_record_of_the_poset():
     r = stratum_record(2, 2, (1, 0))
     assert r == StratumRecord((1, 0), 3, True, 1, NewtonPoint(4, 1), NewtonPoint(4, 1))
     assert r.to_json()["generic_slope_exact_known"] is True
+
+
+
+def test_the_base_compares_and_hashes_by_the_field_tuple():
+    # two subclasses with the same fields that write only their __init__
+    class Left(Frozen):
+        __slots__ = _fields = ("x", "y")
+
+        def __init__(self, x, y):
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+
+    class Right(Frozen):
+        __slots__ = _fields = ("x", "y")
+
+        def __init__(self, x, y):
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+
+    a, b, c = Left(1, (2, 3)), Left(1, (2, 3)), Left(1, (2, 4))
+    assert a is not b and a == b and not a != b and hash(a) == hash(b) == hash((1, (2, 3)))
+    assert a != c and not a == c
+    assert a != Right(1, (2, 3)) and Right(1, (2, 3)) != a
+    assert a != (1, (2, 3)) and (1, (2, 3)) != a
+    assert len({a, b}) == 1 and len({a, b, c, Right(1, (2, 3))}) == 3
+    for cls in (Left, Right, *(case[0] for case in CASES)):
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls
